@@ -19,7 +19,6 @@ trigonometric and hyperbolic families it lives in the chart plane
 
 from __future__ import annotations
 
-import cmath
 import math
 import warnings
 from dataclasses import dataclass
@@ -28,7 +27,7 @@ from typing import Callable
 import numpy as np
 
 from .families import family_kind
-from .series import CircleContour, Polynomial, contour_integral, poly_roots
+from .series import CircleContour, Polynomial, contour_integral, poly_roots, sample_finite
 from .spectra import AlgebraicState, moving_polynomial
 
 __all__ = [
@@ -62,15 +61,21 @@ class QmfEvaluator:
     """Analytic momentum function of one algebraic state.
 
     ``evaluation`` maps a point of the census plane to p (or the reduced
-    chart momentum q). ``moving_residue`` is the exact residue every simple
-    moving pole must carry; ``measure`` converts chart residues to
-    quantization units, so measure * moving_residue = -i always.
+    chart momentum q), elementwise when given an ndarray of points; its
+    moving-pole part is P'/P from the coefficients of ``moving_poly``.
+    ``moving_zeros`` holds the zeros of ``moving_poly`` with multiplicities,
+    as ``poly_roots`` returns them, solved once when the evaluator is built;
+    they place contours and name poles but never enter ``evaluation``.
+    ``moving_residue`` is the exact residue every simple moving pole must
+    carry; ``measure`` converts chart residues to quantization units, so
+    measure * moving_residue = -i always.
     """
 
     state: AlgebraicState
     evaluation: Callable[[complex], complex]
     census_variable: str
     moving_poly: Polynomial
+    moving_zeros: tuple[tuple[complex, int], ...]
     fixed_singularities: tuple[tuple[complex, complex], ...]  # (location, residue)
     measure: float
     moving_residue: complex
@@ -103,39 +108,37 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     kind = family_kind(state.family)
     pol = moving_polynomial(state)
     dpol = pol.derivative()
+    zeros = tuple(poly_roots(pol)) if pol.degree else ()
     gauge = state.gauge
 
     if kind in ("sextic", "radial_sextic"):
         mu = gauge.prefactor_exponent if kind == "radial_sextic" else 0.0
         gd = gauge.gauge_polynomial.derivative()
 
-        def evaluation(z: complex) -> complex:
-            z = complex(z)
+        def evaluation(z):
             val = dpol(z) / pol(z) - gd(z)
             if mu:
                 val = val + mu / z
             return -1j * val
 
         fixed = ((0j, -1j * mu),) if mu else ()
-        return QmfEvaluator(state, evaluation, "x", pol, fixed, 1.0, -1j)
+        return QmfEvaluator(state, evaluation, "x", pol, zeros, fixed, 1.0, -1j)
 
     if kind == "circular":
         (p0, mu0), (p1, mu1) = gauge.prefactors
         slope = -gauge.gauge_polynomial.coeffs[1]
 
-        def evaluation(t: complex) -> complex:
-            t = complex(t)
+        def evaluation(t):
             return -2j * (mu0 / t + mu1 / (t - 1.0) + slope + dpol(t) / pol(t))
 
         fixed = ((0j, -2j * mu0), (1 + 0j, -2j * mu1))
-        return QmfEvaluator(state, evaluation, "t", pol, fixed, 0.5, -2j)
+        return QmfEvaluator(state, evaluation, "t", pol, zeros, fixed, 0.5, -2j)
 
     # hyperbolic, census in t = cosh x; the stored polynomial lives in s = t^2
     (p0, mu0), (p1, mu1) = gauge.prefactors
     kappa = 2.0 * gauge.gauge_polynomial.coeffs[1]
 
-    def evaluation(t: complex) -> complex:
-        t = complex(t)
+    def evaluation(t):
         return -1j * (
             2.0 * mu0 / t
             + 2.0 * mu1 * t / (t * t - 1.0)
@@ -144,14 +147,12 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
         )
 
     fixed = ((0j, -2j * mu0), (1 + 0j, -1j * mu1), (-1 + 0j, -1j * mu1))
-    return QmfEvaluator(state, evaluation, "t", pol, fixed, 1.0, -1j)
+    return QmfEvaluator(state, evaluation, "t", pol, zeros, fixed, 1.0, -1j)
 
 
-def _classified_zeros(pol: Polynomial):
-    if pol.degree == 0:
-        return [], []
+def _classified_zeros(e: QmfEvaluator):
     real, cplx = [], []
-    for z, mult in poly_roots(pol):
+    for z, mult in e.moving_zeros:
         if mult > 1:
             raise DegenerateZeroError(f"degenerate zero at {z} (multiplicity {mult})")
         threshold = _REAL_AXIS_TOL * (1.0 + abs(z))
@@ -167,47 +168,44 @@ def _classified_zeros(pol: Polynomial):
     return real, cplx
 
 
-def _gauss_segment(f, z_from: complex, z_to: complex, nodes, weights, n_panels: int) -> complex:
-    total = 0j
-    for p in range(n_panels):
-        a = z_from + (z_to - z_from) * (p / n_panels)
-        b = z_from + (z_to - z_from) * ((p + 1) / n_panels)
-        mid = (a + b) / 2.0
-        half = (b - a) / 2.0
-        total += half * sum(w * f(mid + half * x) for x, w in zip(nodes, weights))
-    return total
-
-
-def _gauss_arc(f, center: complex, radius: float, a0: float, a1: float, nodes, weights) -> complex:
-    mid = (a0 + a1) / 2.0
-    half = (a1 - a0) / 2.0
-    total = 0j
-    for x, w in zip(nodes, weights):
-        ang = mid + half * x
-        z = center + radius * cmath.exp(1j * ang)
-        total += w * f(z) * 1j * radius * cmath.exp(1j * ang)
-    return half * total
-
-
 def _stadium_integral(f, x_lo: float, x_hi: float, h: float, n_nodes: int = 48) -> complex:
     """Counterclockwise integral over a stadium around [x_lo, x_hi] of half-height h.
 
-    The straight sides are split into panels no longer than the pole
-    clearance h, so accuracy does not degrade when the stadium is flat.
+    Right arc, upper side, left arc and lower side each use n_nodes-point
+    Gauss-Legendre, and ``f`` is called once on all their nodes. The
+    straight sides are split into panels no longer than the pole clearance
+    h, so accuracy does not degrade when the stadium is flat.
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
     n_panels = min(1000, max(1, math.ceil((x_hi - x_lo) / h)))
-    total = _gauss_arc(f, complex(x_hi), h, -math.pi / 2, math.pi / 2, nodes, weights)
-    total += _gauss_segment(f, complex(x_hi, h), complex(x_lo, h), nodes, weights, n_panels)
-    total += _gauss_arc(f, complex(x_lo), h, math.pi / 2, 3 * math.pi / 2, nodes, weights)
-    total += _gauss_segment(f, complex(x_lo, -h), complex(x_hi, -h), nodes, weights, n_panels)
-    return total
+
+    def arc(center: float, a0: float, a1: float):
+        half = (a1 - a0) / 2.0
+        ray = h * np.exp(1j * ((a0 + a1) / 2.0 + half * x))
+        return center + ray, half * w * 1j * ray  # weights carry dz/dangle
+
+    def side(z_from: complex, z_to: complex):
+        p = np.arange(n_panels)
+        a = z_from + (z_to - z_from) * (p / n_panels)
+        b = z_from + (z_to - z_from) * ((p + 1) / n_panels)
+        half = ((b - a) / 2.0)[:, None]
+        return (((a + b) / 2.0)[:, None] + half * x).ravel(), (half * w).ravel()
+
+    pieces = [
+        arc(x_hi, -math.pi / 2, math.pi / 2),
+        side(complex(x_hi, h), complex(x_lo, h)),
+        arc(x_lo, math.pi / 2, 3 * math.pi / 2),
+        side(complex(x_lo, -h), complex(x_hi, -h)),
+    ]
+    nodes = np.concatenate([n for n, _ in pieces])
+    weights = np.concatenate([wt for _, wt in pieces])
+    return complex(np.sum(weights * sample_finite(f, nodes)))
 
 
 def residue_at_zero(e: QmfEvaluator, z0: complex, n_points: int = 2048) -> complex:
     """(1/2 pi i) times the small-circle integral of the momentum around z0."""
     z0 = complex(z0)
-    others = [z for z, _ in poly_roots(e.moving_poly) if abs(z - z0) > 1e-12] if e.moving_poly.degree else []
+    others = [z for z, _ in e.moving_zeros if abs(z - z0) > 1e-12]
     others += [loc for loc, _ in e.fixed_singularities if abs(loc - z0) > 1e-12]
     radius = 0.1
     if others:
@@ -225,7 +223,7 @@ def quantization_check(e: QmfEvaluator) -> float:
     return 0. Rounding the result to the nearest integer is exact within the
     documented tolerance.
     """
-    real, cplx = _classified_zeros(e.moving_poly)
+    real, cplx = _classified_zeros(e)
     if not real:
         return 0.0
     h = 0.5
@@ -266,8 +264,7 @@ def global_pole_count(e: QmfEvaluator, n_points: int = 4096) -> float:
     momentum integral; route two applies the argument principle to the
     polynomial factor alone. The two must agree to 1e-10.
     """
-    zeros = [z for z, _ in poly_roots(e.moving_poly)] if e.moving_poly.degree else []
-    extent = [abs(z) for z in zeros] + [abs(loc) for loc, _ in e.fixed_singularities]
+    extent = [abs(z) for z, _ in e.moving_zeros] + [abs(loc) for loc, _ in e.fixed_singularities]
     radius = 2.0 * (1.0 + (max(extent) if extent else 0.0))
     circle = CircleContour(0j, radius)
 
@@ -295,7 +292,7 @@ def global_pole_count(e: QmfEvaluator, n_points: int = 4096) -> float:
 def zero_census(state: AlgebraicState) -> CensusReport:
     """Full census: locations, real/complex split, and both counting checks."""
     e = qmf(state)
-    real, cplx = _classified_zeros(e.moving_poly)
+    real, cplx = _classified_zeros(e)
     return CensusReport(
         n_real=len(real),
         n_complex=len(cplx),
@@ -310,8 +307,7 @@ def pole_reports(state: AlgebraicState) -> tuple[PoleReport, ...]:
     """Measured residues of every moving pole and every fixed pole."""
     e = qmf(state)
     reports = []
-    zeros = poly_roots(e.moving_poly) if e.moving_poly.degree else []
-    for z, mult in zeros:
+    for z, mult in e.moving_zeros:
         axis = "real" if abs(z.imag) < _REAL_AXIS_TOL * (1 + abs(z)) else "complex"
         reports.append(
             PoleReport(z, mult, residue_at_zero(e, z), "moving", axis)
@@ -334,16 +330,13 @@ def infinity_order_check(e: QmfEvaluator, ray_angle: float = 0.37) -> dict:
     if e.census_variable != "x":
         raise ValueError("infinity order check applies to the polynomial families")
     radii = np.geomspace(10.0, 100.0, 24)
-    direction = cmath.exp(1j * ray_angle)
-    logs_r, logs_p = [], []
-    for r in radii:
-        val = e.evaluation(r * direction)
-        logs_r.append(math.log(r))
-        logs_p.append(math.log(abs(val)))
+    direction = np.exp(1j * ray_angle)
+    vals = e.evaluation(radii * direction)
+    logs_r, logs_p = np.log(radii), np.log(np.abs(vals))
     slope, intercept = np.polyfit(logs_r, logs_p, 1)
-    fit_residual = float(np.max(np.abs(np.array(logs_p) - (slope * np.array(logs_r) + intercept))))
+    fit_residual = float(np.max(np.abs(logs_p - (slope * logs_r + intercept))))
     if fit_residual > 0.5:
         raise ArithmeticError(f"unexpected growth: power-law fit residual {fit_residual:.3g}")
-    z_big = 100.0 * direction
-    coefficient = e.evaluation(z_big) / z_big**3
+    z_big = radii[-1] * direction  # |z| = 100, the last node of the ray
+    coefficient = vals[-1] / z_big**3
     return {"exponent": float(slope), "coefficient": complex(coefficient)}

@@ -1,9 +1,12 @@
 """Laurent-series arithmetic, polynomial root finding, and circle quadrature.
 
 This is the numeric kernel for the rest of the package. Everything runs in
-plain double-precision ``complex``, values are immutable after construction,
-and every operation is a pure function of its inputs, so all of it is safe to
-share across concurrent work.
+double-precision complex arithmetic: Python ``complex`` for single values and
+``complex128`` numpy arrays where a whole contour or a whole set of root
+approximations is handled at once (``Polynomial.__call__`` runs Horner on
+either). Values are immutable after construction, and every operation is a
+pure function of its inputs, so all of it is safe to share across concurrent
+work.
 
 A ``LaurentSeries`` carries an explicit reliability window: arithmetic tracks
 which exponents of the result are still trustworthy, and asking for anything
@@ -29,6 +32,7 @@ __all__ = [
     "contour_integral",
     "poly_roots",
     "residue",
+    "sample_finite",
     "series_derivative",
     "series_product",
 ]
@@ -42,6 +46,10 @@ ROOT_CLUSTER_TOL = 1e-7
 
 _ROOT_BACKWARD_TOL = 1e-10
 _ABERTH_MAX_ITER = 400
+#: An Aberth step below this multiple of |z| is rounding noise.
+_ABERTH_ROUNDING_STEP = 4.0 * np.finfo(float).eps
+#: A step that no longer shrinks is a stall once it is below this (scaled by 1 + |z|).
+_ABERTH_STALL_STEP = 1e-8
 
 
 class TruncationDepthError(ValueError):
@@ -92,7 +100,8 @@ class Polynomial:
     def is_zero(self) -> bool:
         return self.coeffs == (0j,)
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z):
+        """Horner evaluation at a scalar or, elementwise, at an ndarray."""
         acc = 0j
         for c in reversed(self.coeffs):
             acc = acc * z + c
@@ -244,20 +253,16 @@ def residue(a: LaurentSeries) -> complex:
     return a.coefficient(-1)
 
 
-def _polyval_ascending(coeffs: np.ndarray, z: np.ndarray) -> np.ndarray:
-    acc = np.zeros_like(z)
-    for c in coeffs[::-1]:
-        acc = acc * z + c
-    return acc
-
-
 def poly_roots(p: Polynomial, tol: float = _ROOT_BACKWARD_TOL) -> list[tuple[complex, int]]:
     """All roots with multiplicities via the Aberth-Ehrlich iteration.
 
     Deterministic and dependency-free: initial guesses sit on the circle of
-    radius ``1 + max|c_k / c_lead|`` at fixed angles. Converged roots closer
-    than ``ROOT_CLUSTER_TOL`` (scaled by 1 + |z|) are merged into a single
-    root with a multiplicity. Output is sorted lexicographically by
+    radius ``1 + max|c_k / c_lead|`` at fixed angles. Each approximation
+    stops moving once its own step is at rounding level or has stalled, and
+    the iteration ends when all have stopped (or after 400 sweeps; Bini,
+    Numer. Algorithms 13 (1996)). Converged roots closer than
+    ``ROOT_CLUSTER_TOL`` (scaled by 1 + |z|) are merged into a single root
+    with a multiplicity. Output is sorted lexicographically by
     ``(re, im)`` and every reported root satisfies the documented backward
     error bound ``|p(r)| <= tol * sum |c_k r^k|`` (per cluster, to the power
     of its multiplicity).
@@ -284,20 +289,35 @@ def poly_roots(p: Polynomial, tol: float = _ROOT_BACKWARD_TOL) -> list[tuple[com
             radius = 1.0 + float(np.max(np.abs(c[:-1])))
             angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
             z = radius * np.exp(1j * angles)
-            dcoeffs = np.array([k * ck for k, ck in enumerate(c)][1:], dtype=complex)
+            monic = Polynomial(c)
+            dmonic = monic.derivative()
+            # A root is frozen once its step is at rounding level, or once the
+            # step stops shrinking while already small (it has reached the
+            # accuracy the conditioning allows); frozen roots still repel the
+            # active ones through the Aberth sum.
+            active = np.arange(deg)
+            last_step = np.full(deg, np.inf)
             for _ in range(_ABERTH_MAX_ITER):
-                pv = _polyval_ascending(c, z)
-                dv = _polyval_ascending(dcoeffs, z)
+                za = z[active]
+                pv = monic(za)
+                dv = dmonic(za)
                 dv = np.where(dv == 0, 1e-300, dv)
                 w = pv / dv
-                diff = z[:, None] - z[None, :]
-                np.fill_diagonal(diff, np.inf)
+                diff = za[:, None] - z[None, :]
+                diff[np.arange(len(active)), active] = np.inf
                 s = np.sum(1.0 / diff, axis=1)
                 denom = 1.0 - w * s
                 denom = np.where(denom == 0, 1e-300, denom)
                 delta = w / denom
-                z = z - delta
-                if np.max(np.abs(delta)) < 1e-15 * (1.0 + np.max(np.abs(z))):
+                z[active] = za - delta
+                step = np.abs(delta)
+                size = np.abs(z[active])
+                frozen = (step <= _ABERTH_ROUNDING_STEP * size) | (
+                    (step >= last_step[active]) & (step <= _ABERTH_STALL_STEP * (1.0 + size))
+                )
+                last_step[active] = step
+                active = active[~frozen]
+                if not len(active):
                     break
             found = [complex(r) for r in z]
 
@@ -342,27 +362,40 @@ class CircleContour:
 
 
 def contour_integral(
-    f: Callable[[complex], complex],
+    f: Callable[[np.ndarray], np.ndarray],
     contour: CircleContour,
     n_points: int = DEFAULT_QUADRATURE_POINTS,
 ) -> complex:
     """Trapezoidal quadrature of the raw integral ``∮ f dz`` over the circle.
 
-    Exponentially convergent when ``f`` is analytic in an annulus around the
-    circle. The caller applies any ``1/(2 pi)`` or ``1/(2 pi i)`` factor.
+    ``f`` is called once, on the ndarray of all ``n_points`` nodes, and must
+    return the array of its values there. Exponentially convergent when ``f``
+    is analytic in an annulus around the circle. The caller applies any
+    ``1/(2 pi)`` or ``1/(2 pi i)`` factor.
     """
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
     theta = 2.0 * np.pi * np.arange(n_points) / n_points
     nodes = contour.center + contour.radius * np.exp(1j * theta)
-    vals = np.empty(n_points, dtype=complex)
-    for j, z in enumerate(nodes):
-        try:
-            v = complex(f(complex(z)))
-        except ZeroDivisionError:
-            raise ContourPoleError(f"pole on contour at {z!r}") from None
-        if not (math.isfinite(v.real) and math.isfinite(v.imag)):
-            raise ContourPoleError(f"pole on contour: f({z!r}) is not finite")
-        vals[j] = v
+    vals = sample_finite(f, nodes)
     dz = 1j * contour.radius * np.exp(1j * theta)
     return complex(np.sum(vals * dz) * (2.0 * np.pi / n_points))
+
+
+def sample_finite(f: Callable[[np.ndarray], np.ndarray], nodes: np.ndarray) -> np.ndarray:
+    """``f`` on an ndarray of quadrature nodes, in one call.
+
+    A pole on a node shows up as a non-finite value (numpy's floating-point
+    warnings are silenced for the call) or as a ``ZeroDivisionError`` from
+    scalar arithmetic inside ``f``; either raises ``ContourPoleError``.
+    """
+    try:
+        with np.errstate(all="ignore"):
+            vals = np.asarray(f(nodes), dtype=complex)
+    except ZeroDivisionError:
+        raise ContourPoleError("pole on contour: division by zero at a node") from None
+    finite = np.isfinite(vals)
+    if not finite.all():
+        z = complex(nodes.flat[np.argmin(finite)])
+        raise ContourPoleError(f"pole on contour: f({z!r}) is not finite")
+    return vals

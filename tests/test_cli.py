@@ -1,9 +1,11 @@
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
+import qhjqes
 from qhjqes.cli import canonical_json, main
 
 
@@ -235,10 +237,14 @@ def test_canonical_json_rejects_non_finite():
 
 def test_console_entry_point(tmp_path):
     cfg = write_config(tmp_path, SEXTIC_N2)
+    # the child imports the same package as this test, installed or not
+    package_root = os.path.dirname(os.path.dirname(qhjqes.__file__))
+    path = os.pathsep.join(p for p in (package_root, os.environ.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-m", "qhjqes.cli", "derive", "--config", cfg],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["results"]["n"] == 2

@@ -1,4 +1,7 @@
 
+import importlib
+
+import numpy as np
 import pytest
 
 from qhjqes.engine import qes_parameterize
@@ -49,6 +52,37 @@ def test_schwarz_reflection():
             lhs = e(z.conjugate())
             rhs = -e(z).conjugate()
             assert abs(lhs - rhs) < 1e-11 * max(1.0, abs(rhs))
+
+
+def test_array_evaluation_matches_scalar(monkeypatch):
+    from qhjqes.families import Circular, Hyperbolic
+
+    rng = np.random.default_rng(5)
+    nodes = rng.uniform(-1.5, 1.5, 40) + 1j * rng.uniform(0.05, 1.0, 40)
+    nodes = np.concatenate([nodes, nodes.conj()])
+    states = [
+        _sextic_states(3, b=1.0)[1],
+        algebraic_states(RadialSextic(S=1.25, a=1.0, b=0.5, M=2))[1],
+        algebraic_states(Circular(S1=1.0, S2=1.2, q1=1.5, M=3))[1],
+        algebraic_states(Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2))[1],
+    ]
+    # the package re-exports the function qmf under the submodule's name
+    qmf_module = importlib.import_module("qhjqes.qmf")
+    real_roots = qmf_module.poly_roots
+    for state in states:
+        e = qmf(state)
+        vals = e.evaluation(nodes)
+        scalar = np.array([e.evaluation(complex(z)) for z in nodes])
+        assert np.max(np.abs(vals - scalar) / np.abs(scalar)) < 1e-13
+        # p'/p comes from the coefficients of moving_poly, never from the
+        # stored zeros: an evaluator built on wrong zeros evaluates the same
+        monkeypatch.setattr(
+            qmf_module, "poly_roots", lambda pol: [(z + 0.01, m) for z, m in real_roots(pol)]
+        )
+        shifted = qmf(state)
+        monkeypatch.setattr(qmf_module, "poly_roots", real_roots)
+        assert shifted.moving_zeros != e.moving_zeros
+        assert np.array_equal(shifted.evaluation(nodes), vals)
 
 
 # ----------------------------------------------------------------- census
@@ -178,6 +212,21 @@ def test_quantization_handles_zeros_crowding_a_wall():
         census = zero_census(state)
         worst = max(worst, abs(census.quantization_value - census.n_real))
     assert worst < 1e-10
+
+
+def test_degree_24_census_and_residues():
+    # radial M = 12: the bottom state has 24 complex zeros, the top one 24 real
+    fam = RadialSextic(S=1.3, a=1.0, b=0.5, M=12)
+    states = algebraic_states(fam)
+    for state, n_real in ((states[0], 0), (states[-1], 24)):
+        census = zero_census(state)
+        assert state.n_label == census.total == 24
+        assert census.n_real == n_real
+        assert abs(census.quantization_value - census.n_real) < 1e-8
+        assert abs(census.global_count - 24) < 1e-8
+        e = qmf(state)
+        for z in census.zeros:
+            assert abs(residue_at_zero(e, z) - e.moving_residue) < 1e-8
 
 
 def test_chart_family_censuses():

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -166,6 +167,14 @@ def test_roots_monic_reconstruction():
         assert err < 1e-10 * max(1.0, max(abs(c) for c in p.coeffs))
 
 
+def test_roots_of_unity_degree_24():
+    roots = poly_roots(Polynomial([-1] + [0] * 23 + [1]))
+    assert len(roots) == 24 and all(m == 1 for _, m in roots)
+    for k in range(24):
+        want = np.exp(2j * math.pi * k / 24)
+        assert min(abs(r - want) for r, _ in roots) < 1e-13
+
+
 def test_roots_of_zero_polynomial_raise():
     with pytest.raises(ValueError):
         poly_roots(Polynomial([0]))
@@ -211,8 +220,17 @@ def test_contour_random_rationals_match_partial_fractions():
 
 
 def test_contour_pole_on_node_raises():
-    with pytest.raises(ContourPoleError):
-        contour_integral(lambda z: 1.0 / (z - 1.0), CircleContour(0, 1.0), 64)
+    # the integrand sees the whole node array, so a pole on a node is an
+    # inf/nan from numpy (no RuntimeWarning may escape) or a ZeroDivisionError
+    # from scalar arithmetic; both are a ContourPoleError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ContourPoleError):
+            contour_integral(lambda z: 1.0 / (z - 1.0), CircleContour(0, 1.0), 64)
+        with pytest.raises(ContourPoleError):
+            contour_integral(lambda z: (z - 1.0) / (z - 1.0), CircleContour(0, 1.0), 64)
+        with pytest.raises(ContourPoleError):
+            contour_integral(lambda z: z / (complex(z[0]) - 1.0), CircleContour(0, 1.0), 64)
 
 
 def test_contour_rejects_few_points():
