@@ -271,7 +271,11 @@ def cmd_spectrum(config: dict, sanity: bool = False) -> tuple[dict, int]:
         )
     alg = [s.energy for s in states]
     refine_tol = max(1e-8, tols["oracle_tol"] / 2.0)
-    spec = _oracle_for(family, config, 2 * len(alg), refine_tol)
+    try:
+        spec = _oracle_for(family, config, 2 * len(alg), refine_tol)
+    except oracle.OracleConvergenceError as exc:
+        results = {"algebraic_energies": alg, "error": str(exc)}
+        return make_report("spectrum", config, results, [_failed_check("oracle_convergence", str(exc))]), 2
     table = []
     for i, e in enumerate(alg):
         j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - e))
@@ -424,12 +428,16 @@ def cmd_verify(config: dict) -> tuple[dict, int]:
             )
 
     refine_tol = max(1e-8, tols["oracle_tol"] / 2.0)
-    spec = _oracle_for(family, config, 2 * len(states), refine_tol)
-    for s in states:
-        j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))
-        diff = abs(spec.energies[j] - s.energy)
-        tol_i = max(tols["oracle_tol"], spec.error_estimates[j])
-        checks.append(_check(f"state_{s.index}_oracle_containment", diff, 0.0, tol_i))
+    try:
+        spec = _oracle_for(family, config, 2 * len(states), refine_tol)
+    except oracle.OracleConvergenceError as exc:
+        checks.append(_failed_check("oracle_convergence", str(exc)))
+    else:
+        for s in states:
+            j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))
+            diff = abs(spec.energies[j] - s.energy)
+            tol_i = max(tols["oracle_tol"], spec.error_estimates[j])
+            checks.append(_check(f"state_{s.index}_oracle_containment", diff, 0.0, tol_i))
 
     failing = [c["name"] for c in checks if not c["pass"]]
     results["first_failure"] = failing[0] if failing else None

@@ -1,10 +1,30 @@
 """Independent numerical ground truth for the eigenproblem -psi'' + V psi = E psi.
 
-Second-order central finite differences on a uniform grid with Dirichlet
-walls. Eigenvalues of the symmetric tridiagonal operator come from bisection
-(LAPACK stebz via scipy), which is deterministic. ``refine`` doubles the
-grid until the requested eigenvalues stop moving and then enlarges the
-domain once to bound the truncation error.
+Singular walls sit exactly on the singular point, and the wavefunction is
+factored there as psi = w phi. The wall factor w is built from the larger
+root mu = 1/2 + sqrt(1/4 + c) of the indicial equation mu (mu - 1) = c of
+each wall's c/x^2 coefficient: x^mu for the radial sextic,
+sin^a x cos^b x for the circular family and sinh^a x for the hyperbolic one.
+The exponents are read from V's coefficients alone, so the oracle never
+sees the algebraic sector. phi solves the weighted problem
+
+    -(w^2 phi')' + w^2 (V - w''/w) phi = E w^2 phi,
+
+whose potential V - w''/w is smooth and whose phi is regular at the wall.
+Second-order finite differences in flux form, scaled by w at the nodes,
+give one symmetric tridiagonal matrix; with w = 1 it is the familiar
+2/h^2 + V on the diagonal and -1/h^2 off it. No flux crosses a wall where
+w vanishes; every other end is a Dirichlet wall.
+
+Eigenvalues of the matrix come from bisection (LAPACK stebz via scipy),
+which is deterministic. ``refine`` halves h across grid doublings,
+Richardson-extrapolates each eigenvalue in h^2, and takes the change
+between successive extrapolants, plus the bisection's rounding, as its
+error estimate. A wall with exponent mu leaves an h^(2 mu + 1) term next
+to the h^2 one; as mu > 1/2 it still falls faster than h^2, so the change
+between extrapolants overstates what remains. One solve on a grown domain
+(ends facing infinity moved outward, ends facing a singular point moved
+onto it) bounds the truncation error.
 """
 
 from __future__ import annotations
@@ -29,13 +49,13 @@ __all__ = [
 
 DEFAULT_DOMAINS = {
     "sextic": (-6.0, 6.0),
-    "radial_sextic": (1e-3, 6.0),
-    "circular": (1e-3, math.pi / 2 - 1e-3),
+    "radial_sextic": (0.0, 6.0),
+    "circular": (0.0, math.pi / 2),
     # cosh^4 x reaches ~2e9 already at x = 6; pushing the wall further would
     # swamp the eigenvalues in the matrix norm (bisection resolves eigenvalues
     # only to machine-eps times the Gershgorin radius), while the gauge factor
     # exp(-q1 cosh^2 x / 2) is dead long before x = 4.
-    "hyperbolic": (1e-3, 4.0),
+    "hyperbolic": (0.0, 4.0),
 }
 
 _N_MAX = 2**16
@@ -51,7 +71,7 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid with Dirichlet (psi = 0) walls at both ends."""
+    """Uniform interior grid; the ends x_min and x_max are walls, not nodes."""
 
     x_min: float
     x_max: float
@@ -71,6 +91,57 @@ class Grid:
         return self.x_min + self.h * np.arange(1, self.n_interior + 1)
 
 
+# A wall factor is a product of f(x)^mu over the singular walls, each f
+# vanishing linearly at its wall. Each entry gives (f, f', f'') at x.
+def _power(x):
+    return x, np.ones_like(x), np.zeros_like(x)
+
+
+def _sin(x):
+    s, c = np.sin(x), np.cos(x)
+    return s, c, -s
+
+
+def _cos(x):
+    s, c = np.sin(x), np.cos(x)
+    return c, -s, -c
+
+
+def _sinh(x):
+    s, c = np.sinh(x), np.cosh(x)
+    return s, c, s
+
+
+def _indicial(c: float) -> float:
+    """Larger root of mu (mu - 1) = c: psi ~ x^mu at a c/x^2 wall."""
+    return 0.5 + math.sqrt(0.25 + c)
+
+
+def _walls(family) -> tuple:
+    """(position, exponent, f) for each singular wall of ``family``."""
+    kind = family_kind(family) if hasattr(family, "potential") else None
+    if kind == "radial_sextic":
+        return ((0.0, _indicial(family.g), _power),)
+    if kind == "circular":
+        return ((0.0, _indicial(family.A), _sin), (math.pi / 2, _indicial(family.B), _cos))
+    if kind == "hyperbolic":
+        return ((0.0, _indicial(family.B), _sinh),)
+    return ()
+
+
+def _log_wall_factor(walls, x):
+    """log w and w''/w at ``x`` for w = prod f^mu."""
+    log_w = np.zeros_like(x)
+    slope = np.zeros_like(x)  # w'/w
+    curvature = np.zeros_like(x)  # w''/w - (w'/w)^2
+    for _, mu, f in walls:
+        f0, f1, f2 = f(x)
+        log_w += mu * np.log(f0)
+        slope += mu * f1 / f0
+        curvature += mu * (f2 / f0 - (f1 / f0) ** 2)
+    return log_w, curvature + slope * slope
+
+
 def _potential_of(family_or_callable):
     if hasattr(family_or_callable, "potential"):
         return family_or_callable.potential
@@ -78,15 +149,34 @@ def _potential_of(family_or_callable):
 
 
 def discretize(family, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal 2/h^2 + V(x_i) and off-diagonal -1/h^2 of the discrete operator."""
+    """Diagonal and off-diagonal of the symmetric wall-factored operator.
+
+    Node i carries V - w''/w; the flux between nodes i and i+1 carries
+    w(x_{i+1/2})^2 / h^2, divided by w_i w_{i+1} to make the matrix
+    symmetric. A bare callable or a wall-free family has w = 1.
+    """
     pot = _potential_of(family)
+    walls = _walls(family)
     x = grid.points()
-    v = np.asarray(pot(x), dtype=float)
-    if not np.all(np.isfinite(v)):
-        raise ValueError("potential is not finite on a grid node")
-    inv_h2 = 1.0 / grid.h**2
-    diag = 2.0 * inv_h2 + v
-    off = -inv_h2 * np.ones(grid.n_interior - 1)
+    h = grid.h
+    halves = grid.x_min + h * (np.arange(grid.n_interior + 1) + 0.5)
+    with np.errstate(all="ignore"):
+        log_w, wpp_over_w = _log_wall_factor(walls, x)
+        log_w_half, _ = _log_wall_factor(walls, halves)
+        v = np.asarray(pot(x), dtype=float) - wpp_over_w
+    if not all(np.all(np.isfinite(a)) for a in (v, log_w, log_w_half)):
+        raise ValueError("potential or wall factor is not finite on a grid node")
+    # Flux weight of each half node relative to the node on its left and right.
+    left = np.exp(2.0 * (log_w_half[:-1] - log_w))
+    right = np.exp(2.0 * (log_w_half[1:] - log_w))
+    for position, _, _ in walls:
+        if math.isclose(grid.x_min, position, abs_tol=1e-12):
+            left[0] = 0.0
+        if math.isclose(grid.x_max, position, abs_tol=1e-12):
+            right[-1] = 0.0
+    inv_h2 = 1.0 / h**2
+    diag = inv_h2 * (left + right) + v
+    off = -inv_h2 * np.exp(2.0 * log_w_half[1:-1] - log_w[:-1] - log_w[1:])
     return diag, off
 
 
@@ -117,47 +207,36 @@ class OracleSpectrum:
             raise ValueError("error estimates must be positive")
 
 
-def _converge_grid(pot, domain, k, tol, n_start, n_max):
-    prev = None
-    n = n_start
-    best = None
-    while n <= n_max:
-        grid = Grid(domain[0], domain[1], n)
-        energies = low_spectrum(*discretize(pot, grid), k)
-        if prev is not None:
-            delta = float(np.max(np.abs(energies - prev)))
-            best = (energies, delta, grid)
-            if delta < tol:
-                return best
-        prev = energies
-        n *= 2
-    raise OracleConvergenceError(
-        f"no grid convergence below {tol:g} with up to {n_max} points", best=best
-    )
+def _grown_domain(kind: str | None, domain: tuple[float, float], h: float) -> tuple[float, float]:
+    """The domain of the truncation check, for a coarse grid of step h.
 
-
-def _grow_domain(kind: str, domain: tuple[float, float]) -> tuple[float, float]:
-    """Enlarged domain for the truncation check.
-
-    Families with a singular wall also halve the wall offset: the Dirichlet
-    error there scales like a low power of the offset when the local
-    exponent is small, and only moving the wall exposes it.
+    Ends that face infinity move outward by whole steps of h, so the grown
+    grid keeps h and the coarse grid's nodes. Ends that face a singular point
+    move onto it; the default domains already put them there.
     """
     lo, hi = domain
-    if kind == "sextic":
-        half = (hi - lo) / 2.0
-        mid = (hi + lo) / 2.0
-        return (mid - 2 * half, mid + 2 * half)
     if kind == "circular":
-        # The physical interval is fixed; shrink the wall offsets instead.
-        eps_lo = lo
-        eps_hi = math.pi / 2 - hi
-        return (eps_lo / 2.0, math.pi / 2 - eps_hi / 2.0)
+        return 0.0, math.pi / 2
+    if kind == "radial_sextic":
+        return 0.0, hi + round((hi - lo) / h) * h
     if kind == "hyperbolic":
-        # Additive outer growth: another unit of x multiplies the tail bound
+        # Additive growth: another unit of x multiplies the tail bound
         # enormously while keeping cosh^4 within floating-point reach.
-        return (lo / 2.0, hi + 1.0)
-    return (lo / 2.0, 2.0 * hi)
+        return 0.0, hi + round(1.0 / h) * h
+    step = round((hi - lo) / (2.0 * h)) * h
+    return lo - step, hi + step
+
+
+def _solve(family, grid: Grid, k: int) -> tuple[np.ndarray, float]:
+    """The k lowest eigenvalues and the bisection's resolution of them.
+
+    Bisection pins each eigenvalue to about 2 eps times the Gershgorin bound
+    of the matrix; the extrapolant weighs the finer of two solves by 4/3, so
+    twice that bounds the rounding in an extrapolated energy.
+    """
+    diag, off = discretize(family, grid)
+    gershgorin = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
+    return low_spectrum(diag, off, k), 4.0 * np.finfo(float).eps * gershgorin
 
 
 def refine(
@@ -168,13 +247,13 @@ def refine(
     n_start: int = 1024,
     n_max: int = _N_MAX,
 ) -> OracleSpectrum:
-    """Certified low spectrum: grid-doubled to ``tol`` plus domain checks.
+    """Certified low spectrum: Richardson-extrapolated grid doublings plus a domain check.
 
-    The per-eigenvalue error estimate combines the last grid change with the
-    observed shift under an enlarged domain. If that shift is itself above
-    tolerance (a slowly converging singular wall), one more growth step
-    measures the convergence order and the estimate becomes the Richardson
-    remainder; only a gross shift (percent scale) raises.
+    Each doubling keeps the walls and halves h exactly (n + 1 doubles). The
+    estimate of each energy is the larger of the change between the last two
+    extrapolants and its shift on the truncation check's grown domain at the
+    coarsest h, plus the bisection's rounding; refinement stops once every
+    change is below ``tol``. A percent-scale truncation shift raises.
     """
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
@@ -183,55 +262,41 @@ def refine(
         if kind is None:
             raise ValueError("a domain is required for a bare potential callable")
         domain = DEFAULT_DOMAINS[kind]
-    pot = _potential_of(family)
 
-    energies, delta, grid = _converge_grid(pot, domain, k, tol, n_start, n_max)
-    g_kind = kind or "sextic"
-    bigger = _grow_domain(g_kind, domain)
-    # The enlarged domain needs proportionally more points for the same
-    # resolution, so its ceiling scales with the width ratio.
-    stretch = max(1.0, (bigger[1] - bigger[0]) / (domain[1] - domain[0]))
-    energies2, delta2, grid2 = _converge_grid(
-        pot, bigger, k, tol, max(n_start, grid.n_interior), int(n_max * math.ceil(stretch))
-    )
-    shift = np.abs(energies2 - energies)
+    grid = Grid(domain[0], domain[1], n_start)
+    energies, _ = _solve(family, grid, k)
 
-    if float(np.max(shift)) > 2.0 * tol:
-        # The boundary moved the eigenvalues: a wall with a small local
-        # exponent converges slowly in the offset. One more growth step
-        # gives the convergence order, and with it a Richardson-style bound
-        # on what is still missing from the finest run.
-        bigger2 = _grow_domain(g_kind, bigger)
-        stretch2 = max(1.0, (bigger2[1] - bigger2[0]) / (domain[1] - domain[0]))
-        energies3, delta3, grid3 = _converge_grid(
-            pot, bigger2, k, tol, grid2.n_interior, int(n_max * math.ceil(stretch2))
-        )
-        shift2 = np.abs(energies3 - energies2)
-        remaining = np.empty_like(shift2)
-        for i in range(len(shift2)):
-            if shift2[i] <= tol:
-                remaining[i] = shift2[i]
-            elif shift2[i] >= shift[i]:
-                remaining[i] = max(shift[i], shift2[i])  # not converging; stay honest
-            else:
-                order = math.log2(shift[i] / shift2[i])
-                # 1.5x guards the extrapolation against higher-order terms.
-                remaining[i] = 1.5 * shift2[i] / (2.0**order - 1.0)
-        energies_out, delta_out, grid_out = energies3, delta3, grid3
-    else:
-        remaining = shift
-        energies_out, delta_out, grid_out = energies2, delta2, grid2
+    grown = _grown_domain(kind, domain, grid.h)
+    shift = np.zeros(k)
+    if grown != tuple(domain):
+        wide = Grid(grown[0], grown[1], round((grown[1] - grown[0]) / grid.h) - 1)
+        shift = np.abs(_solve(family, wide, k)[0] - energies)
+        gross = 0.02 * (1.0 + float(np.max(np.abs(energies))))
+        if float(np.max(shift)) > gross:
+            raise OracleConvergenceError(
+                f"domain truncation error {float(np.max(shift)):.3g} is gross; "
+                "the domain does not hold this family",
+                best=(energies, shift, grid),
+            )
 
-    gross = 0.02 * (1.0 + float(np.max(np.abs(energies_out))))
-    if float(np.max(remaining)) > gross:
-        raise OracleConvergenceError(
-            f"domain truncation error {float(np.max(remaining)):.3g} is gross; "
-            "the default domain does not hold this family",
-            best=(energies_out, delta_out, grid_out),
-        )
-    estimates = np.maximum(np.maximum(delta_out, remaining), 1e-16)
-    return OracleSpectrum(
-        energies=tuple(float(e) for e in energies_out),
-        error_estimates=tuple(float(e) for e in estimates),
-        grid=grid_out,
+    best = None
+    extrapolant = None
+    while 2 * grid.n_interior + 1 <= n_max:
+        grid = Grid(domain[0], domain[1], 2 * grid.n_interior + 1)
+        finer, rounding = _solve(family, grid, k)
+        previous, extrapolant = extrapolant, finer + (finer - energies) / 3.0
+        # Until two extrapolants exist, the raw grid change stands in.
+        change = np.abs(extrapolant - previous) if previous is not None else np.abs(finer - energies)
+        best = (extrapolant, change, grid)
+        energies = finer
+        if previous is not None and float(np.max(change)) < tol:
+            estimates = np.maximum(change, shift) + rounding
+            return OracleSpectrum(
+                energies=tuple(float(e) for e in extrapolant),
+                error_estimates=tuple(float(e) for e in estimates),
+                grid=grid,
+            )
+    last = f" (last change {float(np.max(best[1])):.3g})" if best is not None else ""
+    raise OracleConvergenceError(
+        f"no grid convergence below {tol:g} with up to {n_max} points{last}", best=best
     )

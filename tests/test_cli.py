@@ -211,7 +211,6 @@ def test_verify_radial_example(tmp_path, capsys):
         tmp_path,
         {
             "family": {"name": "radial_sextic", "S": 1.25, "a": 1.0, "b": 0.5, "M": 2},
-            "tolerances": {"oracle_tol": 2e-4},
         },
     )
     assert main(["verify", "--config", cfg]) == 0
@@ -219,6 +218,36 @@ def test_verify_radial_example(tmp_path, capsys):
     assert all(c["pass"] for c in report["checks"])
     names = [c["name"] for c in report["checks"]]
     assert "state_0_infinity_exponent" in names
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2},
+        {"name": "hyperbolic", "S1": 1.0, "S2": 0.9, "q1": 1.0, "M": 2},
+        {"name": "sextic_qes", "a": 1.0, "b": 0.0, "n": 12},
+        {"name": "circular", "S1": 0.62, "S2": 0.61, "q1": 1.0, "M": 6},
+    ],
+    ids=["circular", "hyperbolic", "sextic-n12", "circular-small-exponents"],
+)
+def test_verify_passes_at_default_tolerances(tmp_path, capsys, family):
+    cfg = write_config(tmp_path, {"family": family})
+    assert main(["verify", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["first_failure"] is None
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_oracle_failure_still_emits_report(tmp_path, capsys, command):
+    # A box of half-width 1 truncates the sextic's bound states grossly.
+    cfg = write_config(tmp_path, {**SEXTIC_N2, "grid": {"x_min": -1.0, "x_max": 1.0}})
+    assert main([command, "--config", cfg]) == 2
+    report = json.loads(capsys.readouterr().out)
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["oracle_convergence"]
+    assert "gross" in failed[0]["measured"]
+    if command == "verify":
+        assert report["results"]["first_failure"] == "oracle_convergence"
 
 
 # ------------------------------------------------------------ serialization

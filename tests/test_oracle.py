@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from qhjqes.families import RadialSextic, Sextic
+from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic
 from qhjqes.oracle import (
     Grid,
     OracleConvergenceError,
@@ -115,6 +115,46 @@ def test_refine_certifies_slow_wall_convergence():
     for s in states:
         j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
         assert abs(spec.energies[j] - s.energy) <= spec.error_estimates[j]
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        Circular(S1=0.62, S2=0.62, q1=1.0, M=2),
+        Circular(S1=0.62, S2=1.1, q1=-1.5, M=3),
+        Hyperbolic(S1=1.0, S2=0.55, q1=1.0, M=2),
+        RadialSextic(S=0.76, a=1.0, b=0.5, M=2),
+    ],
+    ids=["circular", "circular-negative-q1", "hyperbolic", "radial"],
+)
+def test_refine_is_honest_at_small_indicial_exponents(family):
+    # Wall exponents mu = 2S - 1/2 just above 1/2 leave an h^(2 mu + 1)
+    # term next to the h^2 one; the estimates must still cover the error.
+    states = algebraic_states(family)
+    spec = refine(family, k=2 * len(states) + 4, tol=5e-5)
+    for s in states:
+        j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
+        assert abs(spec.energies[j] - s.energy) <= spec.error_estimates[j] <= 5e-5
+
+
+def test_refine_bounds_a_wall_placed_off_the_singular_point():
+    # Dirichlet walls at offset 1e-3 move these levels by 0.2-0.9; the
+    # truncation check moves them onto the singular points and must see it.
+    fam = Circular(S1=0.62, S2=0.61, q1=1.0, M=2)
+    states = algebraic_states(fam)
+    spec = refine(fam, k=2 * len(states) + 4, tol=5e-5, domain=(1e-3, np.pi / 2 - 1e-3))
+    for s in states:
+        j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
+        assert 0.1 < abs(spec.energies[j] - s.energy) <= spec.error_estimates[j]
+
+
+def test_wall_free_operator_is_plain_finite_differences():
+    fam = Sextic(-7.0, 0.0, 1.0)
+    g = Grid(-6.0, 6.0, 500)
+    diag, off = discretize(fam, g)
+    inv_h2 = 1.0 / g.h**2
+    assert np.array_equal(diag, 2.0 * inv_h2 + fam.potential(g.points()))
+    assert np.array_equal(off, np.full(499, -inv_h2))
 
 
 def test_refine_rejects_uncertifiable_tolerance():
