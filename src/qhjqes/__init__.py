@@ -42,17 +42,12 @@ from .series import (
     Polynomial,
     contour_integral,
     poly_roots,
-    residue,
-    series_derivative,
-    series_product,
 )
 from .spectra import (
     AlgebraicState,
     GaugeSpec,
     RecursionMatrix,
-    algebraic_spectrum,
     algebraic_states,
-    eigenfunction,
     gauge_from_residues,
     moving_polynomial,
     recursion_matrix,

@@ -2,13 +2,17 @@
 
 Configs and reports are JSON. Reports are deterministic: keys are sorted and
 every float is printed with 17 significant digits, so identical configs give
-byte-identical reports. Exit codes: 0 pass, 1 usage/config error, 2
-verification failure.
+byte-identical reports. Each command builds its checks in stages; a library
+error inside a stage stops the command and is recorded as a failed check
+named after the stage, so every run with a valid config writes a report.
+``results.first_failure`` names the first failed check. Exit codes: 0 pass,
+1 usage/config error, 2 verification failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -25,7 +29,7 @@ from .qmf import (
 
 __all__ = ["main"]
 
-_SCHEMA_VERSION = "1"
+_SCHEMA_VERSION = "2"
 
 _FAMILY_FIELDS = {
     "sextic": ("alpha", "beta", "gamma"),
@@ -37,12 +41,11 @@ _FAMILY_FIELDS = {
 
 _DEFAULT_TOLERANCES = {"residue_tol": 1e-8, "contour_tol": 1e-8, "oracle_tol": 1e-4}
 
+# What a library stage raises on an instance it cannot handle.
+_STAGE_ERRORS = (ArithmeticError, ValueError, oracle.OracleConvergenceError)
+
 
 class ConfigError(ValueError):
-    pass
-
-
-class VerificationFailure(RuntimeError):
     pass
 
 
@@ -188,27 +191,102 @@ def _failed_check(name: str, message: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Commands.
+# Stages and the checks that commands share.
 
 
-def cmd_derive(config: dict) -> tuple[dict, int]:
-    family = build_family(config["family"])
-    checks = []
-    results = {"family_kind": family_kind(family)}
+class _StageFailed(Exception):
+    """A stage raised a library error; ``check`` names the failed check that records it."""
+
+    def __init__(self, check: str, cause: Exception):
+        super().__init__(str(cause))
+        self.check = check
+
+
+@contextlib.contextmanager
+def _stage(check: str):
+    """Stop the command with the failed check ``check`` if the block raises a library error."""
     try:
-        ledger = engine.quantization_ledger(family)
-    except (engine.NonQESError, engine.BranchRuleError, engine.MatchingFailure) as exc:
-        results["error"] = str(exc)
-        checks.append(_failed_check("qes_condition", str(exc)))
-        return make_report("derive", config, results, checks), 2
+        yield
+    except _STAGE_ERRORS as exc:
+        raise _StageFailed(check, exc) from exc
 
-    kind = family_kind(family)
-    chart = engine.INVERSION if kind in ("sextic", "radial_sextic") else (
-        engine.TRIG if kind == "circular" else engine.HYPER
-    )
-    rdata = engine.riccati_in_chart(family, chart)
-    pair = engine.infinity_branch_candidates(rdata)
-    selected = engine.select_physical_branch(pair, family, "infinity")
+
+def _algebraic_states(family, checks: list) -> tuple:
+    """The algebraic states, after the checks that the recursion truncates and its energies are real."""
+    try:
+        states = spectra.algebraic_states(family)
+    except spectra.QESConditionError as exc:
+        raise _StageFailed("recursion_truncates", exc) from exc
+    except spectra.NonRealEnergyError as exc:
+        checks.append(_check("recursion_truncates", 0.0, 0.0, 1.0))
+        raise _StageFailed("algebraic_energies_real", exc) from exc
+    except _STAGE_ERRORS as exc:
+        raise _StageFailed("algebraic_states", exc) from exc
+    checks.append(_check("recursion_truncates", 0.0, 0.0, 1.0))
+    checks.append(_check("algebraic_energies_real", 0.0, 0.0, 1.0))
+    return states
+
+
+def _ledger(family, checks: list) -> engine.QuantizationLedger:
+    """The quantization ledger, after its balance check and its closed-form (sextic) or M check."""
+    with _stage("qes_condition"):
+        ledger = engine.quantization_ledger(family)
+    lhs = ledger.solved_condition["lhs_value"]
+    checks.append(_check("ledger_balance", ledger.balance_residual, 0.0, 1e-10))
+    if family_kind(family) == "sextic":
+        target = family.condition_value
+        checks.append(_check("condition_matches_closed_form", lhs, target, 1e-10 * max(1.0, abs(target))))
+    else:
+        checks.append(_check("ledger_count_equals_M", lhs, family.M, 1e-9))
+    return ledger
+
+
+def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, list]:
+    """The oracle's energies and each state's nearest oracle level, after the containment checks.
+
+    ``oracle_certified`` fails when the oracle cannot certify the matched
+    levels to ``oracle_tol``; each difference is held to ``oracle_tol``
+    itself, so a poorly certified oracle cannot widen its own check.
+    """
+    tol = config["_tolerances"]["oracle_tol"]
+    domain, n_start = None, 1024
+    if config.get("grid"):
+        grid = config["grid"]
+        domain = (float(grid["x_min"]), float(grid["x_max"]))
+        n_start = int(grid.get("n", 1024))
+    with _stage("oracle_convergence"):
+        spec = oracle.refine(
+            family, k=2 * len(states) + 4, tol=max(1e-8, tol / 2.0), domain=domain, n_start=n_start
+        )
+    matches = []
+    for s in states:
+        j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))
+        matches.append(
+            {
+                "algebraic": s.energy,
+                "oracle": spec.energies[j],
+                "difference": abs(spec.energies[j] - s.energy),
+                "certified_error": spec.error_estimates[j],
+            }
+        )
+    checks.append(_check("oracle_certified", max(m["certified_error"] for m in matches), 0.0, tol))
+    for s, m in zip(states, matches):
+        checks.append(_check(f"state_{s.index}_oracle_containment", m["difference"], 0.0, tol))
+    return list(spec.energies), matches
+
+
+def _output_path(config: dict, key: str) -> str | None:
+    return _resolve_out((config.get("outputs") or {}).get(key))
+
+
+# ----------------------------------------------------------------------
+# Commands. Each fills ``results`` and ``checks`` in place.
+
+
+def cmd_derive(config: dict, results: dict, checks: list) -> None:
+    family = build_family(config["family"])
+    results["family_kind"] = family_kind(family)
+    ledger = _ledger(family, checks)
     results["ledger"] = [
         {"source": e.source, "value": e.value, "detail": e.detail} for e in ledger.entries
     ]
@@ -216,233 +294,135 @@ def cmd_derive(config: dict) -> tuple[dict, int]:
         {
             "label": c.label,
             "leading_coefficient": c.leading_coefficient,
-            "selected": c.label == selected.label,
+            "selected": c.label == ledger.selected_branch,
         }
-        for c in pair
+        for c in ledger.infinity_branches
     ]
     results["solved_condition"] = dict(ledger.solved_condition)
     results["n"] = ledger.n
-    checks.append(_check("ledger_balance", ledger.balance_residual, 0.0, 1e-10))
-    if kind == "sextic":
-        checks.append(
-            _check(
-                "condition_matches_closed_form",
-                ledger.solved_condition["lhs_value"],
-                family.condition_value,
-                1e-10 * max(1.0, abs(family.condition_value)),
-            )
-        )
-    else:
-        checks.append(_check("ledger_count_equals_M", ledger.solved_condition["lhs_value"], family.M, 1e-9))
-    code = 0 if all(c["pass"] for c in checks) else 2
-    return make_report("derive", config, results, checks), code
 
 
-def _oracle_for(family, config: dict, n_states: int, tol: float):
-    grid_cfg = config.get("grid")
-    domain = None
-    n_start = 1024
-    if grid_cfg:
-        domain = (float(grid_cfg["x_min"]), float(grid_cfg["x_max"]))
-        n_start = int(grid_cfg.get("n", 1024))
-    k = n_states + 4
-    spec = oracle.refine(family, k=k, tol=tol, domain=domain, n_start=n_start)
-    return spec
-
-
-def cmd_spectrum(config: dict, sanity: bool = False) -> tuple[dict, int]:
-    tols = config["_tolerances"]
-    checks = []
+def cmd_spectrum(config: dict, results: dict, checks: list, sanity: bool = False) -> None:
     if sanity:
-        spec = oracle.refine(lambda x: x * x, k=3, tol=1e-6, domain=(-10.0, 10.0))
-        results = {"mode": "harmonic-sanity", "oracle": list(spec.energies)}
+        with _stage("oracle_convergence"):
+            spec = oracle.refine(lambda x: x * x, k=3, tol=1e-6, domain=(-10.0, 10.0))
+        results.update({"mode": "harmonic-sanity", "oracle": list(spec.energies)})
         for i, exact in enumerate((1.0, 3.0, 5.0)):
             checks.append(_check(f"harmonic_level_{i}", spec.energies[i], exact, 1e-4))
-        code = 0 if all(c["pass"] for c in checks) else 2
-        return make_report("spectrum", config, results, checks), code
-
+        return
     family = build_family(config["family"])
-    try:
-        states = spectra.algebraic_states(family)
-    except (spectra.QESConditionError, spectra.NonRealEnergyError) as exc:
-        return (
-            make_report("spectrum", config, {"error": str(exc)}, [_failed_check("algebraic_sector", str(exc))]),
-            2,
-        )
-    alg = [s.energy for s in states]
-    refine_tol = max(1e-8, tols["oracle_tol"] / 2.0)
-    try:
-        spec = _oracle_for(family, config, 2 * len(alg), refine_tol)
-    except oracle.OracleConvergenceError as exc:
-        results = {"algebraic_energies": alg, "error": str(exc)}
-        return make_report("spectrum", config, results, [_failed_check("oracle_convergence", str(exc))]), 2
-    table = []
-    for i, e in enumerate(alg):
-        j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - e))
-        diff = abs(spec.energies[j] - e)
-        certified = spec.error_estimates[j]
-        tol_i = max(tols["oracle_tol"], certified)
-        table.append(
-            {
-                "algebraic": e,
-                "oracle": spec.energies[j],
-                "difference": diff,
-                "certified_error": certified,
-            }
-        )
-        checks.append(_check(f"energy_{i}_in_oracle", diff, 0.0, tol_i))
-    results = {
-        "algebraic_energies": alg,
-        "oracle_energies": list(spec.energies),
-        "matches": table,
-    }
-    code = 0 if all(c["pass"] for c in checks) else 2
-    return make_report("spectrum", config, results, checks), code
+    states = _algebraic_states(family, checks)
+    results["algebraic_energies"] = [s.energy for s in states]
+    results["oracle_energies"], results["matches"] = _oracle_matches(family, config, states, checks)
 
 
-def cmd_poles(config: dict, level: int) -> tuple[dict, int, str]:
+def cmd_poles(config: dict, results: dict, checks: list, level: int) -> None:
     tols = config["_tolerances"]
     family = build_family(config["family"])
-    states = spectra.algebraic_states(family)
+    states = _algebraic_states(family, checks)
     if not 0 <= level < len(states):
         raise ConfigError(f"level {level} out of range (0..{len(states) - 1})")
     state = states[level]
-    census = zero_census(state)
-    reports = pole_reports(state)
-    ev = build_qmf(state)
+    results.update({"level": level, "energy": state.energy})
+    with _stage("census"):
+        ev = build_qmf(state)
+        census = zero_census(ev)
+        reports = pole_reports(ev)
 
-    checks = [
-        _check("counting_real_plus_complex", census.total, state.n_label, 0.0),
-        _check("quantization_equals_real_count", census.quantization_value, census.n_real, tols["contour_tol"]),
-        _check("global_count_equals_n", census.global_count, state.n_label, tols["contour_tol"]),
-    ]
+    checks.append(_check("counting_real_plus_complex", census.total, state.n_label, 0.0))
+    checks.append(
+        _check("quantization_equals_real_count", census.quantization_value, census.n_real, tols["contour_tol"])
+    )
+    checks.append(_check("global_count_equals_n", census.global_count, state.n_label, tols["contour_tol"]))
     for i, rep in enumerate(r for r in reports if r.kind == "moving"):
-        checks.append(
-            _check(
-                f"moving_residue_{i}",
-                rep.measured_residue,
-                ev.moving_residue,
-                tols["residue_tol"],
-            )
-        )
-    results = {
-        "level": level,
-        "energy": state.energy,
-        "census": {
-            "n_real": census.n_real,
-            "n_complex": census.n_complex,
-            "total": census.total,
-            "quantization_value": census.quantization_value,
-            "global_count": census.global_count,
-        },
-        "poles": [
-            {
-                "location": r.location,
-                "multiplicity": r.multiplicity,
-                "residue": r.measured_residue,
-                "kind": r.kind,
-                "axis": r.axis,
-            }
-            for r in reports
-        ],
+        checks.append(_check(f"moving_residue_{i}", rep.measured_residue, ev.moving_residue, tols["residue_tol"]))
+    results["census"] = {
+        "n_real": census.n_real,
+        "n_complex": census.n_complex,
+        "total": census.total,
+        "quantization_value": census.quantization_value,
+        "global_count": census.global_count,
     }
-    lines = ["re_z,im_z,kind,re_residue,im_residue"]
-    for r in reports:
-        lines.append(
-            ",".join(
-                [
-                    _fmt_float(r.location.real),
-                    _fmt_float(r.location.imag),
-                    r.kind,
-                    _fmt_float(r.measured_residue.real),
-                    _fmt_float(r.measured_residue.imag),
-                ]
+    results["poles"] = [
+        {
+            "location": r.location,
+            "multiplicity": r.multiplicity,
+            "residue": r.measured_residue,
+            "kind": r.kind,
+            "axis": r.axis,
+        }
+        for r in reports
+    ]
+    csv_path = _output_path(config, "csv")
+    if csv_path:
+        lines = ["re_z,im_z,kind,re_residue,im_residue"]
+        for r in reports:
+            lines.append(
+                ",".join(
+                    [
+                        _fmt_float(r.location.real),
+                        _fmt_float(r.location.imag),
+                        r.kind,
+                        _fmt_float(r.measured_residue.real),
+                        _fmt_float(r.measured_residue.imag),
+                    ]
+                )
             )
-        )
-    csv_text = "\n".join(lines) + "\n"
-    code = 0 if all(c["pass"] for c in checks) else 2
-    return make_report("poles", config, results, checks), code, csv_text
+        with open(csv_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
 
 
-def cmd_verify(config: dict) -> tuple[dict, int]:
+def cmd_verify(config: dict, results: dict, checks: list) -> None:
     tols = config["_tolerances"]
     family = build_family(config["family"])
     kind = family_kind(family)
-    checks = []
-    results = {"family_kind": kind}
+    results["family_kind"] = kind
+    states = _algebraic_states(family, checks)
+    results["algebraic_energies"] = [s.energy for s in states]
+    _ledger(family, checks)
 
-    try:
-        matrix = spectra.recursion_matrix(family)
-        checks.append(_check("recursion_truncates", 0.0, 0.0, 1.0))
-    except spectra.QESConditionError as exc:
-        checks.append(_failed_check("recursion_truncates", str(exc)))
-        results["error"] = str(exc)
-        return make_report("verify", config, results, checks), 2
-
-    try:
-        energies = spectra.algebraic_spectrum(matrix)
-        checks.append(_check("algebraic_energies_real", 0.0, 0.0, 1.0))
-    except spectra.NonRealEnergyError as exc:
-        checks.append(_failed_check("algebraic_energies_real", str(exc)))
-        return make_report("verify", config, results, checks), 2
-    results["algebraic_energies"] = [float(e) for e in energies]
-
-    try:
-        ledger = engine.quantization_ledger(family)
-        checks.append(_check("ledger_balance", ledger.balance_residual, 0.0, 1e-10))
-        if kind == "sextic":
-            checks.append(
-                _check(
-                    "condition_matches_closed_form",
-                    ledger.solved_condition["lhs_value"],
-                    family.condition_value,
-                    1e-10 * max(1.0, abs(family.condition_value)),
-                )
-            )
-    except (engine.NonQESError, engine.BranchRuleError, engine.MatchingFailure) as exc:
-        checks.append(_failed_check("ledger_closure", str(exc)))
-
-    states = spectra.algebraic_states(family)
     for s in states:
         tag = f"state_{s.index}"
         checks.append(
             _check(f"{tag}_eigen_identity_residual", spectra.schrodinger_residual(s), 0.0, 1e-8)
         )
-        census = zero_census(s)
+        with _stage(f"{tag}_census"):
+            ev = build_qmf(s)
+            census = zero_census(ev)
+            worst = max((abs(residue_at_zero(ev, z) - ev.moving_residue) for z in census.zeros), default=0.0)
+            fit = infinity_order_check(ev) if kind in ("sextic", "radial_sextic") else None
         checks.append(_check(f"{tag}_degree_law", census.total, s.n_label, 0.0))
         checks.append(
             _check(f"{tag}_quantization", census.quantization_value, census.n_real, tols["contour_tol"])
         )
         checks.append(_check(f"{tag}_global_count", census.global_count, s.n_label, tols["contour_tol"]))
-        ev = build_qmf(s)
-        worst = 0.0
-        for z in census.zeros:
-            worst = max(worst, abs(residue_at_zero(ev, z) - ev.moving_residue))
         checks.append(_check(f"{tag}_residues", worst, 0.0, tols["residue_tol"]))
-        if kind in ("sextic", "radial_sextic"):
-            fit = infinity_order_check(ev)
+        if fit is not None:
             checks.append(_check(f"{tag}_infinity_exponent", fit["exponent"], 3.0, 0.01))
             target = 1j * math.sqrt(family.gamma if kind == "sextic" else family.a**2)
             checks.append(
                 _check(f"{tag}_infinity_coefficient", fit["coefficient"], target, 1e-3 * abs(target))
             )
 
-    refine_tol = max(1e-8, tols["oracle_tol"] / 2.0)
-    try:
-        spec = _oracle_for(family, config, 2 * len(states), refine_tol)
-    except oracle.OracleConvergenceError as exc:
-        checks.append(_failed_check("oracle_convergence", str(exc)))
-    else:
-        for s in states:
-            j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))
-            diff = abs(spec.energies[j] - s.energy)
-            tol_i = max(tols["oracle_tol"], spec.error_estimates[j])
-            checks.append(_check(f"state_{s.index}_oracle_containment", diff, 0.0, tol_i))
+    _oracle_matches(family, config, states, checks)
 
+
+_COMMANDS = {"derive": cmd_derive, "spectrum": cmd_spectrum, "poles": cmd_poles, "verify": cmd_verify}
+
+
+def run_command(command: str, config: dict, **options) -> tuple[dict, int]:
+    """Run one command on a loaded config: its report, and exit code 2 if any check failed."""
+    results: dict = {}
+    checks: list = []
+    try:
+        _COMMANDS[command](config, results, checks, **options)
+    except _StageFailed as failed:
+        print(f"verification failure: {failed}", file=sys.stderr)
+        results["error"] = str(failed)
+        checks.append(_failed_check(failed.check, str(failed)))
     failing = [c["name"] for c in checks if not c["pass"]]
     results["first_failure"] = failing[0] if failing else None
-    code = 0 if not failing else 2
-    return make_report("verify", config, results, checks), code
+    return make_report(command, config, results, checks), 2 if failing else 0
 
 
 # ----------------------------------------------------------------------
@@ -486,37 +466,18 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
 
     try:
         config = load_config(args.config)
-        out_path = _resolve_out(args.out)
-        if args.command == "derive":
-            report, code = cmd_derive(config)
-        elif args.command == "spectrum":
-            report, code = cmd_spectrum(config, sanity=args.sanity)
-        elif args.command == "poles":
-            report, code, csv_text = cmd_poles(config, args.level)
-            csv_path = _resolve_out((config.get("outputs") or {}).get("csv")) or "poles.csv"
-            with open(csv_path, "w", encoding="utf-8") as fh:
-                fh.write(csv_text)
-        else:
-            report, code = cmd_verify(config)
-        report_path = out_path or _resolve_out((config.get("outputs") or {}).get("report"))
-        _emit(report, report_path)
+        report, code = run_command(args.command, config, **options)
+        _emit(report, _resolve_out(args.out) or _output_path(config, "report"))
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 1
-    except (
-        engine.NonQESError,
-        engine.BranchRuleError,
-        engine.MatchingFailure,
-        spectra.QESConditionError,
-        spectra.NonRealEnergyError,
-        oracle.OracleConvergenceError,
-        ArithmeticError,
-        ValueError,
-    ) as exc:
+    except _STAGE_ERRORS as exc:
+        # Outside any stage, e.g. a non-finite number that cannot go in a report.
         print(f"verification failure: {exc}", file=sys.stderr)
         return 2
 

@@ -122,7 +122,6 @@ class RiccatiData:
     linear_num: Polynomial
     linear_den: Polynomial
     fixed_poles: tuple[complex, ...]
-    energy_symbolic: bool = True
 
 
 @dataclass(frozen=True)
@@ -144,7 +143,11 @@ class LedgerEntry:
 
 @dataclass(frozen=True)
 class QuantizationLedger:
-    """Itemized residue bookkeeping and the solved solvability condition."""
+    """Itemized residue bookkeeping and the solved solvability condition.
+
+    ``infinity_branches`` is the candidate pair at infinity in the ledger's
+    chart and ``selected_branch`` the label of the physical one it used.
+    """
 
     family: PotentialFamily
     entries: tuple[LedgerEntry, ...]
@@ -153,6 +156,8 @@ class QuantizationLedger:
     moving_total: float
     per_n_weight: int
     balance_residual: float
+    infinity_branches: tuple[BranchCandidate, BranchCandidate]
+    selected_branch: str
 
 
 _ONE = Polynomial([1])
@@ -670,6 +675,8 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         moving_total=moving_total,
         per_n_weight=per_n,
         balance_residual=balance,
+        infinity_branches=pair,
+        selected_branch=sel.label,
     )
 
 

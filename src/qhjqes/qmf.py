@@ -289,9 +289,8 @@ def global_pole_count(e: QmfEvaluator, n_points: int = 4096) -> float:
     return route1.real
 
 
-def zero_census(state: AlgebraicState) -> CensusReport:
+def zero_census(e: QmfEvaluator) -> CensusReport:
     """Full census: locations, real/complex split, and both counting checks."""
-    e = qmf(state)
     real, cplx = _classified_zeros(e)
     return CensusReport(
         n_real=len(real),
@@ -303,9 +302,8 @@ def zero_census(state: AlgebraicState) -> CensusReport:
     )
 
 
-def pole_reports(state: AlgebraicState) -> tuple[PoleReport, ...]:
+def pole_reports(e: QmfEvaluator) -> tuple[PoleReport, ...]:
     """Measured residues of every moving pole and every fixed pole."""
-    e = qmf(state)
     reports = []
     for z, mult in e.moving_zeros:
         axis = "real" if abs(z.imag) < _REAL_AXIS_TOL * (1 + abs(z)) else "complex"

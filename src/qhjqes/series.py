@@ -1,4 +1,4 @@
-"""Laurent-series arithmetic, polynomial root finding, and circle quadrature.
+"""Laurent-series coefficients, polynomial root finding, and circle quadrature.
 
 This is the numeric kernel for the rest of the package. Everything runs in
 double-precision complex arithmetic: Python ``complex`` for single values and
@@ -8,9 +8,9 @@ either). Values are immutable after construction, and every operation is a
 pure function of its inputs, so all of it is safe to share across concurrent
 work.
 
-A ``LaurentSeries`` carries an explicit reliability window: arithmetic tracks
-which exponents of the result are still trustworthy, and asking for anything
-outside that window raises instead of silently returning garbage.
+A ``LaurentSeries`` carries an explicit reliability window: asking for a
+coefficient outside that window raises instead of silently returning
+garbage.
 """
 
 from __future__ import annotations
@@ -31,10 +31,7 @@ __all__ = [
     "TruncationDepthError",
     "contour_integral",
     "poly_roots",
-    "residue",
     "sample_finite",
-    "series_derivative",
-    "series_product",
 ]
 
 #: Default node count for circle quadrature; override per call if needed.
@@ -85,13 +82,6 @@ class Polynomial:
             cs = [0j]
         object.__setattr__(self, "coeffs", tuple(cs))
 
-    @classmethod
-    def from_roots(cls, roots: Iterable[complex]) -> "Polynomial":
-        p = cls([1])
-        for r in roots:
-            p = p * cls([-complex(r), 1])
-        return p
-
     @property
     def degree(self) -> int:
         return len(self.coeffs) - 1
@@ -112,12 +102,6 @@ class Polynomial:
             return Polynomial([0])
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def monic(self) -> "Polynomial":
-        lead = self.coeffs[-1]
-        if lead == 0:
-            raise ValueError("zero polynomial cannot be made monic")
-        return Polynomial([c / lead for c in self.coeffs])
-
     def shifted(self, z0: complex) -> "Polynomial":
         """Coefficients of ``p(z + z0)``."""
         n = self.degree
@@ -129,29 +113,9 @@ class Polynomial:
                 out[k] += c * math.comb(j, k) * z0 ** (j - k)
         return Polynomial(out)
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return Polynomial(
-            [(a[k] if k < len(a) else 0) + (b[k] if k < len(b) else 0) for k in range(n)]
-        )
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-1) * other
-
-    def __neg__(self) -> "Polynomial":
-        return (-1) * self
-
-    def __mul__(self, other):
-        if isinstance(other, Polynomial):
-            if self.is_zero or other.is_zero:
-                return Polynomial([0])
-            out = [0j] * (self.degree + other.degree + 1)
-            for i, a in enumerate(self.coeffs):
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
-            return Polynomial(out)
-        return Polynomial([complex(other) * c for c in self.coeffs])
+    def __mul__(self, scalar: complex) -> "Polynomial":
+        """The polynomial scaled by a number."""
+        return Polynomial([complex(scalar) * c for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -185,72 +149,12 @@ class LaurentSeries:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
-    @classmethod
-    def exact(cls, terms: Mapping[int, complex]) -> "LaurentSeries":
-        return cls(terms, None, None)
-
-    @property
-    def window(self) -> tuple[int | None, int | None]:
-        return (self.lo, self.hi)
-
-    def min_exponent(self) -> int:
-        """Smallest exponent that can carry a nonzero coefficient."""
-        if self.coeffs:
-            low = min(self.coeffs)
-            return low if self.lo is None else min(low, self.lo)
-        if self.lo is not None:
-            return self.lo
-        return 0
-
     def coefficient(self, k: int) -> complex:
         if (self.lo is not None and k < self.lo) or (self.hi is not None and k > self.hi):
             raise TruncationDepthError(
                 f"exponent {k} outside the reliable window ({self.lo}, {self.hi})"
             )
         return self.coeffs.get(k, 0j)
-
-    def evaluate(self, z: complex) -> complex:
-        return sum(c * z**k for k, c in self.coeffs.items())
-
-
-def series_product(a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-    """Cauchy product with the window tightened to the mutually valid range.
-
-    Unknown coefficients above ``hi`` of one factor pollute the product from
-    ``hi + min_exponent(other)`` upward, so the result window stops there.
-    """
-    his = []
-    if a.hi is not None:
-        his.append(a.hi + b.min_exponent())
-    if b.hi is not None:
-        his.append(b.hi + a.min_exponent())
-    hi = min(his) if his else None
-    lo = None
-    if a.lo is not None or b.lo is not None:
-        lo = a.min_exponent() + b.min_exponent()
-    if hi is not None and lo is not None and hi < lo:
-        raise TruncationDepthError("insufficient truncation depth")
-    out: dict[int, complex] = {}
-    for i, ca in a.coeffs.items():
-        for j, cb in b.coeffs.items():
-            k = i + j
-            if hi is not None and k > hi:
-                continue
-            out[k] = out.get(k, 0j) + ca * cb
-    return LaurentSeries(out, lo, hi)
-
-
-def series_derivative(a: LaurentSeries) -> LaurentSeries:
-    """Term-wise derivative; the window shifts down by one."""
-    out = {k - 1: k * c for k, c in a.coeffs.items() if k != 0}
-    lo = None if a.lo is None else a.lo - 1
-    hi = None if a.hi is None else a.hi - 1
-    return LaurentSeries(out, lo, hi)
-
-
-def residue(a: LaurentSeries) -> complex:
-    """Coefficient at exponent -1; errors if -1 is outside the window."""
-    return a.coefficient(-1)
 
 
 def poly_roots(p: Polynomial, tol: float = _ROOT_BACKWARD_TOL) -> list[tuple[complex, int]]:

@@ -31,9 +31,7 @@ __all__ = [
     "NonRealEnergyError",
     "QESConditionError",
     "RecursionMatrix",
-    "algebraic_spectrum",
     "algebraic_states",
-    "eigenfunction",
     "eigenfunction_with_derivatives",
     "gauge_from_residues",
     "moving_polynomial",
@@ -271,17 +269,13 @@ def recursion_matrix(family: PotentialFamily, sector: str | None = None) -> Recu
     return RecursionMatrix(h, family.M + 1, "chart", tuple(range(family.M + 1)))
 
 
-def algebraic_spectrum(matrix: RecursionMatrix) -> np.ndarray:
-    """All eigenvalues, real and ascending; complex ones are an error."""
-    w = np.linalg.eigvals(matrix.entries)
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w.imag)) > _REAL_TOL * scale:
-        raise NonRealEnergyError(f"non-real algebraic energy: {w}")
-    return np.sort(w.real)
-
-
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
-    """All algebraic eigenpairs of the instance, ascending in energy."""
+    """All algebraic eigenpairs of the instance, ascending in energy.
+
+    Raises :class:`QESConditionError` when the recursion does not truncate
+    and :class:`NonRealEnergyError` when an energy or an eigenvector comes
+    out complex.
+    """
     kind = family_kind(family)
     matrix = recursion_matrix(family)
     gauge = gauge_from_residues(family, matrix.sector if kind == "sextic" else None)
@@ -420,12 +414,6 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex],
         return (ps[0], ps[1] * sp, ps[2] * sp * sp + ps[1] * spp)
 
     return evaluate
-
-
-def eigenfunction(state: AlgebraicState) -> Callable[[complex], complex]:
-    """Closed-form psi(z), complex-plane capable."""
-    full = eigenfunction_with_derivatives(state)
-    return lambda z: full(z)[0]
 
 
 _SAMPLE_WINDOWS = {

@@ -148,7 +148,7 @@ def test_criterion_4_residue_universality():
     worst = 0.0
     count = 0
     for state in _all_states_up_to(6):
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         e = qmf(state)
         for z in census.zeros:
             worst = max(worst, abs(residue_at_zero(e, z) + 1j))
@@ -163,7 +163,7 @@ def test_criterion_4_residue_universality():
 def test_criterion_5_counting_laws():
     ok = True
     for state in _all_states_up_to(6):
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         ok = ok and census.n_real + census.n_complex == state.n_label
         ok = ok and abs(census.quantization_value - census.n_real) <= 1e-8
         ok = ok and abs(census.global_count - state.n_label) <= 1e-8

@@ -1,3 +1,5 @@
+import importlib.util
+import inspect
 import json
 import os
 import subprocess
@@ -7,6 +9,8 @@ import pytest
 
 import qhjqes
 from qhjqes.cli import canonical_json, main
+
+REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -57,7 +61,7 @@ def test_derive_sextic_n2(tmp_path, capsys):
     cfg = write_config(tmp_path, SEXTIC_N2)
     assert main(["derive", "--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert report["results"]["n"] == 2
     assert abs(report["results"]["solved_condition"]["lhs_value"] - 7.0) < 1e-12
     assert all(c["pass"] for c in report["checks"])
@@ -139,7 +143,8 @@ def test_spectrum_ground_state_zero(tmp_path, capsys):
 
 def test_poles_levels_and_csv(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    cfg = write_config(tmp_path, SEXTIC_N2)
+    csv_path = tmp_path / "levels.csv"
+    cfg = write_config(tmp_path, {**SEXTIC_N2, "outputs": {"csv": str(csv_path)}})
     assert main(["poles", "--config", cfg, "--level", "0"]) == 0
     report = json.loads(capsys.readouterr().out)
     census = report["results"]["census"]
@@ -147,7 +152,7 @@ def test_poles_levels_and_csv(tmp_path, capsys, monkeypatch):
     assert abs(census["quantization_value"]) < 1e-8
     assert abs(census["global_count"] - 2) < 1e-8
 
-    csv_lines = (tmp_path / "poles.csv").read_text().strip().splitlines()
+    csv_lines = csv_path.read_text().strip().splitlines()
     assert csv_lines[0] == "re_z,im_z,kind,re_residue,im_residue"
     assert len(csv_lines) == 3
     for line in csv_lines[1:]:
@@ -160,6 +165,11 @@ def test_poles_levels_and_csv(tmp_path, capsys, monkeypatch):
     census = report["results"]["census"]
     assert (census["n_real"], census["n_complex"]) == (2, 0)
     assert abs(census["quantization_value"] - 2) < 1e-8
+
+    # without outputs.csv no CSV is written, in the working directory or elsewhere
+    csv_path.unlink()
+    assert main(["poles", "--config", write_config(tmp_path, SEXTIC_N2), "--level", "0"]) == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json"]
 
 
 def test_poles_origin_node(tmp_path, capsys, monkeypatch):
@@ -246,8 +256,89 @@ def test_oracle_failure_still_emits_report(tmp_path, capsys, command):
     failed = [c for c in report["checks"] if not c["pass"]]
     assert [c["name"] for c in failed] == ["oracle_convergence"]
     assert "gross" in failed[0]["measured"]
-    if command == "verify":
-        assert report["results"]["first_failure"] == "oracle_convergence"
+    assert report["results"]["first_failure"] == "oracle_convergence"
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**SEXTIC_N2, "grid": {"x_min": -2.2, "x_max": 2.2}},
+        {
+            "family": {"name": "circular", "S1": 0.62, "S2": 0.61, "q1": 1.0, "M": 2},
+            "grid": {"x_min": 1e-3, "x_max": 1.5697963267948966},
+        },
+    ],
+    ids=["sextic-short-box", "circular-off-wall"],
+)
+def test_poorly_certified_oracle_fails_its_check(tmp_path, capsys, command, config):
+    # these grids truncate the states: the oracle converges but certifies its
+    # levels only to 1e-3..1, so its containment check must not pass
+    cfg = write_config(tmp_path, config)
+    assert main([command, "--config", cfg]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["first_failure"] == "oracle_certified"
+    certified = next(c for c in report["checks"] if c["name"] == "oracle_certified")
+    assert certified["measured"] > certified["tolerance"] == 1e-4
+    for check in report["checks"]:
+        if check["name"].endswith("_oracle_containment"):
+            assert check["tolerance"] == 1e-4
+
+
+@pytest.mark.parametrize("command", ["verify", "poles"])
+def test_library_error_still_emits_report(tmp_path, capsys, command):
+    # the recursion's leading coefficient vanishes for this instance
+    cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.1, "S2": 1.3, "q1": 1.0, "M": 16}})
+    assert main([command, "--config", cfg]) == 2
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert report["results"]["first_failure"] == "algebraic_states"
+    failed = [c for c in report["checks"] if not c["pass"]]
+    assert [c["name"] for c in failed] == ["algebraic_states"]
+    assert "leading recursion coefficient vanished" in failed[0]["measured"]
+    assert "leading recursion coefficient vanished" in err
+
+
+@pytest.mark.parametrize("argv,states", [(["verify"], 3), (["poles", "--level", "1"], 1)], ids=["verify", "poles"])
+def test_one_root_solve_per_state(tmp_path, monkeypatch, argv, states):
+    # the package re-exports the function qmf under the submodule's name
+    qmf_module = importlib.import_module("qhjqes.qmf")
+    real_roots, calls = qmf_module.poly_roots, []
+    monkeypatch.setattr(qmf_module, "poly_roots", lambda pol: calls.append(pol) or real_roots(pol))
+    cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == states
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        SEXTIC_N2["family"],
+        {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": 3},
+        {"name": "radial_sextic", "S": 1.25, "a": 1.0, "b": 0.5, "M": 2},
+        {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2},
+        {"name": "hyperbolic", "S1": 1.0, "S2": 0.9, "q1": 1.0, "M": 2},
+    ],
+    ids=lambda f: f["name"],
+)
+def test_verify_carries_every_derive_check(tmp_path, capsys, family):
+    cfg = write_config(tmp_path, {"family": family})
+    names = {}
+    for command in ("derive", "verify"):
+        assert main([command, "--config", cfg]) == 0
+        names[command] = [c["name"] for c in json.loads(capsys.readouterr().out)["checks"]]
+    assert names["derive"] and set(names["derive"]) <= set(names["verify"])
+
+
+def test_traced_names_resolve_to_functions():
+    # the benchmark's tracer wraps these names where the CLI looks them up
+    spec = importlib.util.spec_from_file_location("tracing", os.path.join(REPO, "perfbench", "tracing.py"))
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    plan = tracing.wrap_plan()
+    assert plan
+    for owner, attr, *_ in plan:
+        assert inspect.isfunction(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
 
 
 # ------------------------------------------------------------ serialization

@@ -90,14 +90,14 @@ def test_array_evaluation_matches_scalar(monkeypatch):
 
 def test_census_splits_for_n2():
     low, high = _sextic_states(2)
-    c_low = zero_census(low)
+    c_low = zero_census(qmf(low))
     assert (c_low.n_real, c_low.n_complex) == (0, 2)
-    c_high = zero_census(high)
+    c_high = zero_census(qmf(high))
     assert (c_high.n_real, c_high.n_complex) == (2, 0)
 
 
 def test_census_of_nodeless_state():
-    c = zero_census(_sextic_states(0)[0])
+    c = zero_census(qmf(_sextic_states(0)[0]))
     assert (c.n_real, c.n_complex, c.total) == (0, 0, 0)
     assert c.quantization_value == 0.0
     assert abs(c.global_count) < 1e-10
@@ -115,7 +115,7 @@ def test_degenerate_zero_rejected():
         index=0,
     )
     with pytest.raises(DegenerateZeroError):
-        zero_census(broken)
+        zero_census(qmf(broken))
 
 
 # ---------------------------------------------------------------- residues
@@ -137,7 +137,7 @@ def test_residues_at_real_and_complex_nodes():
 def test_radial_fixed_pole_residue_matches_selection():
     fam = RadialSextic(S=1.25, a=1.0, b=0.5, M=1)
     state = algebraic_states(fam)[0]
-    reports = pole_reports(state)
+    reports = pole_reports(qmf(state))
     fixed = [r for r in reports if r.kind == "fixed"]
     assert len(fixed) == 1
     expected = -0.5j * (4 * fam.S - 1)
@@ -167,7 +167,7 @@ def test_radial_global_count_subtracts_fixed_pole():
     for state in algebraic_states(fam):
         e = qmf(state)
         assert abs(global_pole_count(e) - state.n_label) < 1e-8
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         assert census.total == state.n_label == 2 * fam.M
         assert abs(census.quantization_value - census.n_real) < 1e-8
 
@@ -175,7 +175,7 @@ def test_radial_global_count_subtracts_fixed_pole():
 def test_counting_laws_hold_simultaneously():
     for n in range(4):
         for state in _sextic_states(n, b=1.0):
-            census = zero_census(state)
+            census = zero_census(qmf(state))
             assert census.total == state.n_label
             assert abs(census.quantization_value - census.n_real) < 1e-8
             assert abs(census.global_count - state.n_label) < 1e-8
@@ -209,7 +209,7 @@ def test_quantization_handles_zeros_crowding_a_wall():
     fam = Circular(S1=1.685259129753653, S2=1.4527617529418024, q1=0.24441895214416567, M=4)
     worst = 0.0
     for state in algebraic_states(fam):
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         worst = max(worst, abs(census.quantization_value - census.n_real))
     assert worst < 1e-10
 
@@ -219,7 +219,7 @@ def test_degree_24_census_and_residues():
     fam = RadialSextic(S=1.3, a=1.0, b=0.5, M=12)
     states = algebraic_states(fam)
     for state, n_real in ((states[0], 0), (states[-1], 24)):
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         assert state.n_label == census.total == 24
         assert census.n_real == n_real
         assert abs(census.quantization_value - census.n_real) < 1e-8
@@ -235,7 +235,7 @@ def test_chart_family_censuses():
     circ_states = algebraic_states(Circular(S1=1.0, S2=1.2, q1=1.5, M=2))
     for state in circ_states:
         e = qmf(state)
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         assert census.total == state.n_label == 2
         assert abs(census.global_count - 2) < 1e-8
         assert abs(census.quantization_value - census.n_real) < 1e-8
@@ -245,7 +245,7 @@ def test_chart_family_censuses():
 
     hyp_states = algebraic_states(Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=1))
     for state in hyp_states:
-        census = zero_census(state)
+        census = zero_census(qmf(state))
         assert census.total == state.n_label == 2  # mirror pair in t = cosh x
         assert abs(census.global_count - 2) < 1e-8
         assert abs(census.quantization_value - census.n_real) < 1e-8
@@ -302,7 +302,7 @@ def test_pipeline_cloud():
         assert quantization_ledger(fam).balance_residual < 1e-10
         for s in algebraic_states(fam):
             assert schrodinger_residual(s) < 1e-8
-            c = zero_census(s)
+            c = zero_census(qmf(s))
             assert c.total == s.n_label
             assert abs(c.quantization_value - c.n_real) < 1e-8
             assert abs(c.global_count - s.n_label) < 1e-8
@@ -313,7 +313,7 @@ def test_pipeline_cloud():
 
 def test_pole_reports_cover_all_zeros():
     state = _sextic_states(3, b=0.0)[1]
-    reports = pole_reports(state)
+    reports = pole_reports(qmf(state))
     moving = [r for r in reports if r.kind == "moving"]
     assert sum(r.multiplicity for r in moving) == state.n_label
     for r in moving:

@@ -6,13 +6,13 @@ from qhjqes.engine import qes_parameterize
 from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic
 from qhjqes.oracle import refine
 from qhjqes.series import poly_roots
+from qhjqes import spectra
 from qhjqes.spectra import (
     NonRealEnergyError,
     QESConditionError,
     RecursionMatrix,
-    algebraic_spectrum,
     algebraic_states,
-    eigenfunction,
+    eigenfunction_with_derivatives,
     gauge_from_residues,
     moving_polynomial,
     recursion_matrix,
@@ -101,21 +101,23 @@ def test_off_condition_family_reports_residual():
 
 
 def test_scalar_spectrum():
-    m = RecursionMatrix(np.array([[0.0]]), 1, "even", (0,))
-    assert algebraic_spectrum(m).tolist() == [0.0]
+    # the n = 0 recursion matrix is the scalar 0
+    states = algebraic_states(qes_parameterize("sextic", 0, a=1.0, b=0.0))
+    assert [s.energy for s in states] == [0.0]
 
 
 def test_two_level_spectrum_is_plus_minus_2root2():
-    m = RecursionMatrix(np.array([[0.0, -2.0], [-4.0, 0.0]]), 2, "even", (0, 2))
-    e = algebraic_spectrum(m)
+    # the n = 2 recursion matrix is [[0, -2], [-4, 0]]
+    e = [s.energy for s in algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))]
     assert abs(e[0] + TWO_ROOT_TWO) < 1e-12
     assert abs(e[1] - TWO_ROOT_TWO) < 1e-12
 
 
-def test_complex_matrix_rejected():
+def test_complex_matrix_rejected(monkeypatch):
     m = RecursionMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2, "even", (0, 2))
+    monkeypatch.setattr(spectra, "recursion_matrix", lambda family: m)
     with pytest.raises(NonRealEnergyError):
-        algebraic_spectrum(m)
+        algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))
 
 
 def test_n2_state_polynomials():
@@ -142,15 +144,16 @@ def test_degree_law():
 def test_parity_of_eigenfunctions():
     for n in (2, 3):
         for s in algebraic_states(qes_parameterize("sextic", n, a=1.0, b=0.0)):
-            psi = eigenfunction(s)
+            full = eigenfunction_with_derivatives(s)
             sign = 1.0 if s.sector == "even" else -1.0
             for x in (0.3, 1.1, 2.4):
-                assert abs(psi(-x) - sign * psi(x)) < 1e-12 * max(1.0, abs(psi(x)))
+                psi, psi_minus = full(x)[0], full(-x)[0]
+                assert abs(psi_minus - sign * psi) < 1e-12 * max(1.0, abs(psi))
 
 
 def test_ground_state_value_at_origin():
     s = algebraic_states(qes_parameterize("sextic", 0, a=1.0, b=0.0))[0]
-    assert abs(eigenfunction(s)(0.0) - 1.0) < 1e-14
+    assert abs(eigenfunction_with_derivatives(s)(0.0)[0] - 1.0) < 1e-14
 
 
 def test_eigen_identity_residuals_all_families():
