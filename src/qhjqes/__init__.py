@@ -3,7 +3,7 @@ solvable potential families.
 
 The public surface re-exports the main entry points of each layer: the
 series kernel, the potential families, the chart/ledger engine, the
-algebraic-sector builder, the finite-difference oracle, and the momentum
+algebraic-sector builder, the spectral (Gauss-rule DVR) oracle, and the momentum
 pole census.
 """
 

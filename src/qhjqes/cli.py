@@ -50,6 +50,8 @@ class ConfigError(ValueError):
 
 
 def _require_keys(mapping: dict, allowed: tuple, where: str, required: tuple = ()):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object")
     unknown = sorted(set(mapping) - set(allowed))
     if unknown:
         raise ConfigError(f"unknown keys in {where}: {unknown}")
@@ -82,6 +84,20 @@ def build_family(spec: dict):
         raise ConfigError(f"invalid family parameters: {exc}") from exc
 
 
+def _check_grid(grid) -> None:
+    """The oracle's domain: finite ends with x_max > x_min, and an optional integer starting node count."""
+    _require_keys(grid, ("x_min", "x_max", "n"), "grid", ("x_min", "x_max"))
+    try:
+        lo, hi = float(grid["x_min"]), float(grid["x_max"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"grid ends must be numbers: {exc}") from exc
+    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+        raise ConfigError(f"grid needs finite ends with x_max > x_min, got {lo!r}..{hi!r}")
+    n = grid.get("n", oracle.N_START)
+    if type(n) is not int or not oracle.N_MIN <= n <= oracle.N_MAX:
+        raise ConfigError(f"grid n must be an integer in {oracle.N_MIN}..{oracle.N_MAX}, got {n!r}")
+
+
 def load_config(path: str) -> dict:
     import json
 
@@ -96,7 +112,7 @@ def load_config(path: str) -> dict:
         raise ConfigError("config must be a JSON object")
     _require_keys(cfg, ("family", "grid", "tolerances", "outputs"), "config", ("family",))
     if "grid" in cfg:
-        _require_keys(cfg["grid"], ("x_min", "x_max", "n"), "grid")
+        _check_grid(cfg["grid"])
     tols = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], tuple(_DEFAULT_TOLERANCES), "tolerances")
@@ -249,15 +265,14 @@ def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, l
     itself, so a poorly certified oracle cannot widen its own check.
     """
     tol = config["_tolerances"]["oracle_tol"]
-    domain, n_start = None, 1024
-    if config.get("grid"):
-        grid = config["grid"]
-        domain = (float(grid["x_min"]), float(grid["x_max"]))
-        n_start = int(grid.get("n", 1024))
+    grid = config.get("grid")
+    options = {}
+    if grid:
+        options["domain"] = (float(grid["x_min"]), float(grid["x_max"]))
+        if "n" in grid:
+            options["n_start"] = grid["n"]
     with _stage("oracle_convergence"):
-        spec = oracle.refine(
-            family, k=2 * len(states) + 4, tol=max(1e-8, tol / 2.0), domain=domain, n_start=n_start
-        )
+        spec = oracle.refine(family, k=2 * len(states) + 4, tol=max(1e-8, tol / 2.0), **options)
     matches = []
     for s in states:
         j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))

@@ -10,21 +10,26 @@ sees the algebraic sector. phi solves the weighted problem
 
     -(w^2 phi')' + w^2 (V - w''/w) phi = E w^2 phi,
 
-whose potential V - w''/w is smooth and whose phi is regular at the wall.
-Second-order finite differences in flux form, scaled by w at the nodes,
-give one symmetric tridiagonal matrix; with w = 1 it is the familiar
-2/h^2 + V on the diagonal and -1/h^2 off it. No flux crosses a wall where
-w vanishes; every other end is a Dirichlet wall.
+whose potential U = V - w''/w is smooth and whose phi is regular at the wall.
 
-Eigenvalues of the matrix come from bisection (LAPACK stebz via scipy),
-which is deterministic. ``refine`` halves h across grid doublings,
-Richardson-extrapolates each eigenvalue in h^2, and takes the change
-between successive extrapolants, plus the bisection's rounding, as its
-error estimate. A wall with exponent mu leaves an h^(2 mu + 1) term next
-to the h^2 one; as mu > 1/2 it still falls faster than h^2, so the change
-between extrapolants overstates what remains. One solve on a grown domain
-(ends facing infinity moved outward, ends facing a singular point moved
-onto it) bounds the truncation error.
+Its weak form is discretised as a Gauss-rule discrete-variable
+representation (DVR). phi is a Lagrange polynomial on the nodes of a
+Gauss-Jacobi rule whose weight (x - a)^(2 mu_a) (b - x)^(2 mu_b) carries w^2
+at each end that sits on a singular wall, so the rule integrates the
+singular behaviour exactly. Every other end is a Dirichlet wall: it is a
+fixed Radau or Lobatto node of the rule, and its basis function is dropped.
+With q the rule's weights, r = w^2 / weight (smooth and positive) and D the
+Lagrange derivative matrix, the mass is diagonal, M = diag(q r), the
+stiffness is K = D^T diag(q r) D + diag(q r U), and the energies are the
+eigenvalues of the symmetric H = M^(-1/2) K M^(-1/2) from numpy's
+``eigvalsh``. Bare callables, the sextic (w = 1) and domains whose ends are
+off the singular points get the Lobatto-Legendre rule.
+
+The smooth weighted equation makes the error fall exponentially with the
+node count, so ``refine`` takes the change between N and 1.5 N nodes as each
+level's error estimate. One solve on a grown domain (ends facing infinity
+moved outward by one unit, ends facing a singular point moved onto it)
+bounds the truncation error.
 """
 
 from __future__ import annotations
@@ -33,13 +38,15 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .families import family_kind
 
 __all__ = [
     "DEFAULT_DOMAINS",
     "Grid",
+    "N_MAX",
+    "N_MIN",
+    "N_START",
     "OracleConvergenceError",
     "OracleSpectrum",
     "discretize",
@@ -52,17 +59,20 @@ DEFAULT_DOMAINS = {
     "radial_sextic": (0.0, 6.0),
     "circular": (0.0, math.pi / 2),
     # cosh^4 x reaches ~2e9 already at x = 6; pushing the wall further would
-    # swamp the eigenvalues in the matrix norm (bisection resolves eigenvalues
-    # only to machine-eps times the Gershgorin radius), while the gauge factor
+    # swamp the eigenvalues in the matrix norm (eigvalsh resolves eigenvalues
+    # only to machine-eps times the norm), while the gauge factor
     # exp(-q1 cosh^2 x / 2) is dead long before x = 4.
     "hyperbolic": (0.0, 4.0),
 }
 
-_N_MAX = 2**16
+# Node counts ``refine`` starts from and accepts; the dense matrix has N^2 entries.
+N_MIN = 8
+N_START = 48
+N_MAX = 1024
 
 
 class OracleConvergenceError(RuntimeError):
-    """Grid refinement hit its ceiling; carries the best spectrum found."""
+    """Node refinement hit its ceiling; carries the best spectrum found."""
 
     def __init__(self, message, best=None):
         super().__init__(message)
@@ -71,24 +81,17 @@ class OracleConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class Grid:
-    """Uniform interior grid; the ends x_min and x_max are walls, not nodes."""
+    """A DVR on [x_min, x_max] with ``n_interior`` basis functions (nodes off the Dirichlet ends)."""
 
     x_min: float
     x_max: float
     n_interior: int
 
     def __post_init__(self):
-        if not self.x_max > self.x_min:
-            raise ValueError("x_max must exceed x_min")
-        if self.n_interior < 100:
-            raise ValueError("need at least 100 interior points")
-
-    @property
-    def h(self) -> float:
-        return (self.x_max - self.x_min) / (self.n_interior + 1)
-
-    def points(self) -> np.ndarray:
-        return self.x_min + self.h * np.arange(1, self.n_interior + 1)
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max) and self.x_max > self.x_min):
+            raise ValueError("the ends must be finite with x_max > x_min")
+        if not (isinstance(self.n_interior, int) and self.n_interior >= 1):
+            raise ValueError("n_interior must be a positive integer")
 
 
 # A wall factor is a product of f(x)^mu over the singular walls, each f
@@ -148,47 +151,105 @@ def _potential_of(family_or_callable):
     return family_or_callable
 
 
-def discretize(family, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Diagonal and off-diagonal of the symmetric wall-factored operator.
+def _jacobi_mass(alpha: float, beta: float) -> float:
+    """Integral of (1 - t)^alpha (1 + t)^beta over [-1, 1]."""
+    return math.exp(
+        (alpha + beta + 1.0) * math.log(2.0)
+        + math.lgamma(alpha + 1.0) + math.lgamma(beta + 1.0) - math.lgamma(alpha + beta + 2.0)
+    )
 
-    Node i carries V - w''/w; the flux between nodes i and i+1 carries
-    w(x_{i+1/2})^2 / h^2, divided by w_i w_{i+1} to make the matrix
-    symmetric. A bare callable or a wall-free family has w = 1.
+
+def _jacobi_nodes(n: int, alpha: float, beta: float) -> np.ndarray:
+    """Zeros of the degree-n orthogonal polynomial for (1 - t)^alpha (1 + t)^beta on [-1, 1],
+    ascending: the eigenvalues of its Jacobi matrix (Golub-Welsch)."""
+    k = np.arange(n, dtype=float)
+    s = 2.0 * k + alpha + beta
+    with np.errstate(divide="ignore", invalid="ignore"):
+        diag = (beta**2 - alpha**2) / (s * (s + 2.0))
+    diag[0] = (beta - alpha) / (alpha + beta + 2.0)
+    k, s = k[1:], s[1:]
+    off = 2.0 / s * np.sqrt(k * (k + alpha) * (k + beta) * (k + alpha + beta) / ((s - 1.0) * (s + 1.0)))
+    return np.linalg.eigvalsh(np.diag(diag) + np.diag(off, 1) + np.diag(off, -1))
+
+
+def _rule(n: int, alpha: float, beta: float, left: bool, right: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Nodes, weights and Lagrange derivative matrix D[i, j] = l_j'(t_i) of a rule for
+    (1 - t)^alpha (1 + t)^beta on [-1, 1]: n free nodes, plus t = -1 if ``left`` and
+    t = +1 if ``right`` (Gauss, Radau or Lobatto).
+
+    The free nodes are the Gauss nodes for the weight times (1 + t)^left
+    (1 - t)^right, whose weights are C lam_j^2 / (1 - t_j^2) in their
+    barycentric weights lam_j (Szego, Orthogonal Polynomials, 15.3.1); the
+    fixed nodes' weights make the rule exact on 1 and t. One pass of
+    log |t_i - t_j| gives both the weights and D, in logs so that nothing
+    overflows and tiny weights next to a wall with a large exponent keep their
+    relative accuracy.
+    """
+    left, right = int(left), int(right)
+    free = _jacobi_nodes(n, alpha + right, beta + left)
+    t = np.concatenate([[-1.0] * left, free, [1.0] * right])
+    diff = t[:, None] - t[None, :]
+    np.fill_diagonal(diff, 1.0)
+    log_lam = -np.log(np.abs(diff)).sum(axis=1)  # log |barycentric weight| over all nodes
+
+    log_q = 2.0 * log_lam[left : len(t) - right] + (left - 1) * np.log1p(free) + (right - 1) * np.log1p(-free)
+    q = np.exp(log_q - log_q.max())
+    q *= _jacobi_mass(alpha + right, beta + left) / (q @ ((1.0 - free) ** right * (1.0 + free) ** left))
+    if left or right:
+        mass = _jacobi_mass(alpha, beta)
+        moments = [mass - q.sum(), mass * (beta - alpha) / (alpha + beta + 2.0) - q @ free]
+        ends = [-1.0] * left + [1.0] * right
+        end_q = np.linalg.solve(np.vander(ends, len(ends), increasing=True).T, moments[: len(ends)])
+        q = np.concatenate([end_q[:left], q, end_q[left:]])
+
+    sign = (-1.0) ** np.arange(len(t) - 1, -1, -1)
+    d = np.outer(sign, sign) * np.exp(log_lam[None, :] - log_lam[:, None]) / diff
+    np.fill_diagonal(d, 0.0)
+    np.fill_diagonal(d, -d.sum(axis=1))
+    return t, q, d
+
+
+def discretize(family, grid: Grid) -> np.ndarray:
+    """The symmetric DVR matrix H = M^(-1/2) K M^(-1/2) of the wall-factored operator.
+
+    An end on a singular wall gives its Jacobi exponent 2 mu to the rule;
+    every other end is a fixed node whose basis function is dropped. A bare
+    callable or a wall-free family has w = 1.
     """
     pot = _potential_of(family)
     walls = _walls(family)
-    x = grid.points()
-    h = grid.h
-    halves = grid.x_min + h * (np.arange(grid.n_interior + 1) + 0.5)
+    exponent = [0.0, 0.0]  # Jacobi exponent at x_min, x_max; 2 mu > 1 on a wall
+    for position, mu, _ in walls:
+        for side, end in enumerate((grid.x_min, grid.x_max)):
+            if math.isclose(end, position, abs_tol=1e-12):
+                exponent[side] = 2.0 * mu
+    left, right = exponent[0] == 0.0, exponent[1] == 0.0
+    t, q, d = _rule(grid.n_interior, exponent[1], exponent[0], left, right)
+    half = 0.5 * (grid.x_max - grid.x_min)
+    x = grid.x_min + half * (t + 1.0)
+    kept = slice(int(left), len(t) - int(right))
     with np.errstate(all="ignore"):
         log_w, wpp_over_w = _log_wall_factor(walls, x)
-        log_w_half, _ = _log_wall_factor(walls, halves)
-        v = np.asarray(pot(x), dtype=float) - wpp_over_w
-    if not all(np.all(np.isfinite(a)) for a in (v, log_w, log_w_half)):
-        raise ValueError("potential or wall factor is not finite on a grid node")
-    # Flux weight of each half node relative to the node on its left and right.
-    left = np.exp(2.0 * (log_w_half[:-1] - log_w))
-    right = np.exp(2.0 * (log_w_half[1:] - log_w))
-    for position, _, _ in walls:
-        if math.isclose(grid.x_min, position, abs_tol=1e-12):
-            left[0] = 0.0
-        if math.isclose(grid.x_max, position, abs_tol=1e-12):
-            right[-1] = 0.0
-    inv_h2 = 1.0 / h**2
-    diag = inv_h2 * (left + right) + v
-    off = -inv_h2 * np.exp(2.0 * log_w_half[1:-1] - log_w[:-1] - log_w[1:])
-    return diag, off
+        log_r = 2.0 * log_w  # log r = log (w^2 / weight)
+        for side, sign in ((0, 1.0), (1, -1.0)):
+            if exponent[side]:
+                log_r -= exponent[side] * np.log1p(sign * t)
+        u = np.asarray(pot(x[kept]), dtype=float) - wpp_over_w[kept]
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(log_r))):
+        raise ValueError("potential or wall factor is not finite on a node")
+    root_mass = np.sqrt(q) * np.exp(0.5 * (log_r - log_r.max()))  # sqrt(q r), up to a constant
+    b = (root_mass[:, None] / half) * d[:, kept] / root_mass[None, kept]
+    h = b.T @ b
+    h[np.diag_indices_from(h)] += u
+    return h
 
 
-def low_spectrum(diag: np.ndarray, off: np.ndarray, k: int) -> np.ndarray:
-    """The k smallest eigenvalues, ascending, via Sturm-sequence bisection."""
-    n = len(diag)
+def low_spectrum(h: np.ndarray, k: int) -> np.ndarray:
+    """The k smallest eigenvalues of the symmetric matrix h, ascending."""
+    n = len(h)
     if not 1 <= k <= n:
         raise ValueError(f"k must lie in 1..{n}")
-    return eigh_tridiagonal(
-        diag, off, eigvals_only=True, select="i", select_range=(0, k - 1),
-        lapack_driver="stebz",
-    )
+    return np.linalg.eigvalsh(h)[:k]
 
 
 @dataclass(frozen=True)
@@ -207,36 +268,24 @@ class OracleSpectrum:
             raise ValueError("error estimates must be positive")
 
 
-def _grown_domain(kind: str | None, domain: tuple[float, float], h: float) -> tuple[float, float]:
-    """The domain of the truncation check, for a coarse grid of step h.
-
-    Ends that face infinity move outward by whole steps of h, so the grown
-    grid keeps h and the coarse grid's nodes. Ends that face a singular point
-    move onto it; the default domains already put them there.
-    """
+def _grown_domain(kind: str | None, domain: tuple[float, float]) -> tuple[float, float]:
+    """The domain of the truncation check: ends facing infinity move out by one
+    unit, ends facing a singular point move onto it (the default domains
+    already put them there)."""
     lo, hi = domain
     if kind == "circular":
         return 0.0, math.pi / 2
-    if kind == "radial_sextic":
-        return 0.0, hi + round((hi - lo) / h) * h
-    if kind == "hyperbolic":
-        # Additive growth: another unit of x multiplies the tail bound
-        # enormously while keeping cosh^4 within floating-point reach.
-        return 0.0, hi + round(1.0 / h) * h
-    step = round((hi - lo) / (2.0 * h)) * h
-    return lo - step, hi + step
+    if kind in ("radial_sextic", "hyperbolic"):
+        # One more unit multiplies the tail bound enormously while keeping
+        # the hyperbolic cosh^4 within floating-point reach.
+        return 0.0, hi + 1.0
+    return lo - 1.0, hi + 1.0
 
 
 def _solve(family, grid: Grid, k: int) -> tuple[np.ndarray, float]:
-    """The k lowest eigenvalues and the bisection's resolution of them.
-
-    Bisection pins each eigenvalue to about 2 eps times the Gershgorin bound
-    of the matrix; the extrapolant weighs the finer of two solves by 4/3, so
-    twice that bounds the rounding in an extrapolated energy.
-    """
-    diag, off = discretize(family, grid)
-    gershgorin = float(np.max(np.abs(diag)) + 2.0 * np.max(np.abs(off)))
-    return low_spectrum(diag, off, k), 4.0 * np.finfo(float).eps * gershgorin
+    """The k lowest eigenvalues and the eigensolver's rounding of them, 4 eps ||H||."""
+    h = discretize(family, grid)
+    return low_spectrum(h, k), 4.0 * np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
 
 
 def refine(
@@ -244,19 +293,21 @@ def refine(
     k: int,
     tol: float = 1e-6,
     domain: tuple[float, float] | None = None,
-    n_start: int = 1024,
-    n_max: int = _N_MAX,
+    n_start: int = N_START,
+    n_max: int = N_MAX,
 ) -> OracleSpectrum:
-    """Certified low spectrum: Richardson-extrapolated grid doublings plus a domain check.
+    """Certified low spectrum: solves at N, 1.5 N, 2.25 N, ... nodes plus a domain check.
 
-    Each doubling keeps the walls and halves h exactly (n + 1 doubles). The
-    estimate of each energy is the larger of the change between the last two
-    extrapolants and its shift on the truncation check's grown domain at the
-    coarsest h, plus the bisection's rounding; refinement stops once every
-    change is below ``tol``. A percent-scale truncation shift raises.
+    Refinement stops once the change of every level between two successive
+    node counts is below ``tol``. Each estimate is the larger of that change
+    and the level's shift on the truncation check's grown domain, solved at
+    the same node density, plus the eigensolver's rounding. A percent-scale
+    truncation shift raises.
     """
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
+    if k > n_start:
+        raise ValueError(f"{k} levels need at least {k} nodes; n_start is {n_start}")
     kind = family_kind(family) if hasattr(family, "potential") else None
     if domain is None:
         if kind is None:
@@ -265,12 +316,26 @@ def refine(
 
     grid = Grid(domain[0], domain[1], n_start)
     energies, _ = _solve(family, grid, k)
+    best = None
+    while math.ceil(1.5 * grid.n_interior) <= n_max:
+        grid = Grid(domain[0], domain[1], math.ceil(1.5 * grid.n_interior))
+        finer, rounding = _solve(family, grid, k)
+        change = np.abs(finer - energies)
+        best = (finer, change, grid)
+        energies = finer
+        if float(np.max(change)) < tol:
+            break
+    else:
+        last = f" (last change {float(np.max(best[1])):.3g})" if best is not None else ""
+        raise OracleConvergenceError(
+            f"no convergence below {tol:g} with up to {n_max} nodes{last}", best=best
+        )
 
-    grown = _grown_domain(kind, domain, grid.h)
     shift = np.zeros(k)
+    grown = _grown_domain(kind, domain)
     if grown != tuple(domain):
-        wide = Grid(grown[0], grown[1], round((grown[1] - grown[0]) / grid.h) - 1)
-        shift = np.abs(_solve(family, wide, k)[0] - energies)
+        n_grown = math.ceil(grid.n_interior * (grown[1] - grown[0]) / (domain[1] - domain[0]))
+        shift = np.abs(_solve(family, Grid(grown[0], grown[1], n_grown), k)[0] - energies)
         gross = 0.02 * (1.0 + float(np.max(np.abs(energies))))
         if float(np.max(shift)) > gross:
             raise OracleConvergenceError(
@@ -278,25 +343,8 @@ def refine(
                 "the domain does not hold this family",
                 best=(energies, shift, grid),
             )
-
-    best = None
-    extrapolant = None
-    while 2 * grid.n_interior + 1 <= n_max:
-        grid = Grid(domain[0], domain[1], 2 * grid.n_interior + 1)
-        finer, rounding = _solve(family, grid, k)
-        previous, extrapolant = extrapolant, finer + (finer - energies) / 3.0
-        # Until two extrapolants exist, the raw grid change stands in.
-        change = np.abs(extrapolant - previous) if previous is not None else np.abs(finer - energies)
-        best = (extrapolant, change, grid)
-        energies = finer
-        if previous is not None and float(np.max(change)) < tol:
-            estimates = np.maximum(change, shift) + rounding
-            return OracleSpectrum(
-                energies=tuple(float(e) for e in extrapolant),
-                error_estimates=tuple(float(e) for e in estimates),
-                grid=grid,
-            )
-    last = f" (last change {float(np.max(best[1])):.3g})" if best is not None else ""
-    raise OracleConvergenceError(
-        f"no grid convergence below {tol:g} with up to {n_max} points{last}", best=best
+    return OracleSpectrum(
+        energies=tuple(float(e) for e in energies),
+        error_estimates=tuple(float(e) for e in np.maximum(change, shift) + rounding),
+        grid=grid,
     )

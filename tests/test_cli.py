@@ -54,6 +54,23 @@ def test_missing_file_is_a_config_error():
     assert main(["derive", "--config", "/nonexistent/nope.json"]) == 1
 
 
+@pytest.mark.parametrize(
+    "grid",
+    [
+        {"n": 64},
+        {"x_min": 1.0, "x_max": -1.0, "n": 50},
+        {"x_min": "a", "x_max": 1.0},
+        {"x_min": -6.0, "x_max": 6.0, "n": 2048},
+    ],
+    ids=["no-ends", "reversed-ends", "non-numeric-end", "n-out-of-range"],
+)
+def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
+    cfg = write_config(tmp_path, {**SEXTIC_N2, "grid": grid})
+    assert main(["spectrum", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "grid" in err
+
+
 # ----------------------------------------------------------------- derive
 
 
@@ -330,15 +347,46 @@ def test_verify_carries_every_derive_check(tmp_path, capsys, family):
     assert names["derive"] and set(names["derive"]) <= set(names["verify"])
 
 
-def test_traced_names_resolve_to_functions():
-    # the benchmark's tracer wraps these names where the CLI looks them up
+def _load_tracing():
     spec = importlib.util.spec_from_file_location("tracing", os.path.join(REPO, "perfbench", "tracing.py"))
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
-    plan = tracing.wrap_plan()
+    return tracing
+
+
+def test_traced_names_resolve_to_functions():
+    # the benchmark's tracer wraps these names where the CLI looks them up
+    plan = _load_tracing().wrap_plan()
     assert plan
     for owner, attr, *_ in plan:
         assert inspect.isfunction(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+def test_traced_verify_records_oracle_node_counts(tmp_path):
+    # the benchmark's traced pass reads node counts from the oracle's spans
+    tracing = _load_tracing()
+    cfg = write_config(tmp_path, {"family": {"name": "radial_sextic", "S": 1.25, "a": 1.0, "b": 0.5, "M": 2}})
+    plain, traced = tmp_path / "plain.json", tmp_path / "traced.json"
+    assert main(["verify", "--config", cfg, "--out", str(plain)]) == 0
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        assert tracer.root("cli.main", "cli", 0, main, ["verify", "--config", cfg, "--out", str(traced)]) == 0
+    assert traced.read_bytes() == plain.read_bytes()
+    for name in ("oracle.refine", "oracle.low_spectrum"):
+        infos = [info for span, info in zip(tracer.name, tracer.info) if span == name]
+        assert infos and all(type(info) is int and info > 0 for info in infos), name
+
+
+def test_cli_import_loads_no_scipy():
+    package_root = os.path.dirname(os.path.dirname(qhjqes.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, qhjqes.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": package_root},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------ serialization
