@@ -171,6 +171,11 @@ def test_refine_rejects_uncertifiable_tolerance():
         refine(harmonic, k=1, tol=1e-9, domain=(-5.0, 5.0))
 
 
+def test_refine_needs_a_node_per_level():
+    with pytest.raises(ValueError):
+        refine(harmonic, k=20, tol=1e-6, domain=(-10.0, 10.0), n_start=16)
+
+
 def test_refine_reports_nonconvergence_with_best():
     # 16 and 24 nodes leave errors of 1e-2..3 on these levels; 36 is past n_max
     with pytest.raises(OracleConvergenceError) as info:
