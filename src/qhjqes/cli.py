@@ -68,18 +68,21 @@ def build_family(spec: dict):
         raise ConfigError(f"unknown family name {name!r}")
     fields = _FAMILY_FIELDS[name]
     _require_keys(spec, ("name",) + fields, f"family {name!r}", fields)
+    for key in ("n", "M"):
+        if key in fields and type(spec[key]) is not int:
+            raise ConfigError(f"family {key} must be an integer, got {spec[key]!r}")
     try:
         if name == "sextic":
             return Sextic(float(spec["alpha"]), float(spec["beta"]), float(spec["gamma"]))
         if name == "sextic_qes":
             return engine.qes_parameterize(
-                "sextic", int(spec["n"]), a=float(spec["a"]), b=float(spec["b"])
+                "sextic", spec["n"], a=float(spec["a"]), b=float(spec["b"])
             )
         if name == "radial_sextic":
-            return RadialSextic(float(spec["S"]), float(spec["a"]), float(spec["b"]), int(spec["M"]))
+            return RadialSextic(float(spec["S"]), float(spec["a"]), float(spec["b"]), spec["M"])
         if name == "circular":
-            return Circular(float(spec["S1"]), float(spec["S2"]), float(spec["q1"]), int(spec["M"]))
-        return Hyperbolic(float(spec["S1"]), float(spec["S2"]), float(spec["q1"]), int(spec["M"]))
+            return Circular(float(spec["S1"]), float(spec["S2"]), float(spec["q1"]), spec["M"])
+        return Hyperbolic(float(spec["S1"]), float(spec["S2"]), float(spec["q1"]), spec["M"])
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid family parameters: {exc}") from exc
 
@@ -116,7 +119,10 @@ def load_config(path: str) -> dict:
     tols = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], tuple(_DEFAULT_TOLERANCES), "tolerances")
-        tols.update({k: float(v) for k, v in cfg["tolerances"].items()})
+        for k, v in cfg["tolerances"].items():
+            if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
+                raise ConfigError(f"tolerance {k} must be a finite positive number, got {v!r}")
+            tols[k] = float(v)
     if "outputs" in cfg:
         _require_keys(cfg["outputs"], ("report", "csv"), "outputs")
     cfg.setdefault("tolerances", {})
@@ -243,10 +249,9 @@ def _algebraic_states(family, checks: list) -> tuple:
     return states
 
 
-def _ledger(family, checks: list) -> engine.QuantizationLedger:
-    """The quantization ledger, after its balance check and its closed-form (sextic) or M check."""
-    with _stage("qes_condition"):
-        ledger = engine.quantization_ledger(family)
+def _ledger_checks(ledger: engine.QuantizationLedger, checks: list) -> None:
+    """The ledger's balance check and its closed-form (sextic) or M check."""
+    family = ledger.family
     lhs = ledger.solved_condition["lhs_value"]
     checks.append(_check("ledger_balance", ledger.balance_residual, 0.0, 1e-10))
     if family_kind(family) == "sextic":
@@ -254,7 +259,6 @@ def _ledger(family, checks: list) -> engine.QuantizationLedger:
         checks.append(_check("condition_matches_closed_form", lhs, target, 1e-10 * max(1.0, abs(target))))
     else:
         checks.append(_check("ledger_count_equals_M", lhs, family.M, 1e-9))
-    return ledger
 
 
 def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, list]:
@@ -301,7 +305,9 @@ def _output_path(config: dict, key: str) -> str | None:
 def cmd_derive(config: dict, results: dict, checks: list) -> None:
     family = build_family(config["family"])
     results["family_kind"] = family_kind(family)
-    ledger = _ledger(family, checks)
+    with _stage("qes_condition"):
+        ledger = engine.quantization_ledger(family)
+    _ledger_checks(ledger, checks)
     results["ledger"] = [
         {"source": e.source, "value": e.value, "detail": e.detail} for e in ledger.entries
     ]
@@ -394,7 +400,7 @@ def cmd_verify(config: dict, results: dict, checks: list) -> None:
     results["family_kind"] = kind
     states = _algebraic_states(family, checks)
     results["algebraic_energies"] = [s.energy for s in states]
-    _ledger(family, checks)
+    _ledger_checks(states[0].gauge.ledger, checks)
 
     for s in states:
         tag = f"state_{s.index}"

@@ -88,19 +88,23 @@ class ChartSpec:
 
     ``measure`` is the constant m in ``p dx = m * q dz`` for the reduced
     momentum q in the chart variable z, so a pole of q with residue r
-    contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``.
+    contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. The charts:
+
+    * identity, z = x, no reduction;
+    * inversion, y = 1/x, no momentum reduction;
+    * trig, t = sin^2 x, p = sqrt(t(1-t)) q, so p dx = q dt / 2;
+    * hyper, t = cosh x, p = sqrt(t^2-1) q, so p dx = q dt.
     """
 
     name: str
     variable: str
     measure: float
-    reduction: str
 
 
-IDENTITY = ChartSpec("identity", "x", 1.0, "none")
-INVERSION = ChartSpec("inversion", "y", 1.0, "y = 1/x; no momentum reduction")
-TRIG = ChartSpec("trig", "t", 0.5, "t = sin^2 x; p = sqrt(t(1-t)) q, p dx = q dt / 2")
-HYPER = ChartSpec("hyper", "t", 1.0, "t = cosh x; p = sqrt(t^2-1) q, p dx = q dt")
+IDENTITY = ChartSpec("identity", "x", 1.0)
+INVERSION = ChartSpec("inversion", "y", 1.0)
+TRIG = ChartSpec("trig", "t", 0.5)
+HYPER = ChartSpec("hyper", "t", 1.0)
 
 
 @dataclass(frozen=True)
@@ -147,6 +151,13 @@ class QuantizationLedger:
 
     ``infinity_branches`` is the candidate pair at infinity in the ledger's
     chart and ``selected_branch`` the label of the physical one it used.
+
+    It also describes every singularity of the momentum q in the census
+    variable z (x, or the chart variable t), with ``p dx = measure * q dz``:
+    ``infinity_series`` is q at infinity on the selected branch in powers of
+    y = 1/x or w = 1/t (its orders <= 0 are the principal part),
+    ``fixed_residues`` holds ``(location, selected residue)`` per fixed pole,
+    and every moving pole has residue ``-i / measure``.
     """
 
     family: PotentialFamily
@@ -158,6 +169,9 @@ class QuantizationLedger:
     balance_residual: float
     infinity_branches: tuple[BranchCandidate, BranchCandidate]
     selected_branch: str
+    measure: float
+    infinity_series: LaurentSeries
+    fixed_residues: tuple[tuple[complex, complex], ...]
 
 
 _ONE = Polynomial([1])
@@ -333,7 +347,6 @@ class _LocalEquation:
     u_coeffs: dict[int, complex]
     r_coeffs: dict[int, _AffineE]
     leading_order: int  # m, with q = c_m w^m + ...
-    variable: str
 
 
 def _localize_at_infinity(r: RiccatiData, depth: int) -> _LocalEquation:
@@ -348,7 +361,6 @@ def _localize_at_infinity(r: RiccatiData, depth: int) -> _LocalEquation:
         rhs_shift = 0
         w_num, w_den, w_shift = r.weight_num, r.weight_den, 0
         u_num, u_den, u_shift = r.linear_num, r.linear_den, 0
-        var = r.chart.variable
     elif r.chart in (TRIG, HYPER):
         dn, dd = r.rhs_num_const.degree, r.rhs_den.degree
         dn = max(dn, r.rhs_num_energy.degree)
@@ -364,7 +376,6 @@ def _localize_at_infinity(r: RiccatiData, depth: int) -> _LocalEquation:
         u_num = _reversed_poly(r.linear_num, un)
         u_den = _reversed_poly(r.linear_den, ud)
         u_shift = ud - un
-        var = "w"
     else:
         raise ValueError("infinity expansion needs the inversion, trig, or hyper chart")
 
@@ -384,7 +395,7 @@ def _localize_at_infinity(r: RiccatiData, depth: int) -> _LocalEquation:
     r_coeffs = {k: _AffineE(r_c.get(k, 0j), r_e.get(k, 0j)) for k in set(r_c) | set(r_e)}
     w_coeffs = _laurent_rational(w_num, w_den, w_shift, hi + 2)
     u_coeffs = _laurent_rational(u_num, u_den, u_shift, hi + 2)
-    return _LocalEquation(w_coeffs, u_coeffs, r_coeffs, m, var)
+    return _LocalEquation(w_coeffs, u_coeffs, r_coeffs, m)
 
 
 def default_matching_depth(r: RiccatiData) -> int:
@@ -616,11 +627,13 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         fp_sources = []
 
     fixed_total = 0j
+    fixed_residues = []
     for rdata, z0 in fp_sources:
         fpair = fixed_pole_residues(rdata, z0)
         fsel = select_physical_branch(fpair, family, z0)
         contrib = 1j * rdata.chart.measure * fsel.leading_coefficient
         fixed_total += contrib
+        fixed_residues.append((z0, fsel.leading_coefficient))
         entries.append(
             LedgerEntry(
                 f"fixed pole at {rdata.chart.variable} = {z0.real:g}",
@@ -677,6 +690,9 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         balance_residual=balance,
         infinity_branches=pair,
         selected_branch=sel.label,
+        measure=r_inf.chart.measure,
+        infinity_series=ser,
+        fixed_residues=tuple(fixed_residues),
     )
 
 

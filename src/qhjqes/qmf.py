@@ -104,50 +104,30 @@ class CensusReport:
 
 
 def qmf(state: AlgebraicState) -> QmfEvaluator:
-    """Analytic log-derivative momentum of a state, poles and all."""
-    kind = family_kind(state.family)
+    """Analytic log-derivative momentum of a state, poles and all.
+
+    One formula for every family, read from the state's ledger:
+    ``p(z) = sum_{k=lo}^{0} c_k z^(-k) + sum_i res_i / (z - z_i) + (-i/measure) P'(z)/P(z)``,
+    the principal part of the infinity series, the selected fixed-pole
+    residues, and one pole of residue -i/measure at each zero of P.
+    """
+    ledger = state.gauge.ledger
     pol = moving_polynomial(state)
     dpol = pol.derivative()
     zeros = tuple(poly_roots(pol)) if pol.degree else ()
-    gauge = state.gauge
+    ser = ledger.infinity_series
+    principal = Polynomial([ser.coefficient(-j) for j in range(1 - ser.lo)])
+    fixed = ledger.fixed_residues
+    moving = -1j / ledger.measure
 
-    if kind in ("sextic", "radial_sextic"):
-        mu = gauge.prefactor_exponent if kind == "radial_sextic" else 0.0
-        gd = gauge.gauge_polynomial.derivative()
+    def evaluation(z):
+        val = principal(z) + moving * (dpol(z) / pol(z))
+        for loc, res in fixed:
+            val = val + res / (z - loc)
+        return val
 
-        def evaluation(z):
-            val = dpol(z) / pol(z) - gd(z)
-            if mu:
-                val = val + mu / z
-            return -1j * val
-
-        fixed = ((0j, -1j * mu),) if mu else ()
-        return QmfEvaluator(state, evaluation, "x", pol, zeros, fixed, 1.0, -1j)
-
-    if kind == "circular":
-        (p0, mu0), (p1, mu1) = gauge.prefactors
-        slope = -gauge.gauge_polynomial.coeffs[1]
-
-        def evaluation(t):
-            return -2j * (mu0 / t + mu1 / (t - 1.0) + slope + dpol(t) / pol(t))
-
-        fixed = ((0j, -2j * mu0), (1 + 0j, -2j * mu1))
-        return QmfEvaluator(state, evaluation, "t", pol, zeros, fixed, 0.5, -2j)
-
-    # hyperbolic, census in t = cosh x; the stored polynomial lives in s = t^2
-    (p0, mu0), (p1, mu1) = gauge.prefactors
-    kappa = 2.0 * gauge.gauge_polynomial.coeffs[1]
-
-    def evaluation(t):
-        return -1j * (
-            2.0 * mu0 / t
-            + 2.0 * mu1 * t / (t * t - 1.0)
-            - kappa * t
-            + dpol(t) / pol(t)
-        )
-
-    fixed = ((0j, -2j * mu0), (1 + 0j, -1j * mu1), (-1 + 0j, -1j * mu1))
-    return QmfEvaluator(state, evaluation, "t", pol, zeros, fixed, 1.0, -1j)
+    variable = "x" if family_kind(state.family) in ("sextic", "radial_sextic") else "t"
+    return QmfEvaluator(state, evaluation, variable, pol, zeros, fixed, ledger.measure, moving)
 
 
 def _classified_zeros(e: QmfEvaluator):

@@ -22,7 +22,7 @@ from typing import Callable
 import numpy as np
 
 from . import engine
-from .families import PotentialFamily, Sextic, family_kind
+from .families import PotentialFamily, family_kind
 from .series import Polynomial
 
 __all__ = [
@@ -54,17 +54,18 @@ class NonRealEnergyError(ArithmeticError):
 class GaugeSpec:
     """Prefactor exponents and gauge polynomial of the algebraic ansatz.
 
-    ``prefactors`` maps singular points of the chart variable to the local
-    exponent there (each equals i times the selected momentum residue, times
-    1/2 in the charts that are quadratic maps of x). ``gauge_polynomial`` is
-    G with ``psi`` carrying ``exp(-G)``; its leading term reproduces the
-    selected infinity branch.
+    ``prefactors`` maps singular points of the gauge variable to the local
+    exponent there (each equals i * measure times the selected momentum
+    residue, halved at a point where the gauge variable is quadratic in the
+    census variable). ``gauge_polynomial`` is G with ``psi`` carrying
+    ``exp(-G)``; its leading term reproduces the selected infinity branch.
+    ``ledger`` is the quantization ledger both were read from.
     """
 
-    variable: str
     prefactors: tuple[tuple[complex, float], ...]
     gauge_polynomial: Polynomial
     sector: str
+    ledger: engine.QuantizationLedger
 
     @property
     def prefactor_exponent(self) -> float:
@@ -99,100 +100,63 @@ class AlgebraicState:
     gauge: GaugeSpec
     n_label: int
     index: int
-    multiplicity: int = 1
 
 
-def _real_part(z: complex, what: str, scale: float = 1.0) -> float:
-    if abs(z.imag) > 1e-9 * (scale + abs(z)):
+def _real_part(z: complex, what: str) -> float:
+    if abs(z.imag) > 1e-9 * (1.0 + abs(z)):
         raise ArithmeticError(f"{what} is not real: {z}")
     return z.real
 
 
-def _sextic_n(family: Sextic) -> int:
-    nu = family.qes_n
-    n = int(round(nu))
-    if n < 0 or abs(nu - n) > 1e-9:
-        raise QESConditionError(
-            f"recursion does not truncate: condition value {family.condition_value:.12g} "
-            f"is not 3 + 2n for a nonnegative integer n (residual {abs(nu - n):.3g})"
-        )
-    return n
+_SECTORS = {
+    "sextic": ("even", "odd"),
+    "radial_sextic": ("radial",),
+    "circular": ("chart",),
+    "hyperbolic": ("chart",),
+}
 
 
 def gauge_from_residues(family: PotentialFamily, sector: str | None = None) -> GaugeSpec:
-    """Derive prefactors and gauge from the selected branches, not from fits.
+    """Read prefactors and gauge from the ledger's selected branches, not from fits.
 
-    Every exponent comes from a fixed-pole residue and the gauge polynomial
-    from the infinity expansion on the physical branch; closed-form
-    consistency with the family parameters is asserted.
+    Every exponent comes from a fixed-pole residue. The gauge polynomial
+    integrates the principal part of the momentum at infinity,
+    ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
+    variable z; the hyperbolic family keeps G and its prefactors in
+    s = t^2 = cosh^2 x. Closed-form consistency with the family parameters
+    is asserted. A sextic off its solvability condition raises
+    :class:`QESConditionError`.
     """
     kind = family_kind(family)
-    if kind in ("sextic", "radial_sextic"):
-        r_inf = engine.riccati_in_chart(family, engine.INVERSION)
-        sel = engine.select_physical_branch(
-            engine.infinity_branch_candidates(r_inf), family, "infinity"
+    ledger = engine.quantization_ledger(family, require_integer=False)
+    if ledger.n is None:  # only a sextic; the other families raise NonQESError in the ledger
+        nu = ledger.solved_condition["n_value"]
+        raise QESConditionError(
+            f"recursion does not truncate: condition value {ledger.solved_condition['lhs_value']:.12g} "
+            f"is not 3 + 2n for a nonnegative integer n (residual {abs(nu - round(nu)):.3g})"
         )
-        ser = engine.infinity_expansion(r_inf, sel)
-        b3 = ser.coefficient(-3)
-        b1 = ser.coefficient(-1)
-        g4 = _real_part(-1j * b3 / 4.0, "quartic gauge coefficient")
-        g2 = _real_part(-1j * b1 / 2.0, "quadratic gauge coefficient")
-        gauge_poly = Polynomial([0.0, 0.0, g2, 0.0, g4])
-        if abs(4 * g4 - family.a) > 1e-12 * (1 + family.a):
-            raise ArithmeticError("gauge does not reproduce the selected infinity branch")
-        if kind == "sextic":
-            n = _sextic_n(family)
-            parity = "even" if n % 2 == 0 else "odd"
-            if sector is None:
-                sector = parity
-            if sector not in ("even", "odd"):
-                raise ValueError(f"unknown sextic sector {sector!r}")
-            mu = 0.0 if sector == "even" else 1.0
-            prefactors = ((0j, mu),) if mu else ()
-            return GaugeSpec("x", prefactors, gauge_poly, sector)
-        r_id = engine.riccati_in_chart(family, engine.IDENTITY)
-        fsel = engine.select_physical_branch(
-            engine.fixed_pole_residues(r_id, 0), family, 0
-        )
-        mu = _real_part(1j * fsel.leading_coefficient, "origin exponent")
-        if abs(mu - family.mu) > 1e-10 * (1 + abs(mu)):
-            raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
-        return GaugeSpec("x", ((0j, mu),), gauge_poly, "radial")
+    if sector is None:
+        sector = _SECTORS[kind][ledger.n % 2 if kind == "sextic" else 0]
+    if sector not in _SECTORS[kind]:
+        raise ValueError(f"unknown {kind} sector {sector!r}")
 
-    if kind == "circular":
-        r_t = engine.riccati_in_chart(family, engine.TRIG)
-        sel = engine.select_physical_branch(
-            engine.infinity_branch_candidates(r_t), family, "infinity"
-        )
-        slope = _real_part(1j * sel.leading_coefficient / 2.0, "gauge slope")
-        mus = []
-        for z0 in (0j, 1 + 0j):
-            fsel = engine.select_physical_branch(
-                engine.fixed_pole_residues(r_t, z0), family, z0
-            )
-            mus.append(_real_part(1j * fsel.leading_coefficient / 2.0, "chart exponent"))
-        return GaugeSpec(
-            "t",
-            ((0j, mus[0]), (1 + 0j, mus[1])),
-            Polynomial([0.0, -slope]),
-            "chart",
-        )
-
-    r_t = engine.riccati_in_chart(family, engine.HYPER)
-    sel = engine.select_physical_branch(
-        engine.infinity_branch_candidates(r_t), family, "infinity"
-    )
-    kappa = _real_part(-1j * sel.leading_coefficient, "gauge curvature")
-    f0 = engine.select_physical_branch(engine.fixed_pole_residues(r_t, 0), family, 0)
-    mu0 = _real_part(1j * f0.leading_coefficient, "chart exponent") / 2.0
-    f1 = engine.select_physical_branch(engine.fixed_pole_residues(r_t, 1), family, 1)
-    mu1 = _real_part(1j * f1.leading_coefficient, "chart exponent")
-    return GaugeSpec(
-        "s",
-        ((0j, mu0), (1 + 0j, mu1)),
-        Polynomial([0.0, kappa / 2.0]),
-        "chart",
-    )
+    ser, measure = ledger.infinity_series, ledger.measure
+    g = [0.0] + [
+        _real_part(-1j * measure * ser.coefficient(1 - j) / j, "gauge coefficient")
+        for j in range(1, 2 - ser.lo)
+    ]
+    exponents = [_real_part(1j * measure * res, "prefactor exponent") for _, res in ledger.fixed_residues]
+    if kind in ("sextic", "radial_sextic") and abs(4 * g[4] - family.a) > 1e-12 * (1 + family.a):
+        raise ArithmeticError("gauge does not reproduce the selected infinity branch")
+    if kind == "sextic":
+        # the sextic has no fixed pole; the odd sector carries the factor x
+        exponents = [1.0] if sector == "odd" else []
+    elif kind == "radial_sextic" and abs(exponents[0] - family.mu) > 1e-10 * (1 + abs(exponents[0])):
+        raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
+    elif kind == "hyperbolic":
+        # s = t^2 is quadratic at t = 0 and simple at t = 1; G is even in t
+        exponents, g = [exponents[0] / 2.0, exponents[1]], g[::2]
+    return GaugeSpec(tuple(zip((0j, 1 + 0j), exponents)), Polynomial(g), sector, ledger)
 
 
 def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray:
@@ -210,25 +174,20 @@ def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray
     return h
 
 
-def recursion_matrix(family: PotentialFamily, sector: str | None = None) -> RecursionMatrix:
-    """Finite coefficient recursion acting on (c_0, c_1, ...).
+def recursion_matrix(gauge: GaugeSpec) -> RecursionMatrix:
+    """Finite coefficient recursion acting on (c_0, c_1, ...) in the gauge's sector.
 
     Raises :class:`QESConditionError` when the recursion does not truncate:
-    for the sextic that means the closed-form condition fails (or the wrong
-    parity sector was requested); the other families truncate by
-    construction.
+    for the sextic that means the wrong parity sector was requested; the
+    other families truncate by construction.
     """
+    family, n = gauge.ledger.family, gauge.ledger.n
     kind = family_kind(family)
     if kind == "sextic":
-        n = _sextic_n(family)
         parity = "even" if n % 2 == 0 else "odd"
-        if sector is None:
-            sector = parity
-        if sector not in ("even", "odd"):
-            raise ValueError(f"unknown sextic sector {sector!r}")
-        if sector != parity:
+        if gauge.sector != parity:
             raise QESConditionError(
-                f"recursion does not truncate in the {sector} sector: n = {n} has "
+                f"recursion does not truncate in the {gauge.sector} sector: n = {n} has "
                 f"{parity} parity"
             )
         a, b = family.a, family.b
@@ -241,13 +200,11 @@ def recursion_matrix(family: PotentialFamily, sector: str | None = None) -> Recu
                 h[i, i + 1] = -(k + 2) * (k + 1)
             if i - 1 >= 0:
                 h[i, i - 1] = 2.0 * a * (k - 2 - n)
-        return RecursionMatrix(h, dim, sector, ks)
+        return RecursionMatrix(h, dim, gauge.sector, ks)
 
     if kind == "radial_sextic":
-        if sector not in (None, "radial"):
-            raise ValueError(f"unknown radial sector {sector!r}")
-        a, b, mu, m_count = family.a, family.b, family.mu, family.M
-        ks = tuple(range(0, 2 * m_count + 1, 2))
+        a, b, mu = family.a, family.b, family.mu
+        ks = tuple(range(0, 2 * n + 1, 2))
         dim = len(ks)
         h = np.zeros((dim, dim))
         for i, k in enumerate(ks):
@@ -255,18 +212,14 @@ def recursion_matrix(family: PotentialFamily, sector: str | None = None) -> Recu
             if i + 1 < dim:
                 h[i, i + 1] = -(k + 2) * (k + 1 + 2 * mu)
             if i - 1 >= 0:
-                h[i, i - 1] = 2.0 * a * (k - 2 - 2 * m_count)
+                h[i, i - 1] = 2.0 * a * (k - 2 - 2 * n)
         return RecursionMatrix(h, dim, "radial", ks)
 
-    gauge = gauge_from_residues(family)
-    mu0 = gauge.prefactors[0][1]
-    mu1 = gauge.prefactors[1][1]
-    if sector not in (None, "chart"):
-        raise ValueError(f"unknown chart sector {sector!r}")
-    h = _chart_matrix(mu0, mu1, family.q1, family.M)
+    (_, mu0), (_, mu1) = gauge.prefactors
+    h = _chart_matrix(mu0, mu1, family.q1, n)
     if kind == "hyperbolic":
         h = -h
-    return RecursionMatrix(h, family.M + 1, "chart", tuple(range(family.M + 1)))
+    return RecursionMatrix(h, n + 1, "chart", tuple(range(n + 1)))
 
 
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
@@ -276,22 +229,15 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
     and :class:`NonRealEnergyError` when an energy or an eigenvector comes
     out complex.
     """
-    kind = family_kind(family)
-    matrix = recursion_matrix(family)
-    gauge = gauge_from_residues(family, matrix.sector if kind == "sextic" else None)
+    gauge = gauge_from_residues(family)
+    matrix = recursion_matrix(gauge)
     w, vecs = np.linalg.eig(matrix.entries)
     scale = max(1.0, float(np.max(np.abs(w))))
     if np.max(np.abs(w.imag)) > _REAL_TOL * scale:
         raise NonRealEnergyError(f"non-real algebraic energy: {w}")
     energies = w.real
     order = np.argsort(energies)
-
-    if kind == "sextic":
-        n_label = _sextic_n(family)
-    elif kind == "circular":
-        n_label = family.M
-    else:
-        n_label = 2 * family.M
+    n_label = gauge.ledger.per_n_weight * gauge.ledger.n
 
     states = []
     for out_idx, j in enumerate(order):
@@ -302,7 +248,6 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
         vec = vec / top
         if np.max(np.abs(vec.imag)) > 1e-8 * np.max(np.abs(vec)):
             raise NonRealEnergyError("eigenvector of the recursion is not real")
-        mult = int(np.sum(np.abs(energies - energies[j]) <= _REAL_TOL * scale))
         states.append(
             AlgebraicState(
                 family=family,
@@ -312,7 +257,6 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
                 gauge=gauge,
                 n_label=n_label,
                 index=out_idx,
-                multiplicity=mult,
             )
         )
     return tuple(states)

@@ -71,6 +71,25 @@ def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
     assert out == "" and "config error" in err and "grid" in err
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {**SEXTIC_N2, "tolerances": {"oracle_tol": "a"}},
+        {**SEXTIC_N2, "tolerances": {"residue_tol": float("nan")}},
+        {**SEXTIC_N2, "tolerances": {"oracle_tol": -1}},
+        {**SEXTIC_N2, "tolerances": {"oracle_tol": True}},
+        {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2.7}},
+        {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": 2.5}},
+    ],
+    ids=["string-tol", "nan-tol", "negative-tol", "bool-tol", "fractional-M", "fractional-n"],
+)
+def test_malformed_number_is_a_config_error(tmp_path, capsys, config):
+    cfg = write_config(tmp_path, config)
+    assert main(["verify", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err
+
+
 # ----------------------------------------------------------------- derive
 
 

@@ -4,8 +4,9 @@ import importlib
 import numpy as np
 import pytest
 
+from qhjqes import engine
 from qhjqes.engine import qes_parameterize
-from qhjqes.families import RadialSextic
+from qhjqes.families import Circular, Hyperbolic, RadialSextic, family_kind
 from qhjqes.qmf import (
     DegenerateZeroError,
     NoSeparatingContourError,
@@ -18,7 +19,7 @@ from qhjqes.qmf import (
     zero_census,
 )
 from qhjqes.series import Polynomial
-from qhjqes.spectra import algebraic_states
+from qhjqes.spectra import algebraic_states, eigenfunction_with_derivatives
 
 QUARTER_ROOT_HALF = 0.8408964152537145
 
@@ -83,6 +84,46 @@ def test_array_evaluation_matches_scalar(monkeypatch):
         monkeypatch.setattr(qmf_module, "poly_roots", real_roots)
         assert shifted.moving_zeros != e.moving_zeros
         assert np.array_equal(shifted.evaluation(nodes), vals)
+
+
+_CHARTS = {
+    "x": (lambda z: z, lambda z: 1.0),
+    "circular": (lambda z: np.sin(z) ** 2, lambda z: np.sin(2 * z)),
+    "hyperbolic": (np.cosh, np.sinh),
+}
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        qes_parameterize("sextic", 2, a=1.0, b=0.5),
+        qes_parameterize("sextic", 3, a=1.5, b=-0.7),
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
+        Circular(S1=1.0, S2=1.2, q1=-1.5, M=3),
+        Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
+    ],
+    ids=["sextic-even", "sextic-odd", "radial", "circular", "hyperbolic"],
+)
+def test_momentum_is_the_log_derivative_read_from_the_ledger(family):
+    t, dt = _CHARTS.get(family_kind(family), _CHARTS["x"])
+    for state in algebraic_states(family):
+        e = qmf(state)
+        assert e.fixed_singularities == state.gauge.ledger.fixed_residues
+        assert e.measure * e.moving_residue == -1j
+        psi = eigenfunction_with_derivatives(state)
+        for z in (0.45 + 0.2j, 0.9 - 0.35j, 1.3 + 0.1j):
+            value, derivative, _ = psi(z)
+            expected = -1j * derivative / value
+            assert abs(e.measure * e(t(z)) * dt(z) - expected) < 1e-12 * abs(expected)
+
+
+def test_one_ledger_per_algebraic_states(monkeypatch):
+    real_ledger, calls = engine.quantization_ledger, []
+    monkeypatch.setattr(engine, "quantization_ledger", lambda *a, **k: calls.append(a) or real_ledger(*a, **k))
+    for family in (qes_parameterize("sextic", 3, a=1.0, b=0.5), Circular(S1=1.0, S2=1.2, q1=1.5, M=2)):
+        calls.clear()
+        algebraic_states(family)
+        assert len(calls) == 1
 
 
 # ----------------------------------------------------------------- census

@@ -66,22 +66,22 @@ def test_chart_gauges():
 
 
 def test_ground_sector_matrices_are_scalar_zero():
-    m0 = recursion_matrix(qes_parameterize("sextic", 0, a=1.0, b=0.0))
+    m0 = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 0, a=1.0, b=0.0)))
     assert m0.dimension == 1 and m0.entries[0, 0] == 0.0
-    m1 = recursion_matrix(qes_parameterize("sextic", 1, a=1.0, b=0.0))
+    m1 = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0)))
     assert m1.dimension == 1 and m1.entries[0, 0] == 0.0
     assert m1.sector == "odd"
 
 
 def test_n2_matrix_entries():
-    m = recursion_matrix(qes_parameterize("sextic", 2, a=1.0, b=0.0))
+    m = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 2, a=1.0, b=0.0)))
     assert m.entries.tolist() == [[0.0, -2.0], [-4.0, 0.0]]
     assert m.basis_exponents == (0, 2)
 
 
 def test_sector_dimensions():
     for n in range(7):
-        m = recursion_matrix(qes_parameterize("sextic", n, a=1.0, b=0.5))
+        m = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", n, a=1.0, b=0.5)))
         assert m.dimension == n // 2 + 1
         assert m.sector == ("even" if n % 2 == 0 else "odd")
 
@@ -89,12 +89,12 @@ def test_sector_dimensions():
 def test_wrong_parity_sector_does_not_truncate():
     fam = qes_parameterize("sextic", 2, a=1.0, b=0.0)
     with pytest.raises(QESConditionError, match="odd sector"):
-        recursion_matrix(fam, sector="odd")
+        recursion_matrix(gauge_from_residues(fam, sector="odd"))
 
 
 def test_off_condition_family_reports_residual():
     with pytest.raises(QESConditionError, match="residual 0.05"):
-        recursion_matrix(Sextic(-6.9, 0.0, 1.0))
+        recursion_matrix(gauge_from_residues(Sextic(-6.9, 0.0, 1.0)))
 
 
 # ------------------------------------------------------------------ spectra
@@ -115,7 +115,7 @@ def test_two_level_spectrum_is_plus_minus_2root2():
 
 def test_complex_matrix_rejected(monkeypatch):
     m = RecursionMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2, "even", (0, 2))
-    monkeypatch.setattr(spectra, "recursion_matrix", lambda family: m)
+    monkeypatch.setattr(spectra, "recursion_matrix", lambda gauge: m)
     with pytest.raises(NonRealEnergyError):
         algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))
 
