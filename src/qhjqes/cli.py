@@ -68,9 +68,13 @@ def build_family(spec: dict):
         raise ConfigError(f"unknown family name {name!r}")
     fields = _FAMILY_FIELDS[name]
     _require_keys(spec, ("name",) + fields, f"family {name!r}", fields)
-    for key in ("n", "M"):
-        if key in fields and type(spec[key]) is not int:
-            raise ConfigError(f"family {key} must be an integer, got {spec[key]!r}")
+    for key in fields:
+        v = spec[key]
+        if key in ("n", "M"):
+            if type(v) is not int:
+                raise ConfigError(f"family {key} must be an integer, got {v!r}")
+        elif type(v) not in (int, float) or not math.isfinite(v):
+            raise ConfigError(f"family {key} must be a finite number, got {v!r}")
     try:
         if name == "sextic":
             return Sextic(float(spec["alpha"]), float(spec["beta"]), float(spec["gamma"]))

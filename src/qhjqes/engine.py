@@ -164,7 +164,6 @@ class QuantizationLedger:
     entries: tuple[LedgerEntry, ...]
     solved_condition: dict
     n: int | None
-    moving_total: float
     per_n_weight: int
     balance_residual: float
     infinity_branches: tuple[BranchCandidate, BranchCandidate]
@@ -499,14 +498,14 @@ def fixed_pole_residues(r: RiccatiData, pole: complex) -> tuple[BranchCandidate,
     the residue of U at z0 and R2 the double-pole coefficient of R.
     """
     pole = complex(pole)
-    den_s = r.rhs_den.shifted(pole)
-    dc = den_s.coeffs
+    slope = r.rhs_den.derivative()
+    half_curvature = slope.derivative()(pole) / 2.0
     scale = max(abs(c) for c in r.rhs_den.coeffs)
-    if len(dc) < 3 or abs(dc[0]) > 1e-12 * scale or abs(dc[1]) > 1e-12 * scale or dc[2] == 0:
+    if abs(r.rhs_den(pole)) > 1e-12 * scale or abs(slope(pole)) > 1e-12 * scale or half_curvature == 0:
         raise ValueError(f"right-hand side does not have a double pole at {pole}")
     if abs(r.rhs_num_energy(pole)) > 1e-12:
         raise MatchingFailure("energy enters the fixed-pole residue quadratic")
-    r2 = r.rhs_num_const(pole) / dc[2]
+    r2 = r.rhs_num_const(pole) / half_curvature
     wden = r.weight_den(pole)
     if wden == 0:
         raise ValueError("derivative weight is singular at the requested pole")
@@ -685,7 +684,6 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         entries=tuple(entries),
         solved_condition=solved,
         n=n_out,
-        moving_total=moving_total,
         per_n_weight=per_n,
         balance_residual=balance,
         infinity_branches=pair,

@@ -2,11 +2,11 @@
 
 This is the numeric kernel for the rest of the package. Everything runs in
 double-precision complex arithmetic: Python ``complex`` for single values and
-``complex128`` numpy arrays where a whole contour or a whole set of root
-approximations is handled at once (``Polynomial.__call__`` runs Horner on
-either). Values are immutable after construction, and every operation is a
-pure function of its inputs, so all of it is safe to share across concurrent
-work.
+``complex128`` numpy arrays where a whole contour or a whole set of roots is
+handled at once (``Polynomial.__call__`` runs Horner on either). Roots are the
+eigenvalues of numpy's companion matrix, refined by one Newton step. Values
+are immutable after construction, and every operation is a pure function of
+its inputs, so all of it is safe to share across concurrent work.
 
 A ``LaurentSeries`` carries an explicit reliability window: asking for a
 coefficient outside that window raises instead of silently returning
@@ -40,13 +40,6 @@ DEFAULT_QUADRATURE_POINTS = 2048
 #: Roots closer than this (scaled by 1 + |z|) are merged into one root
 #: with a multiplicity.
 ROOT_CLUSTER_TOL = 1e-7
-
-_ROOT_BACKWARD_TOL = 1e-10
-_ABERTH_MAX_ITER = 400
-#: An Aberth step below this multiple of |z| is rounding noise.
-_ABERTH_ROUNDING_STEP = 4.0 * np.finfo(float).eps
-#: A step that no longer shrinks is a stall once it is below this (scaled by 1 + |z|).
-_ABERTH_STALL_STEP = 1e-8
 
 
 class TruncationDepthError(ValueError):
@@ -102,17 +95,6 @@ class Polynomial:
             return Polynomial([0])
         return Polynomial([k * c for k, c in enumerate(self.coeffs)][1:])
 
-    def shifted(self, z0: complex) -> "Polynomial":
-        """Coefficients of ``p(z + z0)``."""
-        n = self.degree
-        out = [0j] * (n + 1)
-        for j, c in enumerate(self.coeffs):
-            if c == 0:
-                continue
-            for k in range(j + 1):
-                out[k] += c * math.comb(j, k) * z0 ** (j - k)
-        return Polynomial(out)
-
     def __mul__(self, scalar: complex) -> "Polynomial":
         """The polynomial scaled by a number."""
         return Polynomial([complex(scalar) * c for c in self.coeffs])
@@ -157,73 +139,35 @@ class LaurentSeries:
         return self.coeffs.get(k, 0j)
 
 
-def poly_roots(p: Polynomial, tol: float = _ROOT_BACKWARD_TOL) -> list[tuple[complex, int]]:
-    """All roots with multiplicities via the Aberth-Ehrlich iteration.
+def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
+    """All roots with multiplicities: companion-matrix eigenvalues plus one Newton step.
 
-    Deterministic and dependency-free: initial guesses sit on the circle of
-    radius ``1 + max|c_k / c_lead|`` at fixed angles. Each approximation
-    stops moving once its own step is at rounding level or has stalled, and
-    the iteration ends when all have stopped (or after 400 sweeps; Bini,
-    Numer. Algorithms 13 (1996)). Converged roots closer than
-    ``ROOT_CLUSTER_TOL`` (scaled by 1 + |z|) are merged into a single root
-    with a multiplicity. Output is sorted lexicographically by
-    ``(re, im)`` and every reported root satisfies the documented backward
-    error bound ``|p(r)| <= tol * sum |c_k r^k|`` (per cluster, to the power
-    of its multiplicity).
+    Roots at 0 are stripped exactly. The others are the eigenvalues of the
+    companion matrix (``np.polynomial.polynomial.polyroots``), which are
+    backward stable (Edelman & Murakami, Math. Comp. 64 (1995)); a real p is
+    passed as real coefficients, so its real roots have an imaginary part of
+    exactly 0 and its complex roots come as exact conjugate pairs. One Newton
+    step on the monic polynomial then refines each root (a step that is not
+    finite is skipped). Roots closer than ``ROOT_CLUSTER_TOL`` (scaled by
+    1 + |z|) are merged into a single root with a multiplicity. Output is
+    sorted lexicographically by ``(re, im)`` and every simple root satisfies
+    the backward error bound ``|p(r)| <= 1e-10 * max(sum |c_k r^k|, sum |c_k|)``.
     """
     if p.is_zero:
         raise ValueError("zero polynomial has no well-defined roots")
     if p.degree < 1:
         raise ValueError("polynomial of degree >= 1 required")
 
-    coeffs = list(p.coeffs)
-    mult_at_zero = 0
-    while coeffs[0] == 0:
-        coeffs.pop(0)
-        mult_at_zero += 1
-
-    found: list[complex] = []
-    deg = len(coeffs) - 1
-    if deg >= 1:
-        c = np.array(coeffs, dtype=complex)
-        c = c / c[-1]
-        if deg == 1:
-            found = [complex(-c[0])]
-        else:
-            radius = 1.0 + float(np.max(np.abs(c[:-1])))
-            angles = 2.0 * np.pi * np.arange(deg) / deg + 0.4
-            z = radius * np.exp(1j * angles)
-            monic = Polynomial(c)
-            dmonic = monic.derivative()
-            # A root is frozen once its step is at rounding level, or once the
-            # step stops shrinking while already small (it has reached the
-            # accuracy the conditioning allows); frozen roots still repel the
-            # active ones through the Aberth sum.
-            active = np.arange(deg)
-            last_step = np.full(deg, np.inf)
-            for _ in range(_ABERTH_MAX_ITER):
-                za = z[active]
-                pv = monic(za)
-                dv = dmonic(za)
-                dv = np.where(dv == 0, 1e-300, dv)
-                w = pv / dv
-                diff = za[:, None] - z[None, :]
-                diff[np.arange(len(active)), active] = np.inf
-                s = np.sum(1.0 / diff, axis=1)
-                denom = 1.0 - w * s
-                denom = np.where(denom == 0, 1e-300, denom)
-                delta = w / denom
-                z[active] = za - delta
-                step = np.abs(delta)
-                size = np.abs(z[active])
-                frozen = (step <= _ABERTH_ROUNDING_STEP * size) | (
-                    (step >= last_step[active]) & (step <= _ABERTH_STALL_STEP * (1.0 + size))
-                )
-                last_step[active] = step
-                active = active[~frozen]
-                if not len(active):
-                    break
-            found = [complex(r) for r in z]
+    c = np.array(p.coeffs)
+    mult_at_zero = int(np.flatnonzero(c)[0])
+    c = c[mult_at_zero:] / c[-1]
+    if not c.imag.any():
+        c = c.real
+    z = np.polynomial.polynomial.polyroots(c)
+    monic = Polynomial(c)
+    with np.errstate(all="ignore"):
+        step = monic(z) / monic.derivative()(z)
+    found = [complex(r) for r in np.where(np.isfinite(step), z - step, z)]
 
     clusters: list[list[complex]] = []
     for r in sorted(found, key=lambda v: (v.real, v.imag)):
@@ -243,8 +187,8 @@ def poly_roots(p: Polynomial, tol: float = _ROOT_BACKWARD_TOL) -> list[tuple[com
 
     scale = sum(abs(co) for co in p.coeffs)
     for r, m in result:
-        bound = tol * sum(abs(co) * abs(r) ** k for k, co in enumerate(p.coeffs))
-        if abs(p(r)) > max(bound, tol * scale) and m == 1:
+        bound = 1e-10 * max(scale, sum(abs(co) * abs(r) ** k for k, co in enumerate(p.coeffs)))
+        if abs(p(r)) > bound and m == 1:
             raise ArithmeticError(
                 f"root finder failed the backward error bound at {r!r}: |p(r)|={abs(p(r)):.3e}"
             )

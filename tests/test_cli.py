@@ -80,8 +80,11 @@ def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
         {**SEXTIC_N2, "tolerances": {"oracle_tol": True}},
         {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2.7}},
         {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": 2.5}},
+        {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": True, "M": 2}},
+        {"family": {"name": "circular", "S1": "1.0", "S2": 1.2, "q1": 1.5, "M": 2}},
     ],
-    ids=["string-tol", "nan-tol", "negative-tol", "bool-tol", "fractional-M", "fractional-n"],
+    ids=["string-tol", "nan-tol", "negative-tol", "bool-tol", "fractional-M", "fractional-n",
+         "bool-param", "string-param"],
 )
 def test_malformed_number_is_a_config_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
@@ -132,7 +135,8 @@ def test_derive_report_is_deterministic(tmp_path):
     out1, out2 = str(tmp_path / "r1.json"), str(tmp_path / "r2.json")
     assert main(["derive", "--config", cfg, "--out", out1]) == 0
     assert main(["derive", "--config", cfg, "--out", out2]) == 0
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    with open(out1, "rb") as f1, open(out2, "rb") as f2:
+        assert f1.read() == f2.read()
 
 
 def test_derive_reverifies_from_echoed_inputs(tmp_path, capsys):

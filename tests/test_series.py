@@ -94,6 +94,22 @@ def test_roots_of_unity_degree_24():
         assert min(abs(r - want) for r, _ in roots) < 1e-13
 
 
+# Twelve simple real roots 0.05 + 0.08 k, k = 0..11, close enough together
+# that the bare companion eigenvalues are off by about 7e-9.
+CLUSTERED_ROOTS = 0.05 + 0.08 * np.arange(12)
+
+
+def test_real_polynomial_has_exactly_real_roots():
+    roots = poly_roots(Polynomial(np.polynomial.polynomial.polyfromroots(CLUSTERED_ROOTS)))
+    assert [m for _, m in roots] == [1] * 12
+    assert all(r.imag == 0.0 for r, _ in roots)
+
+
+def test_newton_step_refines_companion_roots():
+    roots = poly_roots(Polynomial(np.polynomial.polynomial.polyfromroots(CLUSTERED_ROOTS)))
+    assert max(abs(r - w) for (r, _), w in zip(roots, CLUSTERED_ROOTS)) < 2e-9
+
+
 def test_roots_of_zero_polynomial_raise():
     with pytest.raises(ValueError):
         poly_roots(Polynomial([0]))
