@@ -46,7 +46,6 @@ from .series import (
 from .spectra import (
     AlgebraicState,
     GaugeSpec,
-    RecursionMatrix,
     algebraic_states,
     gauge_from_residues,
     moving_polynomial,

@@ -129,6 +129,9 @@ def load_config(path: str) -> dict:
             tols[k] = float(v)
     if "outputs" in cfg:
         _require_keys(cfg["outputs"], ("report", "csv"), "outputs")
+        for k, v in cfg["outputs"].items():
+            if type(v) is not str or not v:
+                raise ConfigError(f"output path {k} must be a non-empty string, got {v!r}")
     cfg.setdefault("tolerances", {})
     build_family(cfg["family"])  # validate eagerly
     cfg["_tolerances"] = tols
@@ -415,7 +418,7 @@ def cmd_verify(config: dict, results: dict, checks: list) -> None:
             ev = build_qmf(s)
             census = zero_census(ev)
             worst = max((abs(residue_at_zero(ev, z) - ev.moving_residue) for z in census.zeros), default=0.0)
-            fit = infinity_order_check(ev) if kind in ("sextic", "radial_sextic") else None
+            fit = infinity_order_check(ev) if ev.census_variable == "x" else None
         checks.append(_check(f"{tag}_degree_law", census.total, s.n_label, 0.0))
         checks.append(
             _check(f"{tag}_quantization", census.quantization_value, census.n_real, tols["contour_tol"])

@@ -1,18 +1,19 @@
-"""Riccati data per chart, infinity matching, branch selection, and the ledger.
+"""Riccati data in each family's chart, infinity matching, branch selection, and the ledger.
 
 The momentum function p = -i psi'/psi of a bound state satisfies the Riccati
-equation ``p^2 - i p' = E - V``. In a chart where the point at infinity is
-reachable (inversion y = 1/x for the polynomial families, t = sin^2 x or
-t = cosh x for the bounded/hyperbolic ones) the reduced momentum obeys
+equation ``p^2 - i p' = E - V``. Each family has one chart (z = x for the
+polynomial families, t = sin^2 x or t = cosh x for the bounded/hyperbolic
+ones) in which the reduced momentum obeys
 
     q^2 + W(z) q' + U(z) q = R(z; E),
 
-with rational W, U, R. The pipeline implemented here:
+with rational W, U, R. Infinity is reached from any chart by transporting the
+equation to w = 1/z. The pipeline implemented here:
 
-1. ``riccati_in_chart``    - build (W, U, R) for a family in a chart;
+1. ``riccati_in_chart``    - build (W, U, R) for a family in its chart;
 2. ``infinity_expansion``  - match a Laurent ansatz for q order by order at
-                             the image of infinity; the leading coefficient
-                             obeys a quadratic, giving two branches;
+                             w = 0; the leading coefficient obeys a
+                             quadratic, giving two branches;
 3. ``fixed_pole_residues`` - the analogous local quadratic at a double pole
                              of R (a singular point of the potential);
 4. ``select_physical_branch`` - keep the branch whose wavefunction decays;
@@ -49,7 +50,6 @@ from .series import LaurentSeries, Polynomial
 __all__ = [
     "HYPER",
     "IDENTITY",
-    "INVERSION",
     "TRIG",
     "BranchCandidate",
     "BranchRuleError",
@@ -86,25 +86,23 @@ class NonQESError(ValueError):
 class ChartSpec:
     """A coordinate chart together with its momentum reduction.
 
-    ``measure`` is the constant m in ``p dx = m * q dz`` for the reduced
-    momentum q in the chart variable z, so a pole of q with residue r
-    contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. The charts:
+    ``variable`` names the chart variable z, which is also the census
+    variable of the momentum poles. ``measure`` is the constant m in
+    ``p dx = m * q dz`` for the reduced momentum q, so a pole of q with
+    residue r contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. The charts:
 
-    * identity, z = x, no reduction;
-    * inversion, y = 1/x, no momentum reduction;
+    * identity, z = x, no reduction (the polynomial families);
     * trig, t = sin^2 x, p = sqrt(t(1-t)) q, so p dx = q dt / 2;
     * hyper, t = cosh x, p = sqrt(t^2-1) q, so p dx = q dt.
     """
 
-    name: str
     variable: str
     measure: float
 
 
-IDENTITY = ChartSpec("identity", "x", 1.0)
-INVERSION = ChartSpec("inversion", "y", 1.0)
-TRIG = ChartSpec("trig", "t", 0.5)
-HYPER = ChartSpec("hyper", "t", 1.0)
+IDENTITY = ChartSpec("x", 1.0)
+TRIG = ChartSpec("t", 0.5)
+HYPER = ChartSpec("t", 1.0)
 
 
 @dataclass(frozen=True)
@@ -149,15 +147,15 @@ class LedgerEntry:
 class QuantizationLedger:
     """Itemized residue bookkeeping and the solved solvability condition.
 
-    ``infinity_branches`` is the candidate pair at infinity in the ledger's
-    chart and ``selected_branch`` the label of the physical one it used.
+    ``chart`` is the family's chart, ``infinity_branches`` the candidate pair
+    at infinity in it and ``selected_branch`` the label of the physical one.
 
-    It also describes every singularity of the momentum q in the census
-    variable z (x, or the chart variable t), with ``p dx = measure * q dz``:
-    ``infinity_series`` is q at infinity on the selected branch in powers of
-    y = 1/x or w = 1/t (its orders <= 0 are the principal part),
-    ``fixed_residues`` holds ``(location, selected residue)`` per fixed pole,
-    and every moving pole has residue ``-i / measure``.
+    It also describes every singularity of the momentum q in the chart
+    variable z, with ``p dx = chart.measure * q dz``: ``infinity_series`` is
+    q at infinity on the selected branch in powers of w = 1/z (its orders
+    <= 0 are the principal part), ``fixed_residues`` holds ``(location,
+    selected residue)`` per fixed pole, and every moving pole has residue
+    ``-i / chart.measure``.
     """
 
     family: PotentialFamily
@@ -168,7 +166,7 @@ class QuantizationLedger:
     balance_residual: float
     infinity_branches: tuple[BranchCandidate, BranchCandidate]
     selected_branch: str
-    measure: float
+    chart: ChartSpec
     infinity_series: LaurentSeries
     fixed_residues: tuple[tuple[complex, complex], ...]
 
@@ -177,15 +175,15 @@ _ONE = Polynomial([1])
 _ZERO = Polynomial([0])
 
 
-def riccati_in_chart(family: PotentialFamily, chart: ChartSpec) -> RiccatiData:
-    """Reduced Riccati data for ``family`` in ``chart``.
+def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
+    """Reduced Riccati data for ``family`` in its chart.
 
-    Charts are restricted to the pairings that make sense: the polynomial
-    families use the identity or inversion chart, the trigonometric family
-    the trig chart, and the hyperbolic family the hyper chart.
+    This is the one place that picks a family's chart: the polynomial
+    families use the identity chart, the trigonometric family the trig
+    chart, and the hyperbolic family the hyper chart.
     """
     kind = family_kind(family)
-    if kind == "sextic" and chart is IDENTITY:
+    if kind == "sextic":
         al, be, ga = family.alpha, family.beta, family.gamma
         return RiccatiData(
             chart=IDENTITY,
@@ -198,20 +196,7 @@ def riccati_in_chart(family: PotentialFamily, chart: ChartSpec) -> RiccatiData:
             linear_den=_ONE,
             fixed_poles=(),
         )
-    if kind == "sextic" and chart is INVERSION:
-        al, be, ga = family.alpha, family.beta, family.gamma
-        return RiccatiData(
-            chart=INVERSION,
-            rhs_num_const=Polynomial([-ga, 0, -be, 0, -al]),
-            rhs_num_energy=Polynomial([0] * 6 + [1]),
-            rhs_den=Polynomial([0] * 6 + [1]),
-            weight_num=Polynomial([0, 0, 1j]),
-            weight_den=_ONE,
-            linear_num=_ZERO,
-            linear_den=_ONE,
-            fixed_poles=(),
-        )
-    if kind == "radial_sextic" and chart is IDENTITY:
+    if kind == "radial_sextic":
         g, c2, a, b = family.g, family.c2, family.a, family.b
         return RiccatiData(
             chart=IDENTITY,
@@ -224,21 +209,8 @@ def riccati_in_chart(family: PotentialFamily, chart: ChartSpec) -> RiccatiData:
             linear_den=_ONE,
             fixed_poles=(0j,),
         )
-    if kind == "radial_sextic" and chart is INVERSION:
-        g, c2, a, b = family.g, family.c2, family.a, family.b
-        return RiccatiData(
-            chart=INVERSION,
-            rhs_num_const=Polynomial([-a * a, 0, -2 * a * b, 0, -c2, 0, 0, 0, -g]),
-            rhs_num_energy=Polynomial([0] * 6 + [1]),
-            rhs_den=Polynomial([0] * 6 + [1]),
-            weight_num=Polynomial([0, 0, 1j]),
-            weight_den=_ONE,
-            linear_num=_ZERO,
-            linear_den=_ONE,
-            fixed_poles=(),
-        )
-    if kind == "circular" and chart is TRIG:
-        A, B, C, D = family.A, family.B, family.C, family.D
+    A, B, C, D = family.A, family.B, family.C, family.D
+    if kind == "circular":
         return RiccatiData(
             chart=TRIG,
             rhs_num_const=Polynomial([-A, A - B, -C, C + D, -D]),
@@ -250,20 +222,17 @@ def riccati_in_chart(family: PotentialFamily, chart: ChartSpec) -> RiccatiData:
             linear_den=Polynomial([0, 1, -1]),
             fixed_poles=(0j, 1 + 0j),
         )
-    if kind == "hyperbolic" and chart is HYPER:
-        A, B, C, D = family.A, family.B, family.C, family.D
-        return RiccatiData(
-            chart=HYPER,
-            rhs_num_const=Polynomial([-A, 0, A - B, 0, -C, 0, C + D, 0, -D]),
-            rhs_num_energy=Polynomial([0, 0, -1, 0, 1]),
-            rhs_den=Polynomial([0, 0, 1, 0, -2, 0, 1]),
-            weight_num=Polynomial([-1j]),
-            weight_den=_ONE,
-            linear_num=Polynomial([0, -1j]),
-            linear_den=Polynomial([-1, 0, 1]),
-            fixed_poles=(0j, 1 + 0j, -1 + 0j),
-        )
-    raise ValueError(f"incompatible chart/family pairing: {kind} in chart {chart.name!r}")
+    return RiccatiData(
+        chart=HYPER,
+        rhs_num_const=Polynomial([-A, 0, A - B, 0, -C, 0, C + D, 0, -D]),
+        rhs_num_energy=Polynomial([0, 0, -1, 0, 1]),
+        rhs_den=Polynomial([0, 0, 1, 0, -2, 0, 1]),
+        weight_num=Polynomial([-1j]),
+        weight_den=_ONE,
+        linear_num=Polynomial([0, -1j]),
+        linear_den=Polynomial([-1, 0, 1]),
+        fixed_poles=(0j, 1 + 0j, -1 + 0j),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -351,32 +320,23 @@ class _LocalEquation:
 def _localize_at_infinity(r: RiccatiData, depth: int) -> _LocalEquation:
     """Expand the chart equation about the image of x = infinity.
 
-    For the inversion chart that image is already the chart origin; for the
-    trig/hyper charts the equation is first transported to w = 1/t, under
-    which q'(t) becomes ``-w**2 * d/dw`` of the transported momentum.
+    The equation is transported to w = 1/z, under which q'(z) becomes
+    ``-w**2 * d/dw`` of the transported momentum.
     """
-    if r.chart is INVERSION:
-        num_c, num_e, den = r.rhs_num_const, r.rhs_num_energy, r.rhs_den
-        rhs_shift = 0
-        w_num, w_den, w_shift = r.weight_num, r.weight_den, 0
-        u_num, u_den, u_shift = r.linear_num, r.linear_den, 0
-    elif r.chart in (TRIG, HYPER):
-        dn, dd = r.rhs_num_const.degree, r.rhs_den.degree
-        dn = max(dn, r.rhs_num_energy.degree)
-        num_c = _reversed_poly(r.rhs_num_const, dn)
-        num_e = _reversed_poly(r.rhs_num_energy, dn)
-        den = _reversed_poly(r.rhs_den, dd)
-        rhs_shift = dd - dn
-        wn, wd = r.weight_num.degree, r.weight_den.degree
-        w_num = -1 * _reversed_poly(r.weight_num, wn)
-        w_den = _reversed_poly(r.weight_den, wd)
-        w_shift = 2 + wd - wn
-        un, ud = r.linear_num.degree, r.linear_den.degree
-        u_num = _reversed_poly(r.linear_num, un)
-        u_den = _reversed_poly(r.linear_den, ud)
-        u_shift = ud - un
-    else:
-        raise ValueError("infinity expansion needs the inversion, trig, or hyper chart")
+    dn = max(r.rhs_num_const.degree, r.rhs_num_energy.degree)
+    dd = r.rhs_den.degree
+    num_c = _reversed_poly(r.rhs_num_const, dn)
+    num_e = _reversed_poly(r.rhs_num_energy, dn)
+    den = _reversed_poly(r.rhs_den, dd)
+    rhs_shift = dd - dn
+    wn, wd = r.weight_num.degree, r.weight_den.degree
+    w_num = -1 * _reversed_poly(r.weight_num, wn)
+    w_den = _reversed_poly(r.weight_den, wd)
+    w_shift = 2 + wd - wn
+    un, ud = r.linear_num.degree, r.linear_den.degree
+    u_num = _reversed_poly(r.linear_num, un)
+    u_den = _reversed_poly(r.linear_den, ud)
+    u_shift = ud - un
 
     probe_r = _laurent_rational(num_c, den, rhs_shift, 4)
     probe_e = _laurent_rational(num_e, den, rhs_shift, 4)
@@ -466,8 +426,7 @@ def infinity_expansion(
     ledger consumes sits below that). Passing a concrete ``energy`` returns
     the full requested depth.
 
-    The exponents are powers of the local variable: the inversion-chart
-    variable y itself, or w = 1/t for the trig/hyper charts.
+    The exponents are powers of w = 1/z, z the chart variable.
     """
     if depth is None:
         depth = default_matching_depth(r)
@@ -595,18 +554,13 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     other three it returns M = n identically.
     """
     kind = family_kind(family)
-    if kind in ("sextic", "radial_sextic"):
-        r_inf = riccati_in_chart(family, INVERSION)
-    elif kind == "circular":
-        r_inf = riccati_in_chart(family, TRIG)
-    else:
-        r_inf = riccati_in_chart(family, HYPER)
-
-    pair = infinity_branch_candidates(r_inf)
+    r = riccati_in_chart(family)
+    chart = r.chart
+    pair = infinity_branch_candidates(r)
     sel = select_physical_branch(pair, family, "infinity")
-    ser = infinity_expansion(r_inf, sel)
+    ser = infinity_expansion(r, sel)
     c1 = ser.coefficient(1)
-    j_value = 1j * r_inf.chart.measure * c1
+    j_value = 1j * chart.measure * c1
     if abs(j_value.imag) > 1e-10 * (1.0 + abs(j_value)):
         raise MatchingFailure(f"large-contour value is not real: {j_value}")
 
@@ -614,30 +568,23 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         LedgerEntry(
             "infinity",
             j_value,
-            f"i * {r_inf.chart.measure:g} * c1 with branch {sel.label} (leading {sel.leading_coefficient:.6g})",
+            f"i * {chart.measure:g} * c1 with branch {sel.label} (leading {sel.leading_coefficient:.6g})",
         )
     ]
 
-    if kind == "radial_sextic":
-        fp_sources = [(riccati_in_chart(family, IDENTITY), 0j)]
-    elif kind in ("circular", "hyperbolic"):
-        fp_sources = [(r_inf, z0) for z0 in r_inf.fixed_poles]
-    else:
-        fp_sources = []
-
     fixed_total = 0j
     fixed_residues = []
-    for rdata, z0 in fp_sources:
-        fpair = fixed_pole_residues(rdata, z0)
+    for z0 in r.fixed_poles:
+        fpair = fixed_pole_residues(r, z0)
         fsel = select_physical_branch(fpair, family, z0)
-        contrib = 1j * rdata.chart.measure * fsel.leading_coefficient
+        contrib = 1j * chart.measure * fsel.leading_coefficient
         fixed_total += contrib
         fixed_residues.append((z0, fsel.leading_coefficient))
         entries.append(
             LedgerEntry(
-                f"fixed pole at {rdata.chart.variable} = {z0.real:g}",
+                f"fixed pole at {chart.variable} = {z0.real:g}",
                 contrib,
-                f"i * {rdata.chart.measure:g} * residue, residue {fsel.leading_coefficient:.6g}",
+                f"i * {chart.measure:g} * residue, residue {fsel.leading_coefficient:.6g}",
             )
         )
 
@@ -688,10 +635,18 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         balance_residual=balance,
         infinity_branches=pair,
         selected_branch=sel.label,
-        measure=r_inf.chart.measure,
+        chart=chart,
         infinity_series=ser,
         fixed_residues=tuple(fixed_residues),
     )
+
+
+_TEMPLATE_PARAMS = {
+    "sextic": ("a", "b"),
+    "radial_sextic": ("S", "a", "b"),
+    "circular": ("S1", "S2", "q1"),
+    "hyperbolic": ("S1", "S2", "q1"),
+}
 
 
 def qes_parameterize(template: str, n: int, **params) -> PotentialFamily:
@@ -700,26 +655,23 @@ def qes_parameterize(template: str, n: int, **params) -> PotentialFamily:
     ``template`` is one of ``sextic`` (free params a > 0 and b, giving
     gamma = a^2, beta = 2ab, alpha = b^2 - a(3 + 2n)), ``radial_sextic``
     (S, a, b), ``circular`` (S1, S2, q1), or ``hyperbolic`` (S1, S2, q1);
-    the last three simply set M = n.
+    the last three simply set M = n. Every parameter is required except b,
+    which defaults to 0; an unknown or missing one raises ValueError.
     """
-    if n < 0 or n != int(n):
-        raise ValueError("n must be a nonnegative integer")
-    n = int(n)
+    if template not in _TEMPLATE_PARAMS:
+        raise ValueError(f"unknown family template: {template!r}")
+    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+    names = _TEMPLATE_PARAMS[template]
+    unknown = sorted(set(params) - set(names))
+    missing = sorted(set(names) - set(params) - {"b"})
+    if unknown or missing:
+        raise ValueError(f"{template} template: unknown parameters {unknown}, missing parameters {missing}")
+    v = {name: float(params.get(name, 0.0)) for name in names}
     if template == "sextic":
-        a = float(params.pop("a"))
-        b = float(params.pop("b", 0.0))
-        if params:
-            raise ValueError(f"unknown parameters for sextic: {sorted(params)}")
+        a, b = v["a"], v["b"]
         if a <= 0:
             raise ValueError("sextic parameterization requires a > 0")
         return Sextic(alpha=b * b - a * (3.0 + 2.0 * n), beta=2.0 * a * b, gamma=a * a)
-    if template == "radial_sextic":
-        return RadialSextic(S=float(params.pop("S")), a=float(params.pop("a")),
-                            b=float(params.pop("b", 0.0)), M=n)
-    if template == "circular":
-        return Circular(S1=float(params.pop("S1")), S2=float(params.pop("S2")),
-                        q1=float(params.pop("q1")), M=n)
-    if template == "hyperbolic":
-        return Hyperbolic(S1=float(params.pop("S1")), S2=float(params.pop("S2")),
-                          q1=float(params.pop("q1")), M=n)
-    raise ValueError(f"unknown family template: {template!r}")
+    cls = {"radial_sextic": RadialSextic, "circular": Circular, "hyperbolic": Hyperbolic}[template]
+    return cls(**v, M=n)

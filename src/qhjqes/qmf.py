@@ -12,9 +12,9 @@ counts them two independent ways, and checks the counting laws:
   moving poles - and must agree with the argument principle applied to the
   polynomial factor alone.
 
-For the polynomial families the census lives in the x plane; for the
-trigonometric and hyperbolic families it lives in the chart plane
-(t = sin^2 x, t = cosh x), where the momentum is single valued.
+The census lives in the plane of the ledger's chart variable: x for the
+polynomial families, t = sin^2 x or t = cosh x for the trigonometric and
+hyperbolic ones, where the momentum is single valued.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import Callable
 
 import numpy as np
 
-from .families import family_kind
 from .series import CircleContour, Polynomial, contour_integral, poly_roots, sample_finite
 from .spectra import AlgebraicState, moving_polynomial
 
@@ -109,7 +108,8 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     One formula for every family, read from the state's ledger:
     ``p(z) = sum_{k=lo}^{0} c_k z^(-k) + sum_i res_i / (z - z_i) + (-i/measure) P'(z)/P(z)``,
     the principal part of the infinity series, the selected fixed-pole
-    residues, and one pole of residue -i/measure at each zero of P.
+    residues, and one pole of residue -i/measure at each zero of P. The
+    census variable z and the measure are the ledger's chart.
     """
     ledger = state.gauge.ledger
     pol = moving_polynomial(state)
@@ -118,7 +118,8 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     ser = ledger.infinity_series
     principal = Polynomial([ser.coefficient(-j) for j in range(1 - ser.lo)])
     fixed = ledger.fixed_residues
-    moving = -1j / ledger.measure
+    chart = ledger.chart
+    moving = -1j / chart.measure
 
     def evaluation(z):
         val = principal(z) + moving * (dpol(z) / pol(z))
@@ -126,8 +127,7 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
             val = val + res / (z - loc)
         return val
 
-    variable = "x" if family_kind(state.family) in ("sextic", "radial_sextic") else "t"
-    return QmfEvaluator(state, evaluation, variable, pol, zeros, fixed, ledger.measure, moving)
+    return QmfEvaluator(state, evaluation, chart.variable, pol, zeros, fixed, chart.measure, moving)
 
 
 def _classified_zeros(e: QmfEvaluator):

@@ -30,7 +30,6 @@ __all__ = [
     "GaugeSpec",
     "NonRealEnergyError",
     "QESConditionError",
-    "RecursionMatrix",
     "algebraic_states",
     "eigenfunction_with_derivatives",
     "gauge_from_residues",
@@ -59,7 +58,9 @@ class GaugeSpec:
     residue, halved at a point where the gauge variable is quadratic in the
     census variable). ``gauge_polynomial`` is G with ``psi`` carrying
     ``exp(-G)``; its leading term reproduces the selected infinity branch.
-    ``ledger`` is the quantization ledger both were read from.
+    ``sector`` is ``even``/``odd`` for the sextic (the parity of n),
+    ``radial`` or ``chart`` otherwise. ``ledger`` is the quantization ledger
+    all three were read from.
     """
 
     prefactors: tuple[tuple[complex, float], ...]
@@ -71,16 +72,6 @@ class GaugeSpec:
     def prefactor_exponent(self) -> float:
         """Exponent at the first (origin-side) prefactor point; 0 if none."""
         return self.prefactors[0][1] if self.prefactors else 0.0
-
-
-@dataclass(frozen=True)
-class RecursionMatrix:
-    """Dense real matrix whose eigenpairs are the algebraic energies/states."""
-
-    entries: np.ndarray
-    dimension: int
-    sector: str
-    basis_exponents: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -96,7 +87,6 @@ class AlgebraicState:
     family: PotentialFamily
     energy: float
     poly: Polynomial
-    sector: str
     gauge: GaugeSpec
     n_label: int
     index: int
@@ -108,15 +98,7 @@ def _real_part(z: complex, what: str) -> float:
     return z.real
 
 
-_SECTORS = {
-    "sextic": ("even", "odd"),
-    "radial_sextic": ("radial",),
-    "circular": ("chart",),
-    "hyperbolic": ("chart",),
-}
-
-
-def gauge_from_residues(family: PotentialFamily, sector: str | None = None) -> GaugeSpec:
+def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     """Read prefactors and gauge from the ledger's selected branches, not from fits.
 
     Every exponent comes from a fixed-pole residue. The gauge polynomial
@@ -135,12 +117,7 @@ def gauge_from_residues(family: PotentialFamily, sector: str | None = None) -> G
             f"recursion does not truncate: condition value {ledger.solved_condition['lhs_value']:.12g} "
             f"is not 3 + 2n for a nonnegative integer n (residual {abs(nu - round(nu)):.3g})"
         )
-    if sector is None:
-        sector = _SECTORS[kind][ledger.n % 2 if kind == "sextic" else 0]
-    if sector not in _SECTORS[kind]:
-        raise ValueError(f"unknown {kind} sector {sector!r}")
-
-    ser, measure = ledger.infinity_series, ledger.measure
+    ser, measure = ledger.infinity_series, ledger.chart.measure
     g = [0.0] + [
         _real_part(-1j * measure * ser.coefficient(1 - j) / j, "gauge coefficient")
         for j in range(1, 2 - ser.lo)
@@ -148,11 +125,14 @@ def gauge_from_residues(family: PotentialFamily, sector: str | None = None) -> G
     exponents = [_real_part(1j * measure * res, "prefactor exponent") for _, res in ledger.fixed_residues]
     if kind in ("sextic", "radial_sextic") and abs(4 * g[4] - family.a) > 1e-12 * (1 + family.a):
         raise ArithmeticError("gauge does not reproduce the selected infinity branch")
+    sector = "chart"
     if kind == "sextic":
         # the sextic has no fixed pole; the odd sector carries the factor x
-        exponents = [1.0] if sector == "odd" else []
-    elif kind == "radial_sextic" and abs(exponents[0] - family.mu) > 1e-10 * (1 + abs(exponents[0])):
-        raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
+        sector, exponents = ("odd", [1.0]) if ledger.n % 2 else ("even", [])
+    elif kind == "radial_sextic":
+        sector = "radial"
+        if abs(exponents[0] - family.mu) > 1e-10 * (1 + abs(exponents[0])):
+            raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
     elif kind == "hyperbolic":
         # s = t^2 is quadratic at t = 0 and simple at t = 1; G is even in t
         exponents, g = [exponents[0] / 2.0, exponents[1]], g[::2]
@@ -174,24 +154,18 @@ def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray
     return h
 
 
-def recursion_matrix(gauge: GaugeSpec) -> RecursionMatrix:
-    """Finite coefficient recursion acting on (c_0, c_1, ...) in the gauge's sector.
+def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
+    """Dense real matrix of the finite coefficient recursion on (c_0, c_1, ...).
 
-    Raises :class:`QESConditionError` when the recursion does not truncate:
-    for the sextic that means the wrong parity sector was requested; the
-    other families truncate by construction.
+    Its eigenpairs are the algebraic energies and states. The sextic acts on
+    the powers of x of the gauge's parity sector; the ledger's n makes the
+    recursion truncate for every family.
     """
     family, n = gauge.ledger.family, gauge.ledger.n
     kind = family_kind(family)
     if kind == "sextic":
-        parity = "even" if n % 2 == 0 else "odd"
-        if gauge.sector != parity:
-            raise QESConditionError(
-                f"recursion does not truncate in the {gauge.sector} sector: n = {n} has "
-                f"{parity} parity"
-            )
         a, b = family.a, family.b
-        ks = tuple(range(n % 2, n + 1, 2))
+        ks = range(n % 2, n + 1, 2)
         dim = len(ks)
         h = np.zeros((dim, dim))
         for i, k in enumerate(ks):
@@ -200,11 +174,11 @@ def recursion_matrix(gauge: GaugeSpec) -> RecursionMatrix:
                 h[i, i + 1] = -(k + 2) * (k + 1)
             if i - 1 >= 0:
                 h[i, i - 1] = 2.0 * a * (k - 2 - n)
-        return RecursionMatrix(h, dim, gauge.sector, ks)
+        return h
 
     if kind == "radial_sextic":
         a, b, mu = family.a, family.b, family.mu
-        ks = tuple(range(0, 2 * n + 1, 2))
+        ks = range(0, 2 * n + 1, 2)
         dim = len(ks)
         h = np.zeros((dim, dim))
         for i, k in enumerate(ks):
@@ -213,13 +187,11 @@ def recursion_matrix(gauge: GaugeSpec) -> RecursionMatrix:
                 h[i, i + 1] = -(k + 2) * (k + 1 + 2 * mu)
             if i - 1 >= 0:
                 h[i, i - 1] = 2.0 * a * (k - 2 - 2 * n)
-        return RecursionMatrix(h, dim, "radial", ks)
+        return h
 
     (_, mu0), (_, mu1) = gauge.prefactors
     h = _chart_matrix(mu0, mu1, family.q1, n)
-    if kind == "hyperbolic":
-        h = -h
-    return RecursionMatrix(h, n + 1, "chart", tuple(range(n + 1)))
+    return -h if kind == "hyperbolic" else h
 
 
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
@@ -230,8 +202,7 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
     out complex.
     """
     gauge = gauge_from_residues(family)
-    matrix = recursion_matrix(gauge)
-    w, vecs = np.linalg.eig(matrix.entries)
+    w, vecs = np.linalg.eig(recursion_matrix(gauge))
     scale = max(1.0, float(np.max(np.abs(w))))
     if np.max(np.abs(w.imag)) > _REAL_TOL * scale:
         raise NonRealEnergyError(f"non-real algebraic energy: {w}")
@@ -253,7 +224,6 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
                 family=family,
                 energy=float(energies[j]),
                 poly=Polynomial([float(c) for c in vec.real]),
-                sector=matrix.sector,
                 gauge=gauge,
                 n_label=n_label,
                 index=out_idx,
@@ -268,7 +238,7 @@ def moving_polynomial(state: AlgebraicState) -> Polynomial:
     q = state.poly.coeffs
     if kind == "circular":
         return Polynomial(q)
-    offset = 1 if (kind == "sextic" and state.sector == "odd") else 0
+    offset = 1 if state.gauge.sector == "odd" else 0
     full = [0j] * (2 * (len(q) - 1) + offset + 1)
     for j, c in enumerate(q):
         full[2 * j + offset] = c

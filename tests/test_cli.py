@@ -2,6 +2,7 @@ import importlib.util
 import inspect
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 
@@ -69,6 +70,19 @@ def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
     assert main(["spectrum", "--config", cfg]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "config error" in err and "grid" in err
+
+
+@pytest.mark.parametrize(
+    "outputs",
+    [{"csv": 1}, {"report": 7}, {"report": 2.5}, {"csv": ["poles.csv"]}, {"report": ""}, {"csv": None}],
+    ids=["int-csv", "int-report", "float-report", "list-csv", "empty-report", "null-csv"],
+)
+def test_non_string_output_path_is_a_config_error(tmp_path, capsys, outputs):
+    # an integer path would be taken as a file descriptor and closed after writing
+    cfg = write_config(tmp_path, {**SEXTIC_N2, "outputs": outputs})
+    assert main(["poles", "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "output path" in err
 
 
 @pytest.mark.parametrize(
@@ -383,6 +397,13 @@ def test_traced_names_resolve_to_functions():
     assert plan
     for owner, attr, *_ in plan:
         assert inspect.isfunction(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qhjqes.__path__)))
+def test_exported_names_resolve(module):
+    # a stale export is caught here, not only when the tracer happens to wrap it
+    mod = importlib.import_module(f"qhjqes.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
 
 
 def test_traced_verify_records_oracle_node_counts(tmp_path):

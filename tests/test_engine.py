@@ -4,9 +4,6 @@ import numpy as np
 import pytest
 
 from qhjqes.engine import (
-    IDENTITY,
-    INVERSION,
-    TRIG,
     BranchRuleError,
     NonQESError,
     fixed_pole_residues,
@@ -27,18 +24,19 @@ def _sextic(alpha=-7.0, beta=0.0, gamma=1.0):
 # ------------------------------------------------------------ chart data
 
 
-def test_inverted_sextic_rhs():
-    r = riccati_in_chart(_sextic(-2.0, 3.0, 4.0), INVERSION)
-    # E - alpha/y^2 - beta/y^4 - gamma/y^6 over y^6
-    assert r.rhs_den.coeffs == (0j,) * 6 + (1 + 0j,)
-    assert r.rhs_num_const.coeffs == (-4 + 0j, 0j, -3 + 0j, 0j, 2 + 0j)
-    assert r.rhs_num_energy.coeffs == (0j,) * 6 + (1 + 0j,)
-    assert r.weight_num.coeffs == (0j, 0j, 1j)
+def test_sextic_identity_rhs():
+    r = riccati_in_chart(_sextic(-2.0, 3.0, 4.0))
+    # E - alpha x^2 - beta x^4 - gamma x^6 over 1
+    assert r.rhs_den.coeffs == (1 + 0j,)
+    assert r.rhs_num_const.coeffs == (0j, 0j, 2 + 0j, 0j, -3 + 0j, 0j, -4 + 0j)
+    assert r.rhs_num_energy.coeffs == (1 + 0j,)
+    assert r.weight_num.coeffs == (-1j,)
+    assert r.fixed_poles == ()
 
 
 def test_radial_identity_rhs():
     fam = RadialSextic(S=1.0, a=2.0, b=3.0, M=1)
-    r = riccati_in_chart(fam, IDENTITY)
+    r = riccati_in_chart(fam)
     # E - g/x^2 - c2 x^2 - 2ab x^4 - a^2 x^6 over x^2
     num = r.rhs_num_const.coeffs
     assert num[0] == -fam.g
@@ -50,7 +48,7 @@ def test_radial_identity_rhs():
 
 def test_circular_rhs_pole_structure():
     fam = Circular(S1=1.0, S2=1.5, q1=1.0, M=1)
-    r = riccati_in_chart(fam, TRIG)
+    r = riccati_in_chart(fam)
     # denominator t^2 (1-t)^2: double poles at t = 0 and t = 1
     den = r.rhs_den
     assert abs(den(0)) == 0 and abs(den.derivative()(0)) == 0
@@ -60,18 +58,11 @@ def test_circular_rhs_pole_structure():
     assert abs(r.rhs_num_const(0) - (-fam.A)) < 1e-14
 
 
-def test_incompatible_pairing_rejected():
-    with pytest.raises(ValueError, match="incompatible"):
-        riccati_in_chart(_sextic(), TRIG)
-    with pytest.raises(ValueError, match="incompatible"):
-        riccati_in_chart(Circular(S1=1, S2=1, q1=1, M=0), INVERSION)
-
-
 # ------------------------------------------------------- infinity matching
 
 
 def test_leading_candidates_for_gamma_4():
-    r = riccati_in_chart(Sextic(-1.0, 0.0, 4.0), INVERSION)
+    r = riccati_in_chart(Sextic(-1.0, 0.0, 4.0))
     pair = infinity_branch_candidates(r)
     leads = sorted((c.leading_coefficient for c in pair), key=lambda z: z.imag)
     assert abs(leads[0] + 2j) < 1e-14
@@ -82,7 +73,7 @@ def test_second_coefficient_vanishes():
     rng = np.random.default_rng(5)
     for _ in range(10):
         fam = Sextic(*rng.uniform(-3, 3, 2), rng.uniform(0.2, 5))
-        r = riccati_in_chart(fam, INVERSION)
+        r = riccati_in_chart(fam)
         branch = infinity_branch_candidates(r)[0]
         ser = infinity_expansion(r, branch)
         assert ser.coefficient(-2) == 0
@@ -90,7 +81,7 @@ def test_second_coefficient_vanishes():
 
 def test_subleading_solves_linear_relation():
     # gamma = 1, beta = 2 on the +i branch: b1 = -beta / (2 b3) = i
-    r = riccati_in_chart(Sextic(-5.0, 2.0, 1.0), INVERSION)
+    r = riccati_in_chart(Sextic(-5.0, 2.0, 1.0))
     plus = infinity_branch_candidates(r)[0]
     assert plus.leading_coefficient == 1j
     ser = infinity_expansion(r, plus)
@@ -98,7 +89,7 @@ def test_subleading_solves_linear_relation():
 
 
 def test_energy_stays_out_of_ledger_coefficients():
-    r = riccati_in_chart(_sextic(), INVERSION)
+    r = riccati_in_chart(_sextic())
     branch = infinity_branch_candidates(r)[0]
     symbolic = infinity_expansion(r, branch)
     for energy in (0.0, 5.0, -17.0):
@@ -108,7 +99,7 @@ def test_energy_stays_out_of_ledger_coefficients():
 
 
 def test_energy_enters_above_ledger_window():
-    r = riccati_in_chart(_sextic(), INVERSION)
+    r = riccati_in_chart(_sextic())
     branch = infinity_branch_candidates(r)[0]
     low = infinity_expansion(r, branch, depth=9, energy=0.0)
     high = infinity_expansion(r, branch, depth=9, energy=10.0)
@@ -116,7 +107,7 @@ def test_energy_enters_above_ledger_window():
 
 
 def test_depth_validation():
-    r = riccati_in_chart(_sextic(), INVERSION)
+    r = riccati_in_chart(_sextic())
     branch = infinity_branch_candidates(r)[0]
     with pytest.raises(ValueError, match="depth"):
         infinity_expansion(r, branch, depth=3)
@@ -129,7 +120,7 @@ def test_sextic_selects_decaying_branch():
     rng = np.random.default_rng(9)
     for gamma in rng.uniform(0.2, 9, 6):
         fam = Sextic(-1.0, 0.0, float(gamma))
-        r = riccati_in_chart(fam, INVERSION)
+        r = riccati_in_chart(fam)
         pair = infinity_branch_candidates(r)
         sel = select_physical_branch(pair, fam, "infinity")
         assert abs(sel.leading_coefficient - 1j * math.sqrt(gamma)) < 1e-12
@@ -139,7 +130,7 @@ def test_sextic_selects_decaying_branch():
 
 def test_radial_fixed_pole_pair_and_selection():
     fam = RadialSextic(S=1.0, a=1.0, b=0.0, M=0)
-    r = riccati_in_chart(fam, IDENTITY)
+    r = riccati_in_chart(fam)
     pair = fixed_pole_residues(r, 0)
     leads = sorted((c.leading_coefficient for c in pair), key=lambda z: z.imag)
     assert abs(leads[0] - (-1.5j)) < 1e-14
@@ -153,7 +144,7 @@ def test_radial_pair_formula_generic_s():
     rng = np.random.default_rng(13)
     for s_val in rng.uniform(0.8, 3.0, 8):
         fam = RadialSextic(S=float(s_val), a=1.0, b=0.0, M=0)
-        r = riccati_in_chart(fam, IDENTITY)
+        r = riccati_in_chart(fam)
         got = sorted(
             (c.leading_coefficient for c in fixed_pole_residues(r, 0)),
             key=lambda z: z.imag,
@@ -167,7 +158,7 @@ def test_radial_pair_formula_generic_s():
 
 def test_circular_origin_residues_match_indicial_exponents():
     fam = Circular(S1=1.0, S2=1.3, q1=1.0, M=1)
-    r = riccati_in_chart(fam, TRIG)
+    r = riccati_in_chart(fam)
     pair = fixed_pole_residues(r, 0)
     sel = select_physical_branch(pair, fam, 0)
     # selected residue -i(2 S1 - 1/2); exponent lam = i*residue solves lam(lam-1) = A
@@ -180,7 +171,7 @@ def test_circular_origin_residues_match_indicial_exponents():
 def test_degenerate_exponents_rejected():
     # A = -1/4 makes both indicial exponents coincide
     fam = Circular(S1=0.5 + 1e-14, S2=1.0, q1=1.0, M=0)
-    r = riccati_in_chart(fam, TRIG)
+    r = riccati_in_chart(fam)
     pair = fixed_pole_residues(r, 0)
     with pytest.raises(BranchRuleError, match="indeterminate"):
         select_physical_branch(pair, fam, 0)
@@ -251,6 +242,58 @@ def test_ledger_balances_on_solvable_sextic_draws():
         assert led.balance_residual < 1e-10
 
 
+# Literal ledgers, one per family: a change of chart or of the transport to
+# infinity must leave every entry, series coefficient and residue as it is.
+_PINNED_LEDGERS = [
+    (
+        Sextic(-4.0, 2.0, 1.0),
+        "(LedgerEntry(source='infinity', value=(1+0j), detail='i * 1 * c1 with branch + (leading 0+1j)'), "
+        "LedgerEntry(source='moving poles', value=(1+0j), detail='n poles, one unit each'))",
+        "{-3: 1j, -1: 1j, 1: -1j}", -3, 2,
+        "()",
+    ),
+    (
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
+        "(LedgerEntry(source='infinity', value=(6+0j), detail='i * 1 * c1 with branch + (leading 0+1j)'), "
+        "LedgerEntry(source='fixed pole at x = 0', value=(2-0j), detail='i * 1 * residue, residue -0-2j'), "
+        "LedgerEntry(source='moving poles', value=(4+0j), detail='2 poles per quantum number n'))",
+        "{-3: 1j, -1: 0.5j, 1: -6j}", -3, 2,
+        "((0j, (-0-2j)),)",
+    ),
+    (
+        Circular(S1=1.1, S2=0.9, q1=1.4, M=1),
+        "(LedgerEntry(source='infinity', value=(2.5+0j), detail='i * 0.5 * c1 with branch + (leading 0+1.4j)'), "
+        "LedgerEntry(source='fixed pole at t = 0', value=(0.8500000000000001-0j), "
+        "detail='i * 0.5 * residue, residue -0-1.7j'), "
+        "LedgerEntry(source='fixed pole at t = 1', value=(0.65+0j), detail='i * 0.5 * residue, residue 0-1.3j'), "
+        "LedgerEntry(source='moving poles', value=(1+0j), detail='n poles, one unit each'))",
+        "{0: 1.4j, 1: -5j}", 0, 1,
+        "((0j, (-0-1.7000000000000002j)), ((1+0j), -1.3j))",
+    ),
+    (
+        Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1),
+        "(LedgerEntry(source='infinity', value=(5+0j), detail='i * 1 * c1 with branch + (leading 0+1.4j)'), "
+        "LedgerEntry(source='fixed pole at t = 0', value=(1.7000000000000002-0j), "
+        "detail='i * 1 * residue, residue -0-1.7j'), "
+        "LedgerEntry(source='fixed pole at t = 1', value=(0.65-0j), detail='i * 1 * residue, residue -0-0.65j'), "
+        "LedgerEntry(source='fixed pole at t = -1', value=(0.65-0j), detail='i * 1 * residue, residue -0-0.65j'), "
+        "LedgerEntry(source='moving poles', value=(2+0j), detail='2 poles per quantum number n'))",
+        "{-1: 1.4j, 1: -5j}", -1, 2,
+        "((0j, (-0-1.7000000000000002j)), ((1+0j), (-0-0.65j)), ((-1+0j), (-0-0.65j)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("fam,entries,coeffs,lo,hi,fixed", _PINNED_LEDGERS,
+                         ids=["sextic", "radial_sextic", "circular", "hyperbolic"])
+def test_ledger_is_pinned(fam, entries, coeffs, lo, hi, fixed):
+    led = quantization_ledger(fam)
+    assert repr(led.entries) == entries
+    assert repr(led.infinity_series.coeffs) == coeffs
+    assert (led.infinity_series.lo, led.infinity_series.hi) == (lo, hi)
+    assert repr(led.fixed_residues) == fixed
+
+
 def test_non_qes_sextic_rejected():
     with pytest.raises(NonQESError, match="not 3 \\+ 2n"):
         quantization_ledger(Sextic(-4.0, 0.0, 1.0))
@@ -291,3 +334,15 @@ def test_parameterize_rejects_bad_input():
         qes_parameterize("sextic", 1, a=-1.0, b=0.0)
     with pytest.raises(ValueError):
         qes_parameterize("unknown", 1)
+    with pytest.raises(ValueError, match="typo"):
+        qes_parameterize("circular", 2, S1=1, S2=1.2, q1=1, typo=3.0)
+    with pytest.raises(ValueError, match="typo"):
+        qes_parameterize("sextic", 2, a=1.0, typo=3.0)
+    with pytest.raises(ValueError, match="'S'"):
+        qes_parameterize("radial_sextic", 2, a=1.0, b=0.0)
+    with pytest.raises(ValueError, match="'q1'"):
+        qes_parameterize("hyperbolic", 2, S1=1.0, S2=1.2)
+    with pytest.raises(ValueError, match="n must be"):
+        qes_parameterize("circular", True, S1=1.0, S2=1.2, q1=1.0)
+    with pytest.raises(ValueError, match="n must be"):
+        qes_parameterize("sextic", 2.0, a=1.0)

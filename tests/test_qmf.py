@@ -150,7 +150,6 @@ def test_degenerate_zero_rejected():
         family=state.family,
         energy=state.energy,
         poly=Polynomial([1.0, 2.0, 1.0]),  # (u + 1)^2
-        sector=state.sector,
         gauge=state.gauge,
         n_label=state.n_label,
         index=0,
@@ -232,7 +231,6 @@ def test_separating_contour_failure():
         family=state.family,
         energy=state.energy,
         poly=poly,
-        sector=state.sector,
         gauge=state.gauge,
         n_label=state.n_label,
         index=0,

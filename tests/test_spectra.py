@@ -10,7 +10,6 @@ from qhjqes import spectra
 from qhjqes.spectra import (
     NonRealEnergyError,
     QESConditionError,
-    RecursionMatrix,
     algebraic_states,
     eigenfunction_with_derivatives,
     gauge_from_residues,
@@ -67,29 +66,26 @@ def test_chart_gauges():
 
 def test_ground_sector_matrices_are_scalar_zero():
     m0 = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 0, a=1.0, b=0.0)))
-    assert m0.dimension == 1 and m0.entries[0, 0] == 0.0
-    m1 = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0)))
-    assert m1.dimension == 1 and m1.entries[0, 0] == 0.0
-    assert m1.sector == "odd"
+    assert m0.shape == (1, 1) and m0[0, 0] == 0.0
+    g1 = gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0))
+    m1 = recursion_matrix(g1)
+    assert m1.shape == (1, 1) and m1[0, 0] == 0.0
+    assert g1.sector == "odd"
 
 
 def test_n2_matrix_entries():
-    m = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 2, a=1.0, b=0.0)))
-    assert m.entries.tolist() == [[0.0, -2.0], [-4.0, 0.0]]
-    assert m.basis_exponents == (0, 2)
+    g = gauge_from_residues(qes_parameterize("sextic", 2, a=1.0, b=0.0))
+    m = recursion_matrix(g)
+    assert m.tolist() == [[0.0, -2.0], [-4.0, 0.0]]
+    assert g.sector == "even" and m.shape == (2, 2)  # the even powers x^0, x^2
 
 
 def test_sector_dimensions():
     for n in range(7):
-        m = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", n, a=1.0, b=0.5)))
-        assert m.dimension == n // 2 + 1
-        assert m.sector == ("even" if n % 2 == 0 else "odd")
-
-
-def test_wrong_parity_sector_does_not_truncate():
-    fam = qes_parameterize("sextic", 2, a=1.0, b=0.0)
-    with pytest.raises(QESConditionError, match="odd sector"):
-        recursion_matrix(gauge_from_residues(fam, sector="odd"))
+        g = gauge_from_residues(qes_parameterize("sextic", n, a=1.0, b=0.5))
+        m = recursion_matrix(g)
+        assert m.shape == (n // 2 + 1, n // 2 + 1)
+        assert g.sector == ("even" if n % 2 == 0 else "odd")
 
 
 def test_off_condition_family_reports_residual():
@@ -114,7 +110,7 @@ def test_two_level_spectrum_is_plus_minus_2root2():
 
 
 def test_complex_matrix_rejected(monkeypatch):
-    m = RecursionMatrix(np.array([[0.0, 1.0], [-1.0, 0.0]]), 2, "even", (0, 2))
+    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     monkeypatch.setattr(spectra, "recursion_matrix", lambda gauge: m)
     with pytest.raises(NonRealEnergyError):
         algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))
@@ -145,7 +141,7 @@ def test_parity_of_eigenfunctions():
     for n in (2, 3):
         for s in algebraic_states(qes_parameterize("sextic", n, a=1.0, b=0.0)):
             full = eigenfunction_with_derivatives(s)
-            sign = 1.0 if s.sector == "even" else -1.0
+            sign = 1.0 if s.gauge.sector == "even" else -1.0
             for x in (0.3, 1.1, 2.4):
                 psi, psi_minus = full(x)[0], full(-x)[0]
                 assert abs(psi_minus - sign * psi) < 1e-12 * max(1.0, abs(psi))
