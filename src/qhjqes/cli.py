@@ -6,7 +6,7 @@ byte-identical reports. Each command builds its checks in stages; a library
 error inside a stage stops the command and is recorded as a failed check
 named after the stage, so every run with a valid config writes a report.
 ``results.first_failure`` names the first failed check. Exit codes: 0 pass,
-1 usage/config error, 2 verification failure.
+1 usage, config or output error, 2 verification failure.
 """
 
 from __future__ import annotations
@@ -47,6 +47,10 @@ _STAGE_ERRORS = (ArithmeticError, ValueError, oracle.OracleConvergenceError)
 
 class ConfigError(ValueError):
     pass
+
+
+class OutputError(Exception):
+    """A report or CSV could not be written; the message names the path and the reason."""
 
 
 def _require_keys(mapping: dict, allowed: tuple, where: str, required: tuple = ()):
@@ -396,8 +400,7 @@ def cmd_poles(config: dict, results: dict, checks: list, level: int) -> None:
                     ]
                 )
             )
-        with open(csv_path, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_text(csv_path, "\n".join(lines) + "\n")
 
 
 def cmd_verify(config: dict, results: dict, checks: list) -> None:
@@ -466,16 +469,23 @@ def _resolve_out(path: str | None) -> str | None:
     return path
 
 
+def _write_text(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise OutputError(f"{path}: {exc.strerror or exc}") from exc
+
+
 def _emit(report: dict, out_path: str | None) -> None:
     text = canonical_json(report) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write_text(out_path, text)
     else:
         sys.stdout.write(text)
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qhjqes",
         description="Derive and verify quasi-exact solvability conditions via the residue ledger.",
@@ -489,9 +499,16 @@ def main(argv: list[str] | None = None) -> int:
             p.add_argument("--level", type=int, default=0, help="algebraic state index")
         if name == "spectrum":
             p.add_argument("--sanity", action="store_true", help="harmonic-oscillator anchor run")
+    return parser
 
+
+# Built once at import; each parse_args call starts from a fresh namespace.
+_PARSER = _build_parser()
+
+
+def main(argv: list[str] | None = None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     options = {k: v for k, v in vars(args).items() if k not in ("command", "config", "out")}
@@ -503,6 +520,9 @@ def main(argv: list[str] | None = None) -> int:
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 1
+    except OutputError as exc:
+        print(f"output error: {exc}", file=sys.stderr)
         return 1
     except _STAGE_ERRORS as exc:
         # Outside any stage, e.g. a non-finite number that cannot go in a report.

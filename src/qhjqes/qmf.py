@@ -19,6 +19,7 @@ hyperbolic ones, where the momentum is single valued.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -148,15 +149,25 @@ def _classified_zeros(e: QmfEvaluator):
     return real, cplx
 
 
+@functools.lru_cache(maxsize=8)
+def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only nodes and weights of the n_nodes-point Gauss-Legendre rule on [-1, 1]."""
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x.flags.writeable = False
+    w.flags.writeable = False
+    return x, w
+
+
 def _stadium_integral(f, x_lo: float, x_hi: float, h: float, n_nodes: int = 48) -> complex:
     """Counterclockwise integral over a stadium around [x_lo, x_hi] of half-height h.
 
     Right arc, upper side, left arc and lower side each use n_nodes-point
-    Gauss-Legendre, and ``f`` is called once on all their nodes. The
-    straight sides are split into panels no longer than the pole clearance
-    h, so accuracy does not degrade when the stadium is flat.
+    Gauss-Legendre, and ``f`` is called once on all their nodes. The rule
+    is built once per node count and shared by every call. The straight
+    sides are split into panels no longer than the pole clearance h, so
+    accuracy does not degrade when the stadium is flat.
     """
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     n_panels = min(1000, max(1, math.ceil((x_hi - x_lo) / h)))
 
     def arc(center: float, a0: float, a1: float):

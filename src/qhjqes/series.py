@@ -4,9 +4,11 @@ This is the numeric kernel for the rest of the package. Everything runs in
 double-precision complex arithmetic: Python ``complex`` for single values and
 ``complex128`` numpy arrays where a whole contour or a whole set of roots is
 handled at once (``Polynomial.__call__`` runs Horner on either). Roots are the
-eigenvalues of numpy's companion matrix, refined by one Newton step. Values
-are immutable after construction, and every operation is a pure function of
-its inputs, so all of it is safe to share across concurrent work.
+eigenvalues of numpy's companion matrix, refined by one Newton step. The
+unit roots of the circle rule depend only on the node count, so each count's
+array is built once per process and kept read-only. Values are immutable
+after construction, and every operation is a pure function of its inputs, so
+all of it is safe to share across concurrent work.
 
 A ``LaurentSeries`` carries an explicit reliability window: asking for a
 coefficient outside that window raises instead of silently returning
@@ -15,6 +17,7 @@ garbage.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
@@ -209,6 +212,14 @@ class CircleContour:
             raise ValueError("contour radius must be positive and finite")
 
 
+@functools.lru_cache(maxsize=8)
+def _unit_roots(n_points: int) -> np.ndarray:
+    """Read-only ``exp(2 pi i k / n_points)`` for k = 0 .. n_points - 1."""
+    roots = np.exp(1j * (2.0 * np.pi * np.arange(n_points) / n_points))
+    roots.flags.writeable = False
+    return roots
+
+
 def contour_integral(
     f: Callable[[np.ndarray], np.ndarray],
     contour: CircleContour,
@@ -219,14 +230,15 @@ def contour_integral(
     ``f`` is called once, on the ndarray of all ``n_points`` nodes, and must
     return the array of its values there. Exponentially convergent when ``f``
     is analytic in an annulus around the circle. The caller applies any
-    ``1/(2 pi)`` or ``1/(2 pi i)`` factor.
+    ``1/(2 pi)`` or ``1/(2 pi i)`` factor. The nodes are the cached unit
+    roots of ``n_points`` scaled and shifted onto the circle.
     """
     if n_points < 16:
         raise ValueError("n_points must be at least 16")
-    theta = 2.0 * np.pi * np.arange(n_points) / n_points
-    nodes = contour.center + contour.radius * np.exp(1j * theta)
+    roots = _unit_roots(n_points)
+    nodes = contour.center + contour.radius * roots
     vals = sample_finite(f, nodes)
-    dz = 1j * contour.radius * np.exp(1j * theta)
+    dz = 1j * contour.radius * roots
     return complex(np.sum(vals * dz) * (2.0 * np.pi / n_points))
 
 

@@ -14,7 +14,6 @@ and s = cosh^2 x for the hyperbolic one.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -245,16 +244,16 @@ def moving_polynomial(state: AlgebraicState) -> Polynomial:
     return Polynomial(full)
 
 
-def _power_triple(z: complex, mu: float):
+def _power_triple(z: np.ndarray, mu: float):
+    """(z^mu, its first and second derivatives), elementwise on complex z."""
     if mu == 0:
-        return (1.0 + 0j, 0j, 0j)
+        return (np.ones_like(z), np.zeros_like(z), np.zeros_like(z))
     if mu == 1:
-        return (z, 1.0 + 0j, 0j)
-    f = z**mu
-    return (f, mu * z ** (mu - 1), mu * (mu - 1) * z ** (mu - 2))
+        return (z, np.ones_like(z), np.zeros_like(z))
+    return (z**mu, mu * z ** (mu - 1), mu * (mu - 1) * z ** (mu - 2))
 
 
-def _poly_triple(p: Polynomial, z: complex):
+def _poly_triple(p: Polynomial, z: np.ndarray):
     return (p(z), p.derivative()(z), p.derivative().derivative()(z))
 
 
@@ -262,7 +261,7 @@ def _mul_triples(a, b):
     return (a[0] * b[0], a[1] * b[0] + a[0] * b[1], a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2])
 
 
-def _chart_psi_triple(state: AlgebraicState, t: complex, sign_one_minus: bool):
+def _chart_psi_triple(state: AlgebraicState, t: np.ndarray, sign_one_minus: bool):
     """(psi, dpsi/dt, d2psi/dt2) of the chart-variable closed form."""
     (p0, mu0), (p1, mu1) = state.gauge.prefactors
     gp = state.gauge.gauge_polynomial
@@ -275,15 +274,20 @@ def _chart_psi_triple(state: AlgebraicState, t: complex, sign_one_minus: bool):
     gval = gp(t)
     gder = gp.derivative()(t)
     gsec = gp.derivative().derivative()(t)
-    e = cmath.exp(-gval)
+    e = np.exp(-gval)
     fe = (e, -gder * e, (gder * gder - gsec) * e)
     fq = _poly_triple(state.poly, t)
     out = _mul_triples(_mul_triples(f0, f1), _mul_triples(fe, fq))
     return out
 
 
-def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex], tuple]:
-    """Closed-form evaluator z -> (psi, psi', psi'') in the physical variable."""
+def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex | np.ndarray], tuple]:
+    """Closed-form evaluator z -> (psi, psi', psi'') in the physical variable.
+
+    ``z`` is one point or an ndarray of points; each of the three values is
+    then a complex number or a complex ndarray of z's shape, computed
+    elementwise in one call.
+    """
     kind = family_kind(state.family)
     if kind in ("sextic", "radial_sextic"):
         mu = state.gauge.prefactor_exponent
@@ -294,13 +298,13 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex],
         gd = gp.derivative()
         gdd = gd.derivative()
 
-        def evaluate(z: complex):
-            z = complex(z)
+        def evaluate(z):
+            z = np.asarray(z, dtype=complex)
             u = z * z
             fq = (q(u), 2 * z * qd(u), 2 * qd(u) + 4 * u * qdd(u))
             fp = _power_triple(z, mu)
             gder = gd(z)
-            e = cmath.exp(-gp(z))
+            e = np.exp(-gp(z))
             fe = (e, -gder * e, (gder * gder - gdd(z)) * e)
             psi = _mul_triples(_mul_triples(fp, fq), fe)
             return psi
@@ -309,22 +313,22 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex],
 
     if kind == "circular":
 
-        def evaluate(z: complex):
-            z = complex(z)
-            t = cmath.sin(z) ** 2
+        def evaluate(z):
+            z = np.asarray(z, dtype=complex)
+            t = np.sin(z) ** 2
             pt = _chart_psi_triple(state, t, sign_one_minus=True)
-            tp = cmath.sin(2 * z)
-            tpp = 2 * cmath.cos(2 * z)
+            tp = np.sin(2 * z)
+            tpp = 2 * np.cos(2 * z)
             return (pt[0], pt[1] * tp, pt[2] * tp * tp + pt[1] * tpp)
 
         return evaluate
 
-    def evaluate(z: complex):
-        z = complex(z)
-        s = cmath.cosh(z) ** 2
+    def evaluate(z):
+        z = np.asarray(z, dtype=complex)
+        s = np.cosh(z) ** 2
         ps = _chart_psi_triple(state, s, sign_one_minus=False)
-        sp = cmath.sinh(2 * z)
-        spp = 2 * cmath.cosh(2 * z)
+        sp = np.sinh(2 * z)
+        spp = 2 * np.cosh(2 * z)
         return (ps[0], ps[1] * sp, ps[2] * sp * sp + ps[1] * spp)
 
     return evaluate
@@ -339,17 +343,13 @@ _SAMPLE_WINDOWS = {
 
 
 def schrodinger_residual(state: AlgebraicState, n_samples: int = 50) -> float:
-    """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window."""
-    kind = family_kind(state.family)
-    lo, hi = _SAMPLE_WINDOWS[kind]
-    f = eigenfunction_with_derivatives(state)
+    """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window.
+
+    The evaluator and the potential are each called once, on all samples.
+    """
+    lo, hi = _SAMPLE_WINDOWS[family_kind(state.family)]
     xs = np.linspace(lo, hi, n_samples)
-    worst = 0.0
-    peak = 0.0
-    for x in xs:
-        psi, _, psi2 = f(complex(x))
-        v = state.family.potential(float(x))
-        res = abs(-psi2 + (v - state.energy) * psi)
-        worst = max(worst, res)
-        peak = max(peak, abs(psi))
+    psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
+    worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))
+    peak = float(np.max(np.abs(psi)))
     return worst / peak if peak > 0 else worst

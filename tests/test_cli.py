@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import inspect
 import json
@@ -242,6 +243,45 @@ def test_poles_origin_node(tmp_path, capsys, monkeypatch):
 def test_poles_level_out_of_range(tmp_path):
     cfg = write_config(tmp_path, SEXTIC_N2)
     assert main(["poles", "--config", cfg, "--level", "5"]) == 1
+
+
+@pytest.mark.parametrize(
+    "command,key,target",
+    [("poles", "csv", "missing/p.csv"), ("derive", "report", "missing/r.json"), ("derive", "report", ".")],
+    ids=["poles-csv-no-dir", "derive-report-no-dir", "derive-report-is-dir"],
+)
+def test_unwritable_output_is_an_output_error(tmp_path, capsys, command, key, target):
+    path = str(tmp_path / target)
+    cfg = write_config(tmp_path, {**SEXTIC_N2, "outputs": {key: path}})
+    assert main([command, "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [err.strip()] and err.startswith(f"output error: {path}: ")
+    assert "Traceback" not in err
+
+
+def test_parser_is_built_once_and_keeps_no_state(tmp_path, capsys, monkeypatch):
+    built = []
+    original = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cfg = write_config(tmp_path, SEXTIC_N2)
+    assert main(["derive", "--config", cfg]) == 0
+    assert main(["derive", "--config", cfg]) == 0
+    assert built == []
+
+    assert main(["frobnicate", "--config", cfg]) == 1
+    assert main(["poles"]) == 1
+    assert main(["poles", "--config", cfg, "--level", "x"]) == 1
+    capsys.readouterr()
+    assert main(["poles", "--config", cfg, "--level", "1"]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["level"] == 1
+    assert main(["poles", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["level"] == 0
 
 
 # ------------------------------------------------------------------ verify

@@ -22,6 +22,8 @@ from qhjqes.series import Polynomial
 from qhjqes.spectra import algebraic_states, eigenfunction_with_derivatives
 
 QUARTER_ROOT_HALF = 0.8408964152537145
+# the package re-exports the function qmf under the module's name
+qmf_module = importlib.import_module("qhjqes.qmf")
 
 
 def _sextic_states(n, b=0.0):
@@ -67,8 +69,6 @@ def test_array_evaluation_matches_scalar(monkeypatch):
         algebraic_states(Circular(S1=1.0, S2=1.2, q1=1.5, M=3))[1],
         algebraic_states(Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2))[1],
     ]
-    # the package re-exports the function qmf under the submodule's name
-    qmf_module = importlib.import_module("qhjqes.qmf")
     real_roots = qmf_module.poly_roots
     for state in states:
         e = qmf(state)
@@ -185,6 +185,24 @@ def test_radial_fixed_pole_residue_matches_selection():
 
 
 # ------------------------------------------------------------ counting laws
+
+
+def test_gauss_rule_is_built_once_and_read_only():
+    x, w = qmf_module._gauss_legendre(48)
+    again = qmf_module._gauss_legendre(48)
+    assert again[0] is x and again[1] is w
+    fresh = np.polynomial.legendre.leggauss(48)
+    assert np.array_equal(x, fresh[0]) and np.array_equal(w, fresh[1])
+    for arr in (x, w):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
+
+
+def test_cached_gauss_rule_gives_the_bits_of_a_fresh_rule(monkeypatch):
+    f = qmf(_sextic_states(4)[-1]).evaluation
+    cached = qmf_module._stadium_integral(f, -1.3, 1.4, 0.3)
+    monkeypatch.setattr(qmf_module, "_gauss_legendre", np.polynomial.legendre.leggauss)
+    assert qmf_module._stadium_integral(f, -1.3, 1.4, 0.3) == cached
 
 
 def test_quantization_values_for_n2_pair():

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from qhjqes import series
 from qhjqes.series import (
     CircleContour,
     ContourPoleError,
@@ -166,6 +167,23 @@ def test_contour_pole_on_node_raises():
             contour_integral(lambda z: (z - 1.0) / (z - 1.0), CircleContour(0, 1.0), 64)
         with pytest.raises(ContourPoleError):
             contour_integral(lambda z: z / (complex(z[0]) - 1.0), CircleContour(0, 1.0), 64)
+
+
+def test_unit_roots_are_built_once_and_read_only():
+    roots = series._unit_roots(64)
+    assert series._unit_roots(64) is roots
+    with pytest.raises(ValueError):
+        roots[0] = 0.0
+
+
+def test_cached_contour_rule_gives_the_bits_of_the_uncached_formula():
+    f = lambda z: np.exp(z) / (z - 0.2 + 0.1j) ** 2 + 1.0 / z  # noqa: E731
+    contour, n = CircleContour(0.1 - 0.05j, 0.7), 2048
+    theta = 2.0 * np.pi * np.arange(n) / n
+    nodes = contour.center + contour.radius * np.exp(1j * theta)
+    dz = 1j * contour.radius * np.exp(1j * theta)
+    expected = complex(np.sum(f(nodes) * dz) * (2.0 * np.pi / n))
+    assert contour_integral(f, contour, n) == expected
 
 
 def test_contour_rejects_few_points():

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from qhjqes.engine import qes_parameterize
-from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic
+from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
 from qhjqes.series import poly_roots
 from qhjqes import spectra
@@ -162,6 +162,47 @@ def test_eigen_identity_residuals_all_families():
     for fam in cases:
         for s in algebraic_states(fam):
             assert schrodinger_residual(s) < 1e-8
+
+
+_ARRAY_CASES = [
+    qes_parameterize("sextic", 4, a=1.0, b=0.5),
+    qes_parameterize("sextic", 5, a=1.5, b=-0.7),
+    RadialSextic(S=1.25, a=1.0, b=0.5, M=3),
+    Circular(S1=1.0, S2=1.2, q1=1.0, M=3),
+    Circular(S1=1.0, S2=1.2, q1=-2.0, M=3),
+    Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
+]
+_ARRAY_IDS = ["sextic-n4", "sextic-n5-odd", "radial", "circular-q1", "circular-q1-neg2", "hyperbolic"]
+
+
+@pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
+def test_evaluator_on_an_array_matches_scalar_calls(family):
+    zs = np.array([0.15, 0.6, 1.1, 1.45, 0.45 + 0.2j, 0.9 - 0.35j, 1.3 + 0.1j])
+    for s in algebraic_states(family):
+        f = eigenfunction_with_derivatives(s)
+        on_array = f(zs)
+        for i, z in enumerate(zs):
+            for k, value in enumerate(f(z)):
+                assert abs(on_array[k][i] - value) <= 1e-13 * abs(value), (s.index, z, k)
+
+
+def _residual_by_loop(state, n_samples=50):
+    """The Schrödinger residual one sample at a time: the reference for the array version."""
+    lo, hi = spectra._SAMPLE_WINDOWS[family_kind(state.family)]
+    f = eigenfunction_with_derivatives(state)
+    worst = peak = 0.0
+    for x in np.linspace(lo, hi, n_samples):
+        psi, _, psi2 = f(complex(x))
+        worst = max(worst, abs(-psi2 + (state.family.potential(float(x)) - state.energy) * psi))
+        peak = max(peak, abs(psi))
+    return worst / peak
+
+
+@pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
+def test_residual_on_arrays_matches_the_loop(family):
+    for s in algebraic_states(family):
+        # both are divided by max |psi|, so this bound is relative to the wavefunction's scale
+        assert abs(schrodinger_residual(s) - _residual_by_loop(s)) <= 1e-12
 
 
 def test_radial_recursion_energy_count():
