@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
-from typing import Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -94,15 +94,33 @@ class ChartSpec:
     * identity, z = x, no reduction (the polynomial families);
     * trig, t = sin^2 x, p = sqrt(t(1-t)) q, so p dx = q dt / 2;
     * hyper, t = cosh x, p = sqrt(t^2-1) q, so p dx = q dt.
+
+    A state's polynomial P is stored in v = z^k with k = ``reduced_power``
+    (v = x^2, sin^2 x or cosh^2 x). ``coordinates`` maps x, one point or an
+    ndarray, to (z, dz/dx, d^2z/dx^2).
     """
 
     variable: str
     measure: float
+    reduced_power: int
+    coordinates: Callable[[np.ndarray], tuple]
 
 
-IDENTITY = ChartSpec("x", 1.0)
-TRIG = ChartSpec("t", 0.5)
-HYPER = ChartSpec("t", 1.0)
+def _identity_coordinates(x):
+    return x, np.ones_like(x), np.zeros_like(x)
+
+
+def _trig_coordinates(x):
+    return np.sin(x) ** 2, np.sin(2 * x), 2 * np.cos(2 * x)
+
+
+def _hyper_coordinates(x):
+    return np.cosh(x), np.sinh(x), np.cosh(x)
+
+
+IDENTITY = ChartSpec("x", 1.0, 2, _identity_coordinates)
+TRIG = ChartSpec("t", 0.5, 1, _trig_coordinates)
+HYPER = ChartSpec("t", 1.0, 2, _hyper_coordinates)
 
 
 @dataclass(frozen=True)

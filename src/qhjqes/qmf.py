@@ -72,7 +72,7 @@ class QmfEvaluator:
     """
 
     state: AlgebraicState
-    evaluation: Callable[[complex], complex]
+    evaluation: Callable[[complex | np.ndarray], complex | np.ndarray]
     census_variable: str
     moving_poly: Polynomial
     moving_zeros: tuple[tuple[complex, int], ...]
@@ -80,7 +80,7 @@ class QmfEvaluator:
     measure: float
     moving_residue: complex
 
-    def __call__(self, z: complex) -> complex:
+    def __call__(self, z: complex | np.ndarray) -> complex | np.ndarray:
         return self.evaluation(z)
 
 

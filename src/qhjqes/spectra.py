@@ -7,9 +7,12 @@ built here; its eigenpairs are the algebraic energies and states, and the
 closed-form eigenfunctions can be evaluated (with analytic derivatives)
 anywhere in the complex plane.
 
-Reduced polynomial variables per family: u = x^2 for the sextic (parity
-sectors) and the radial family, t = sin^2 x for the trigonometric family,
-and s = cosh^2 x for the hyperbolic one.
+The gauge (prefactors and G) lives in the ledger's chart variable z: x for
+the polynomial families, t = sin^2 x for the trigonometric family and
+t = cosh x for the hyperbolic one. P is stored in v = z^k, the chart's
+reduced power: x^2 (the sextic's parity sectors and the radial family),
+sin^2 x and cosh^2 x. One formula in z evaluates every family's
+eigenfunction, and the chart's map carries it to x.
 """
 
 from __future__ import annotations
@@ -52,25 +55,20 @@ class NonRealEnergyError(ArithmeticError):
 class GaugeSpec:
     """Prefactor exponents and gauge polynomial of the algebraic ansatz.
 
-    ``prefactors`` maps singular points of the gauge variable to the local
-    exponent there (each equals i * measure times the selected momentum
-    residue, halved at a point where the gauge variable is quadratic in the
-    census variable). ``gauge_polynomial`` is G with ``psi`` carrying
-    ``exp(-G)``; its leading term reproduces the selected infinity branch.
-    ``sector`` is ``even``/``odd`` for the sextic (the parity of n),
-    ``radial`` or ``chart`` otherwise. ``ledger`` is the quantization ledger
-    all three were read from.
+    Both are in the ledger's chart variable z. ``prefactors`` holds one
+    ``(location, exponent)`` per fixed pole of the ledger, the exponent being
+    i * measure times the selected momentum residue there.
+    ``gauge_polynomial`` is G(z) with ``psi`` carrying ``exp(-G)``; it
+    integrates the principal part of the momentum at infinity. ``sector`` is
+    ``even``/``odd`` for the sextic (the parity of n), ``radial`` or
+    ``chart`` otherwise. ``ledger`` is the quantization ledger all three
+    were read from.
     """
 
     prefactors: tuple[tuple[complex, float], ...]
     gauge_polynomial: Polynomial
     sector: str
     ledger: engine.QuantizationLedger
-
-    @property
-    def prefactor_exponent(self) -> float:
-        """Exponent at the first (origin-side) prefactor point; 0 if none."""
-        return self.prefactors[0][1] if self.prefactors else 0.0
 
 
 @dataclass(frozen=True)
@@ -103,9 +101,8 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     Every exponent comes from a fixed-pole residue. The gauge polynomial
     integrates the principal part of the momentum at infinity,
     ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
-    variable z; the hyperbolic family keeps G and its prefactors in
-    s = t^2 = cosh^2 x. Closed-form consistency with the family parameters
-    is asserted. A sextic off its solvability condition raises
+    variable z. Closed-form consistency with the family parameters is
+    asserted. A sextic off its solvability condition raises
     :class:`QESConditionError`.
     """
     kind = family_kind(family)
@@ -121,21 +118,21 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
         _real_part(-1j * measure * ser.coefficient(1 - j) / j, "gauge coefficient")
         for j in range(1, 2 - ser.lo)
     ]
-    exponents = [_real_part(1j * measure * res, "prefactor exponent") for _, res in ledger.fixed_residues]
+    prefactors = tuple(
+        (loc, _real_part(1j * measure * res, "prefactor exponent")) for loc, res in ledger.fixed_residues
+    )
     if kind in ("sextic", "radial_sextic") and abs(4 * g[4] - family.a) > 1e-12 * (1 + family.a):
         raise ArithmeticError("gauge does not reproduce the selected infinity branch")
     sector = "chart"
     if kind == "sextic":
-        # the sextic has no fixed pole; the odd sector carries the factor x
-        sector, exponents = ("odd", [1.0]) if ledger.n % 2 else ("even", [])
+        # no fixed pole; the odd sector's factor x lives in the moving polynomial
+        sector = "odd" if ledger.n % 2 else "even"
     elif kind == "radial_sextic":
         sector = "radial"
-        if abs(exponents[0] - family.mu) > 1e-10 * (1 + abs(exponents[0])):
+        mu = prefactors[0][1]
+        if abs(mu - family.mu) > 1e-10 * (1 + abs(mu)):
             raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
-    elif kind == "hyperbolic":
-        # s = t^2 is quadratic at t = 0 and simple at t = 1; G is even in t
-        exponents, g = [exponents[0] / 2.0, exponents[1]], g[::2]
-    return GaugeSpec(tuple(zip((0j, 1 + 0j), exponents)), Polynomial(g), sector, ledger)
+    return GaugeSpec(prefactors, Polynomial(g), sector, ledger)
 
 
 def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray:
@@ -188,7 +185,10 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
                 h[i, i - 1] = 2.0 * a * (k - 2 - 2 * n)
         return h
 
-    (_, mu0), (_, mu1) = gauge.prefactors
+    (_, mu0), (_, mu1) = gauge.prefactors[:2]
+    if kind == "hyperbolic":
+        # the recursion acts on P(s), s = t^2, which is quadratic at t = 0
+        mu0 = mu0 / 2.0
     h = _chart_matrix(mu0, mu1, family.q1, n)
     return -h if kind == "hyperbolic" else h
 
@@ -232,104 +232,59 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
 
 
 def moving_polynomial(state: AlgebraicState) -> Polynomial:
-    """Full polynomial factor in the census variable (its zeros are the moving poles)."""
-    kind = family_kind(state.family)
+    """Full polynomial factor z^parity * P(z^k) in the census variable (its zeros are the moving poles).
+
+    k is the chart's reduced power; the parity is 1 in the sextic's odd sector.
+    """
+    k = state.gauge.ledger.chart.reduced_power
     q = state.poly.coeffs
-    if kind == "circular":
-        return Polynomial(q)
     offset = 1 if state.gauge.sector == "odd" else 0
-    full = [0j] * (2 * (len(q) - 1) + offset + 1)
+    full = [0j] * (k * (len(q) - 1) + offset + 1)
     for j, c in enumerate(q):
-        full[2 * j + offset] = c
+        full[k * j + offset] = c
     return Polynomial(full)
 
 
-def _power_triple(z: np.ndarray, mu: float):
-    """(z^mu, its first and second derivatives), elementwise on complex z."""
-    if mu == 0:
-        return (np.ones_like(z), np.zeros_like(z), np.zeros_like(z))
-    if mu == 1:
-        return (z, np.ones_like(z), np.zeros_like(z))
-    return (z**mu, mu * z ** (mu - 1), mu * (mu - 1) * z ** (mu - 2))
-
-
-def _poly_triple(p: Polynomial, z: np.ndarray):
-    return (p(z), p.derivative()(z), p.derivative().derivative()(z))
-
-
-def _mul_triples(a, b):
-    return (a[0] * b[0], a[1] * b[0] + a[0] * b[1], a[2] * b[0] + 2 * a[1] * b[1] + a[0] * b[2])
-
-
-def _chart_psi_triple(state: AlgebraicState, t: np.ndarray, sign_one_minus: bool):
-    """(psi, dpsi/dt, d2psi/dt2) of the chart-variable closed form."""
-    (p0, mu0), (p1, mu1) = state.gauge.prefactors
-    gp = state.gauge.gauge_polynomial
-    f0 = _power_triple(t - p0, mu0)
-    if sign_one_minus:
-        base = _power_triple(1.0 - t, mu1)
-        f1 = (base[0], -base[1], base[2])
-    else:
-        f1 = _power_triple(t - p1, mu1)
-    gval = gp(t)
-    gder = gp.derivative()(t)
-    gsec = gp.derivative().derivative()(t)
-    e = np.exp(-gval)
-    fe = (e, -gder * e, (gder * gder - gsec) * e)
-    fq = _poly_triple(state.poly, t)
-    out = _mul_triples(_mul_triples(f0, f1), _mul_triples(fe, fq))
-    return out
-
-
 def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex | np.ndarray], tuple]:
-    """Closed-form evaluator z -> (psi, psi', psi'') in the physical variable.
+    """Closed-form evaluator x -> (psi, psi', psi'') in the physical variable.
 
-    ``z`` is one point or an ndarray of points; each of the three values is
-    then a complex number or a complex ndarray of z's shape, computed
+    In the chart variable z, ``psi = F M`` with ``F = exp(-G) prod_k
+    (sigma_k (z - z_k))^e_k`` from the gauge and M the moving polynomial;
+    sigma_k = -1 where the physical interval lies below z_k, so the base is
+    positive there. With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``,
+    ``psi_z = F (L M + M')`` and ``psi_zz = F ((L^2 + L') M + 2 L M' + M'')``;
+    the chart's map then gives the x-derivatives by the chain rule.
+
+    ``x`` is one point or an ndarray of points; each of the three values is
+    then a complex number or a complex ndarray of x's shape, computed
     elementwise in one call.
     """
-    kind = family_kind(state.family)
-    if kind in ("sextic", "radial_sextic"):
-        mu = state.gauge.prefactor_exponent
-        q = state.poly
-        qd = q.derivative()
-        qdd = qd.derivative()
-        gp = state.gauge.gauge_polynomial
-        gd = gp.derivative()
-        gdd = gd.derivative()
+    gauge = state.gauge
+    coordinates = gauge.ledger.chart.coordinates
+    g = gauge.gauge_polynomial
+    g1 = g.derivative()
+    g2 = g1.derivative()
+    m = moving_polynomial(state)
+    m1 = m.derivative()
+    m2 = m1.derivative()
+    lo, hi = _sample_window(state.family)
+    inside = coordinates(0.5 * (lo + hi))[0].real  # a point of the physical interval, in z
+    factors = [(loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in gauge.prefactors]
 
-        def evaluate(z):
-            z = np.asarray(z, dtype=complex)
-            u = z * z
-            fq = (q(u), 2 * z * qd(u), 2 * qd(u) + 4 * u * qdd(u))
-            fp = _power_triple(z, mu)
-            gder = gd(z)
-            e = np.exp(-gp(z))
-            fe = (e, -gder * e, (gder * gder - gdd(z)) * e)
-            psi = _mul_triples(_mul_triples(fp, fq), fe)
-            return psi
-
-        return evaluate
-
-    if kind == "circular":
-
-        def evaluate(z):
-            z = np.asarray(z, dtype=complex)
-            t = np.sin(z) ** 2
-            pt = _chart_psi_triple(state, t, sign_one_minus=True)
-            tp = np.sin(2 * z)
-            tpp = 2 * np.cos(2 * z)
-            return (pt[0], pt[1] * tp, pt[2] * tp * tp + pt[1] * tpp)
-
-        return evaluate
-
-    def evaluate(z):
-        z = np.asarray(z, dtype=complex)
-        s = np.cosh(z) ** 2
-        ps = _chart_psi_triple(state, s, sign_one_minus=False)
-        sp = np.sinh(2 * z)
-        spp = 2 * np.cosh(2 * z)
-        return (ps[0], ps[1] * sp, ps[2] * sp * sp + ps[1] * spp)
+    def evaluate(x):
+        z, dz, d2z = coordinates(np.asarray(x, dtype=complex))
+        f = np.exp(-g(z))
+        log_d = -g1(z)
+        log_d2 = -g2(z)
+        for loc, e, sigma in factors:
+            d = z - loc
+            f = f * (sigma * d) ** e
+            log_d = log_d + e / d
+            log_d2 = log_d2 - e / (d * d)
+        mz, m1z, m2z = m(z), m1(z), m2(z)
+        psi_z = f * (log_d * mz + m1z)
+        psi_zz = f * ((log_d * log_d + log_d2) * mz + 2 * log_d * m1z + m2z)
+        return f * mz, psi_z * dz, psi_zz * dz * dz + psi_z * d2z
 
     return evaluate
 
@@ -342,13 +297,17 @@ _SAMPLE_WINDOWS = {
 }
 
 
+def _sample_window(family: PotentialFamily) -> tuple[float, float]:
+    """The real interval where the Schrödinger residual is sampled."""
+    return _SAMPLE_WINDOWS[family_kind(family)]
+
+
 def schrodinger_residual(state: AlgebraicState, n_samples: int = 50) -> float:
     """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window.
 
     The evaluator and the potential are each called once, on all samples.
     """
-    lo, hi = _SAMPLE_WINDOWS[family_kind(state.family)]
-    xs = np.linspace(lo, hi, n_samples)
+    xs = np.linspace(*_sample_window(state.family), n_samples)
     psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
     worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))
     peak = float(np.max(np.abs(psi)))

@@ -154,6 +154,18 @@ def test_derive_report_is_deterministic(tmp_path):
         assert f1.read() == f2.read()
 
 
+def test_relative_out_is_written_under_the_working_directory(tmp_path, monkeypatch):
+    # no environment variable redirects output paths
+    elsewhere = tmp_path / "elsewhere"
+    elsewhere.mkdir()
+    monkeypatch.setenv("QHJQES_OUT_DIR", str(elsewhere))
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, SEXTIC_N2)
+    assert main(["derive", "--config", cfg, "--out", "report.json"]) == 0
+    assert json.loads((tmp_path / "report.json").read_text())["command"] == "derive"
+    assert list(elsewhere.iterdir()) == []
+
+
 def test_derive_reverifies_from_echoed_inputs(tmp_path, capsys):
     cfg = write_config(tmp_path, SEXTIC_N2)
     assert main(["derive", "--config", cfg]) == 0

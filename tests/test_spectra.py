@@ -29,9 +29,10 @@ def test_sextic_gauge_pure_quartic():
     fam = qes_parameterize("sextic", 0, a=1.0, b=0.0)
     g = gauge_from_residues(fam)
     assert g.gauge_polynomial.coeffs == (0j, 0j, 0j, 0j, 0.25 + 0j)
-    assert g.prefactor_exponent == 0.0
+    assert g.prefactors == ()
+    # the odd sector's factor x lives in the moving polynomial, not in the gauge
     g_odd = gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0))
-    assert g_odd.prefactor_exponent == 1.0
+    assert g_odd.prefactors == () and g_odd.sector == "odd"
 
 
 def test_sextic_gauge_with_quadratic_part():
@@ -45,7 +46,7 @@ def test_sextic_gauge_with_quadratic_part():
 def test_radial_gauge_prefactor_is_2s_minus_half():
     fam = RadialSextic(S=1.3, a=1.0, b=0.2, M=1)
     g = gauge_from_residues(fam)
-    assert abs(g.prefactor_exponent - (2 * 1.3 - 0.5)) < 1e-12
+    assert abs(g.prefactors[0][1] - (2 * 1.3 - 0.5)) < 1e-12
 
 
 def test_chart_gauges():
@@ -56,9 +57,11 @@ def test_chart_gauges():
     assert abs(g.gauge_polynomial.coeffs[1] - 1.4 / 2) < 1e-12
     hyp = Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1)
     gh = gauge_from_residues(hyp)
-    assert abs(gh.prefactors[0][1] - (1.1 - 0.25)) < 1e-12
+    # in t = cosh x: cosh^(2 S1 - 1/2) x, and sinh^(2 S2 - 1/2) x split over t = 1 and t = -1
+    assert abs(gh.prefactors[0][1] - (2 * 1.1 - 0.5)) < 1e-12
     assert abs(gh.prefactors[1][1] - (0.9 - 0.25)) < 1e-12
-    assert abs(gh.gauge_polynomial.coeffs[1] - 1.4 / 2) < 1e-12
+    assert abs(gh.prefactors[2][1] - (0.9 - 0.25)) < 1e-12
+    assert abs(gh.gauge_polynomial.coeffs[2] - 1.4 / 2) < 1e-12
 
 
 # ------------------------------------------------------- recursion matrices
@@ -184,6 +187,62 @@ def test_evaluator_on_an_array_matches_scalar_calls(family):
         for i, z in enumerate(zs):
             for k, value in enumerate(f(z)):
                 assert abs(on_array[k][i] - value) <= 1e-13 * abs(value), (s.index, z, k)
+
+
+def _closed_form_psi(family, poly, x):
+    """psi on real x written from the family's parameters alone; poly is P in the reduced variable."""
+    kind = family_kind(family)
+    if kind in ("sextic", "radial_sextic"):
+        power = round(family.qes_n) % 2 if kind == "sextic" else 2 * family.S - 0.5
+        return x**power * np.exp(-family.a * x**4 / 4 - family.b * x**2 / 2) * poly(x * x)
+    if kind == "circular":
+        s, c = np.sin(x), np.cos(x)
+        return s ** (2 * family.S1 - 0.5) * c ** (2 * family.S2 - 0.5) * np.exp(-family.q1 * s * s / 2) * poly(s * s)
+    ch, sh = np.cosh(x), np.sinh(x)
+    return ch ** (2 * family.S1 - 0.5) * sh ** (2 * family.S2 - 0.5) * np.exp(-family.q1 * ch * ch / 2) * poly(ch * ch)
+
+
+@pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
+def test_evaluator_matches_the_closed_forms_of_the_parameters(family):
+    xs = np.linspace(*spectra._SAMPLE_WINDOWS[family_kind(family)], 50)
+    for s in algebraic_states(family):
+        expected = _closed_form_psi(family, s.poly, xs)
+        psi = eigenfunction_with_derivatives(s)(xs)[0]
+        assert np.max(np.abs(psi - expected)) <= 1e-13 * np.max(np.abs(expected)), s.index
+
+
+# Literal coefficients of each family's top state: the census and the pole
+# reports read these bits, so a change of the eigenfunction's representation
+# must leave them as they are.
+_PINNED_MOVING = [
+    (
+        qes_parameterize("sextic", 4, a=1.0, b=0.5),
+        "((0.3127638023652873+0j), 0j, (-1.670423808624175+0j), 0j, (1+0j))",
+    ),
+    (
+        qes_parameterize("sextic", 5, a=1.5, b=-0.7),
+        "(0j, (1.5096754599688988+0j), 0j, (-2.7645640019440747+0j), 0j, (1+0j))",
+    ),
+    (
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
+        "((1.8812070696598875+0j), 0j, (-3.040123727053404+0j), 0j, (1+0j))",
+    ),
+    (
+        Circular(S1=1.0, S2=1.2, q1=-2.0, M=2),
+        "((0.23851408379342268+0j), (-1.064954541690621+0j), (1+0j))",
+    ),
+    (
+        Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
+        "((31.96150323680496+0j), 0j, (-12.23442729202213+0j), 0j, (1+0j))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family,coeffs", _PINNED_MOVING, ids=["sextic-even", "sextic-odd", "radial", "circular-q1-neg", "hyperbolic"]
+)
+def test_moving_polynomial_is_pinned(family, coeffs):
+    assert repr(moving_polynomial(algebraic_states(family)[-1]).coeffs) == coeffs
 
 
 def _residual_by_loop(state, n_samples=50):
