@@ -152,16 +152,6 @@ def _fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
-def _to_jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _to_jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_to_jsonable(v) for v in obj]
-    if isinstance(obj, complex):
-        return {"im": obj.imag, "re": obj.real}
-    return obj
-
-
 def canonical_json(obj, indent: int = 0) -> str:
     pad = "  " * indent
     if isinstance(obj, dict):
@@ -198,9 +188,9 @@ def make_report(command: str, config: dict, results: dict, checks: list) -> dict
     return {
         "schema_version": _SCHEMA_VERSION,
         "command": command,
-        "inputs": _to_jsonable(inputs),
-        "results": _to_jsonable(results),
-        "checks": _to_jsonable(checks),
+        "inputs": inputs,
+        "results": results,
+        "checks": checks,
     }
 
 

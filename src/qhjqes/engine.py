@@ -3,14 +3,16 @@
 The momentum function p = -i psi'/psi of a bound state satisfies the Riccati
 equation ``p^2 - i p' = E - V``. Each family has one chart (z = x for the
 polynomial families, t = sin^2 x or t = cosh x for the bounded/hyperbolic
-ones) in which the reduced momentum obeys
+ones). Writing p = m q dz/dx, with m the chart's measure and
+Q(z) = (dz/dx)^2 a polynomial, gives for the reduced momentum q
 
-    q^2 + W(z) q' + U(z) q = R(z; E),
+    q^2 + W q' + U q = R(z; E),    W = -i/m,  U = W Q'/(2Q),  R = (E - V)/(m^2 Q),
 
-with rational W, U, R. Infinity is reached from any chart by transporting the
-equation to w = 1/z. The pipeline implemented here:
+so W and U come from the chart alone and only R depends on the family.
+Infinity is reached from any chart by transporting the equation to w = 1/z.
+The pipeline implemented here:
 
-1. ``riccati_in_chart``    - build (W, U, R) for a family in its chart;
+1. ``riccati_in_chart``    - build R and the fixed poles for a family in its chart;
 2. ``infinity_expansion``  - match a Laurent ansatz for q order by order at
                              w = 0; the leading coefficient obeys a
                              quadratic, giving two branches;
@@ -59,7 +61,6 @@ __all__ = [
     "NonQESError",
     "QuantizationLedger",
     "RiccatiData",
-    "default_matching_depth",
     "fixed_pole_residues",
     "infinity_branch_candidates",
     "infinity_expansion",
@@ -89,11 +90,12 @@ class ChartSpec:
     ``variable`` names the chart variable z, which is also the census
     variable of the momentum poles. ``measure`` is the constant m in
     ``p dx = m * q dz`` for the reduced momentum q, so a pole of q with
-    residue r contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. The charts:
+    residue r contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. ``Q`` is
+    (dz/dx)^2 as a polynomial in z, so d^2z/dx^2 = Q'(z)/2. The charts:
 
-    * identity, z = x, no reduction (the polynomial families);
-    * trig, t = sin^2 x, p = sqrt(t(1-t)) q, so p dx = q dt / 2;
-    * hyper, t = cosh x, p = sqrt(t^2-1) q, so p dx = q dt.
+    * identity, z = x, Q = 1, no reduction (the polynomial families);
+    * trig, t = sin^2 x, Q = 4t(1-t), p = sqrt(t(1-t)) q, so p dx = q dt / 2;
+    * hyper, t = cosh x, Q = t^2 - 1, p = sqrt(t^2-1) q, so p dx = q dt.
 
     A state's polynomial P is stored in v = z^k with k = ``reduced_power``
     (v = x^2, sin^2 x or cosh^2 x). ``coordinates`` maps x, one point or an
@@ -102,8 +104,17 @@ class ChartSpec:
 
     variable: str
     measure: float
+    Q: Polynomial
     reduced_power: int
     coordinates: Callable[[np.ndarray], tuple]
+
+    def riccati_weights(self) -> tuple[Polynomial, Polynomial, Polynomial]:
+        """(W, U numerator, U denominator) of q^2 + W q' + U q = R in this chart.
+
+        W = -i/m is constant and U = W Q'/(2Q); every family shares them.
+        """
+        w = Polynomial([-1j / self.measure])
+        return w, w.coeffs[0] * self.Q.derivative(), 2 * self.Q
 
 
 def _identity_coordinates(x):
@@ -118,17 +129,18 @@ def _hyper_coordinates(x):
     return np.cosh(x), np.sinh(x), np.cosh(x)
 
 
-IDENTITY = ChartSpec("x", 1.0, 2, _identity_coordinates)
-TRIG = ChartSpec("t", 0.5, 1, _trig_coordinates)
-HYPER = ChartSpec("t", 1.0, 2, _hyper_coordinates)
+IDENTITY = ChartSpec("x", 1.0, Polynomial([1]), 2, _identity_coordinates)
+TRIG = ChartSpec("t", 0.5, Polynomial([0, 4, -4]), 1, _trig_coordinates)
+HYPER = ChartSpec("t", 1.0, Polynomial([-1, 0, 1]), 2, _hyper_coordinates)
 
 
 @dataclass(frozen=True)
 class RiccatiData:
-    """The reduced Riccati equation q^2 + W q' + U q = R in one chart.
+    """The right-hand side R of q^2 + W q' + U q = R for one family in its chart.
 
     R is stored as ``(rhs_num_const + E * rhs_num_energy) / rhs_den`` with the
     energy E symbolic; it enters linearly and only through the numerator.
+    W and U depend on the chart alone (``chart.riccati_weights()``).
     ``fixed_poles`` lists the finite chart locations of the potential's
     singular points (double poles of R).
     """
@@ -137,10 +149,6 @@ class RiccatiData:
     rhs_num_const: Polynomial
     rhs_num_energy: Polynomial
     rhs_den: Polynomial
-    weight_num: Polynomial
-    weight_den: Polynomial
-    linear_num: Polynomial
-    linear_den: Polynomial
     fixed_poles: tuple[complex, ...]
 
 
@@ -190,7 +198,6 @@ class QuantizationLedger:
 
 
 _ONE = Polynomial([1])
-_ZERO = Polynomial([0])
 
 
 def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
@@ -208,10 +215,6 @@ def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
             rhs_num_const=Polynomial([0, 0, -al, 0, -be, 0, -ga]),
             rhs_num_energy=_ONE,
             rhs_den=_ONE,
-            weight_num=Polynomial([-1j]),
-            weight_den=_ONE,
-            linear_num=_ZERO,
-            linear_den=_ONE,
             fixed_poles=(),
         )
     if kind == "radial_sextic":
@@ -221,10 +224,6 @@ def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
             rhs_num_const=Polynomial([-g, 0, 0, 0, -c2, 0, -2 * a * b, 0, -a * a]),
             rhs_num_energy=Polynomial([0, 0, 1]),
             rhs_den=Polynomial([0, 0, 1]),
-            weight_num=Polynomial([-1j]),
-            weight_den=_ONE,
-            linear_num=_ZERO,
-            linear_den=_ONE,
             fixed_poles=(0j,),
         )
     A, B, C, D = family.A, family.B, family.C, family.D
@@ -234,10 +233,6 @@ def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
             rhs_num_const=Polynomial([-A, A - B, -C, C + D, -D]),
             rhs_num_energy=Polynomial([0, 1, -1]),
             rhs_den=Polynomial([0, 0, 1, -2, 1]),
-            weight_num=Polynomial([-2j]),
-            weight_den=_ONE,
-            linear_num=Polynomial([-1j, 2j]),
-            linear_den=Polynomial([0, 1, -1]),
             fixed_poles=(0j, 1 + 0j),
         )
     return RiccatiData(
@@ -245,10 +240,6 @@ def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
         rhs_num_const=Polynomial([-A, 0, A - B, 0, -C, 0, C + D, 0, -D]),
         rhs_num_energy=Polynomial([0, 0, -1, 0, 1]),
         rhs_den=Polynomial([0, 0, 1, 0, -2, 0, 1]),
-        weight_num=Polynomial([-1j]),
-        weight_den=_ONE,
-        linear_num=Polynomial([0, -1j]),
-        linear_den=Polynomial([-1, 0, 1]),
         fixed_poles=(0j, 1 + 0j, -1 + 0j),
     )
 
@@ -333,53 +324,42 @@ class _LocalEquation:
     u_coeffs: dict[int, complex]
     r_coeffs: dict[int, _AffineE]
     leading_order: int  # m, with q = c_m w^m + ...
+    depth: int  # number of coefficients of q to match
 
 
-def _localize_at_infinity(r: RiccatiData, depth: int) -> _LocalEquation:
+def _localize_at_infinity(r: RiccatiData, depth: int | None = None) -> _LocalEquation:
     """Expand the chart equation about the image of x = infinity.
 
     The equation is transported to w = 1/z, under which q'(z) becomes
-    ``-w**2 * d/dw`` of the transported momentum.
+    ``-w**2 * d/dw`` of the transported momentum. R starts at order
+    ``deg rhs_den - deg numerator`` there: the reversed denominator and the
+    reversed numerator of top degree have nonzero constant terms. ``depth``
+    (the number of coefficients of q to match) defaults to the pole order of
+    q at w = 0 plus 3.
     """
     dn = max(r.rhs_num_const.degree, r.rhs_num_energy.degree)
     dd = r.rhs_den.degree
-    num_c = _reversed_poly(r.rhs_num_const, dn)
-    num_e = _reversed_poly(r.rhs_num_energy, dn)
-    den = _reversed_poly(r.rhs_den, dd)
-    rhs_shift = dd - dn
-    wn, wd = r.weight_num.degree, r.weight_den.degree
-    w_num = -1 * _reversed_poly(r.weight_num, wn)
-    w_den = _reversed_poly(r.weight_den, wd)
-    w_shift = 2 + wd - wn
-    un, ud = r.linear_num.degree, r.linear_den.degree
-    u_num = _reversed_poly(r.linear_num, un)
-    u_den = _reversed_poly(r.linear_den, ud)
-    u_shift = ud - un
-
-    probe_r = _laurent_rational(num_c, den, rhs_shift, 4)
-    probe_e = _laurent_rational(num_e, den, rhs_shift, 4)
-    orders = [k for k, v in probe_r.items() if v != 0] + [k for k, v in probe_e.items() if v != 0]
-    if not orders:
-        raise MatchingFailure("right-hand side vanishes; nothing to match")
-    m2 = min(orders)
+    m2 = dd - dn
     if m2 % 2 != 0:
         raise MatchingFailure(f"odd leading order {m2} on the right-hand side")
     m = m2 // 2
+    pole_order = max(0, -m2)
+    if depth is None:
+        depth = pole_order + 3
+    if depth < pole_order + 2:
+        raise ValueError(f"depth must be at least {pole_order + 2} for this equation")
 
-    hi = 2 * m + depth + 2
-    r_c = _laurent_rational(num_c, den, rhs_shift, hi)
-    r_e = _laurent_rational(num_e, den, rhs_shift, hi)
+    hi = m2 + depth + 2
+    num_c = _reversed_poly(r.rhs_num_const, dn)
+    num_e = _reversed_poly(r.rhs_num_energy, dn)
+    den = _reversed_poly(r.rhs_den, dd)
+    r_c = _laurent_rational(num_c, den, m2, hi)
+    r_e = _laurent_rational(num_e, den, m2, hi)
     r_coeffs = {k: _AffineE(r_c.get(k, 0j), r_e.get(k, 0j)) for k in set(r_c) | set(r_e)}
-    w_coeffs = _laurent_rational(w_num, w_den, w_shift, hi + 2)
-    u_coeffs = _laurent_rational(u_num, u_den, u_shift, hi + 2)
-    return _LocalEquation(w_coeffs, u_coeffs, r_coeffs, m)
-
-
-def default_matching_depth(r: RiccatiData) -> int:
-    """Number of expansion coefficients to match: highest pole order plus 3."""
-    eq = _localize_at_infinity(r, 1)
-    pole_order = max(0, -2 * eq.leading_order)
-    return pole_order + 3
+    w, u_num, u_den = r.chart.riccati_weights()
+    un, ud = u_num.degree, u_den.degree
+    u_coeffs = _laurent_rational(_reversed_poly(u_num, un), _reversed_poly(u_den, ud), ud - un, hi + 2)
+    return _LocalEquation({2: -w.coeffs[0]}, u_coeffs, r_coeffs, m, depth)
 
 
 def _match_local(eq: _LocalEquation, lead: complex, n_coeffs: int) -> dict[int, _AffineE]:
@@ -416,9 +396,7 @@ def _match_local(eq: _LocalEquation, lead: complex, n_coeffs: int) -> dict[int, 
     return coeffs
 
 
-def infinity_branch_candidates(r: RiccatiData) -> tuple[BranchCandidate, BranchCandidate]:
-    """The two admissible leading coefficients of the momentum at infinity."""
-    eq = _localize_at_infinity(r, 1)
+def _branch_pair(eq: _LocalEquation) -> tuple[BranchCandidate, BranchCandidate]:
     r2m = eq.r_coeffs.get(2 * eq.leading_order, _AFFINE_ZERO)
     if r2m.e != 0:
         raise MatchingFailure("energy enters the leading matching order")
@@ -429,6 +407,26 @@ def infinity_branch_candidates(r: RiccatiData) -> tuple[BranchCandidate, BranchC
         BranchCandidate("+", root, "infinity"),
         BranchCandidate("-", -root, "infinity"),
     )
+
+
+def _expansion(eq: _LocalEquation, branch: BranchCandidate, energy: float | None) -> LaurentSeries:
+    coeffs = _match_local(eq, branch.leading_coefficient, eq.depth)
+    m = eq.leading_order
+    hi = m + eq.depth - 1
+    if energy is not None:
+        values = {k: v.c + v.e * energy for k, v in coeffs.items()}
+        return LaurentSeries(values, m, hi)
+    for k in sorted(coeffs):
+        if coeffs[k].e != 0:
+            hi = k - 1
+            break
+    values = {k: v.c for k, v in coeffs.items() if k <= hi}
+    return LaurentSeries(values, m, hi)
+
+
+def infinity_branch_candidates(r: RiccatiData) -> tuple[BranchCandidate, BranchCandidate]:
+    """The two admissible leading coefficients of the momentum at infinity."""
+    return _branch_pair(_localize_at_infinity(r))
 
 
 def infinity_expansion(
@@ -442,29 +440,11 @@ def infinity_expansion(
     With ``energy=None`` the energy stays symbolic and the returned window is
     capped just below the first energy-dependent coefficient (everything the
     ledger consumes sits below that). Passing a concrete ``energy`` returns
-    the full requested depth.
+    the full requested depth, which defaults to the pole order plus 3.
 
     The exponents are powers of w = 1/z, z the chart variable.
     """
-    if depth is None:
-        depth = default_matching_depth(r)
-    eq = _localize_at_infinity(r, depth)
-    pole_order = max(0, -2 * eq.leading_order)
-    if depth < pole_order + 2:
-        raise ValueError(f"depth must be at least {pole_order + 2} for this equation")
-    coeffs = _match_local(eq, branch.leading_coefficient, depth)
-
-    m = eq.leading_order
-    hi = m + depth - 1
-    if energy is not None:
-        values = {k: v.c + v.e * energy for k, v in coeffs.items()}
-        return LaurentSeries(values, m, hi)
-    for k in sorted(coeffs):
-        if coeffs[k].e != 0:
-            hi = k - 1
-            break
-    values = {k: v.c for k, v in coeffs.items() if k <= hi}
-    return LaurentSeries(values, m, hi)
+    return _expansion(_localize_at_infinity(r, depth), branch, energy)
 
 
 def fixed_pole_residues(r: RiccatiData, pole: complex) -> tuple[BranchCandidate, BranchCandidate]:
@@ -483,16 +463,12 @@ def fixed_pole_residues(r: RiccatiData, pole: complex) -> tuple[BranchCandidate,
     if abs(r.rhs_num_energy(pole)) > 1e-12:
         raise MatchingFailure("energy enters the fixed-pole residue quadratic")
     r2 = r.rhs_num_const(pole) / half_curvature
-    wden = r.weight_den(pole)
-    if wden == 0:
-        raise ValueError("derivative weight is singular at the requested pole")
-    w0 = r.weight_num(pole) / wden
+    w, u_num, u_den = r.chart.riccati_weights()
+    w0 = w(pole)  # by Horner, which gives the real part +0 that bare -1j / measure does not
     u_res = 0j
-    if abs(r.linear_den(pole)) <= 1e-12 * max(1.0, max(abs(c) for c in r.linear_den.coeffs)):
-        dden = r.linear_den.derivative()(pole)
-        if dden == 0:
-            raise ValueError("linear weight has a higher-order pole at the requested point")
-        u_res = r.linear_num(pole) / dden
+    if abs(u_den(pole)) <= 1e-12 * max(1.0, max(abs(c) for c in u_den.coeffs)):
+        # A simple zero of Q, where U = W Q'/(2Q) has a simple pole.
+        u_res = u_num(pole) / u_den.derivative()(pole)
     b = u_res - w0
     disc = cmath.sqrt(b * b + 4.0 * r2)
     return (
@@ -501,17 +477,31 @@ def fixed_pole_residues(r: RiccatiData, pole: complex) -> tuple[BranchCandidate,
     )
 
 
-def _implied_exponent(candidate: BranchCandidate, family: PotentialFamily) -> float:
-    """Local wavefunction exponent in the physical variable implied by a residue."""
-    z0 = candidate.location
-    factor = 1.0
-    if family_kind(family) == "hyperbolic" and z0 in (1 + 0j, -1 + 0j):
-        # t = cosh x is quadratic around t = +-1, doubling the exponent.
-        factor = 2.0
+def _implied_exponent(candidate: BranchCandidate, chart: ChartSpec) -> float:
+    """Local wavefunction exponent in the physical variable implied by a residue.
+
+    psi ~ (z - z0)^(i m rho) for a residue rho of q, and z - z0 is quadratic
+    in x where Q = (dz/dx)^2 vanishes, which doubles the exponent there.
+    """
+    factor = chart.measure * (2.0 if chart.Q(candidate.location) == 0 else 1.0)
     lam = 1j * candidate.leading_coefficient * factor
     if abs(lam.imag) > 1e-9 * (1.0 + abs(lam)):
         raise BranchRuleError(f"residue {candidate.leading_coefficient} implies a non-real exponent")
     return lam.real
+
+
+def _select_at_pole(
+    pair: tuple[BranchCandidate, BranchCandidate], z0: complex, chart: ChartSpec
+) -> BranchCandidate:
+    a, b = pair
+    if a.location != z0 or b.location != z0:
+        raise ValueError("candidates were not produced at the requested pole")
+    ea = _implied_exponent(a, chart)
+    eb = _implied_exponent(b, chart)
+    if abs(ea - eb) <= 1e-12 * (1.0 + abs(ea) + abs(eb)):
+        raise BranchRuleError("branch rule indeterminate: degenerate local exponents")
+    chosen = a if ea > eb else b
+    return replace(chosen, decay_flag=True)
 
 
 def select_physical_branch(
@@ -546,15 +536,7 @@ def select_physical_branch(
         chosen, other = (a, b) if da else (b, a)
         return replace(chosen, decay_flag=True)
 
-    z0 = complex(location)
-    if a.location != z0 or b.location != z0:
-        raise ValueError("candidates were not produced at the requested pole")
-    ea = _implied_exponent(a, family)
-    eb = _implied_exponent(b, family)
-    if abs(ea - eb) <= 1e-12 * (1.0 + abs(ea) + abs(eb)):
-        raise BranchRuleError("branch rule indeterminate: degenerate local exponents")
-    chosen = a if ea > eb else b
-    return replace(chosen, decay_flag=True)
+    return _select_at_pole(pair, complex(location), riccati_in_chart(family).chart)
 
 
 _MOVING_WEIGHT = {"sextic": 1, "radial_sextic": 2, "circular": 1, "hyperbolic": 2}
@@ -574,9 +556,10 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     kind = family_kind(family)
     r = riccati_in_chart(family)
     chart = r.chart
-    pair = infinity_branch_candidates(r)
+    eq = _localize_at_infinity(r)
+    pair = _branch_pair(eq)
     sel = select_physical_branch(pair, family, "infinity")
-    ser = infinity_expansion(r, sel)
+    ser = _expansion(eq, sel, None)
     c1 = ser.coefficient(1)
     j_value = 1j * chart.measure * c1
     if abs(j_value.imag) > 1e-10 * (1.0 + abs(j_value)):
@@ -594,7 +577,7 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     fixed_residues = []
     for z0 in r.fixed_poles:
         fpair = fixed_pole_residues(r, z0)
-        fsel = select_physical_branch(fpair, family, z0)
+        fsel = _select_at_pole(fpair, z0, chart)
         contrib = 1j * chart.measure * fsel.leading_coefficient
         fixed_total += contrib
         fixed_residues.append((z0, fsel.leading_coefficient))

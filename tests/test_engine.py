@@ -3,7 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from qhjqes import engine
 from qhjqes.engine import (
+    HYPER,
+    IDENTITY,
+    TRIG,
     BranchRuleError,
     NonQESError,
     fixed_pole_residues,
@@ -30,8 +34,10 @@ def test_sextic_identity_rhs():
     assert r.rhs_den.coeffs == (1 + 0j,)
     assert r.rhs_num_const.coeffs == (0j, 0j, 2 + 0j, 0j, -3 + 0j, 0j, -4 + 0j)
     assert r.rhs_num_energy.coeffs == (1 + 0j,)
-    assert r.weight_num.coeffs == (-1j,)
     assert r.fixed_poles == ()
+    for chart in (IDENTITY, TRIG, HYPER):
+        w, _, _ = chart.riccati_weights()
+        assert w.coeffs == (-1j / chart.measure,)
 
 
 def test_radial_identity_rhs():
@@ -56,6 +62,16 @@ def test_circular_rhs_pole_structure():
     assert abs(den.derivative().derivative()(0)) > 0
     # the t = 0 double-pole coefficient is -A
     assert abs(r.rhs_num_const(0) - (-fam.A)) < 1e-14
+
+
+@pytest.mark.parametrize("chart", [IDENTITY, TRIG, HYPER], ids=["identity", "trig", "hyper"])
+def test_chart_q_matches_coordinates(chart):
+    # Q(z(x)) = z'(x)^2 and z''(x) = Q'(z(x))/2 tie the evaluator's map to the Riccati data.
+    x = np.concatenate([np.linspace(-2.3, 2.3, 17), np.array([0.4 + 0.3j, -1.1 + 0.7j, 2.0 - 0.5j])])
+    z, dz, d2z = chart.coordinates(x)
+    dq = chart.Q.derivative()
+    for got, want in ((chart.Q(z), dz**2), (dq(z) / 2.0, d2z)):
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(1.0, np.abs(want)))
 
 
 # ------------------------------------------------------- infinity matching
@@ -292,6 +308,45 @@ def test_ledger_is_pinned(fam, entries, coeffs, lo, hi, fixed):
     assert repr(led.infinity_series.coeffs) == coeffs
     assert (led.infinity_series.lo, led.infinity_series.hi) == (lo, hi)
     assert repr(led.fixed_residues) == fixed
+
+
+# Both candidates of every residue quadratic, by repr (signed zeros included):
+# U = W Q'/(2Q) feeds the linear term of each fixed-pole quadratic, so the way
+# W and U are formed must leave these as they are.
+_PINNED_CANDIDATES = [
+    (Sextic(-4.0, 2.0, 1.0), "(1j, (-0-1j))", "()"),
+    (RadialSextic(S=1.25, a=1.0, b=0.5, M=2), "(1j, (-0-1j))", "((1j, (-0-2j)),)"),
+    (
+        Circular(S1=1.1, S2=0.9, q1=1.4, M=1),
+        "(1.4j, (-0-1.4j))",
+        "((0.7000000000000002j, (-0-1.7000000000000002j)), (0.30000000000000004j, -1.3j))",
+    ),
+    (
+        Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1),
+        "(1.4j, (-0-1.4j))",
+        "((0.7000000000000002j, (-0-1.7000000000000002j)), (0.15000000000000002j, (-0-0.65j)), "
+        "(0.15000000000000002j, (-0-0.65j)))",
+    ),
+]
+
+
+@pytest.mark.parametrize("fam,infinity,fixed", _PINNED_CANDIDATES,
+                         ids=["sextic", "radial_sextic", "circular", "hyperbolic"])
+def test_candidates_are_pinned(fam, infinity, fixed):
+    r = riccati_in_chart(fam)
+    assert repr(tuple(c.leading_coefficient for c in infinity_branch_candidates(r))) == infinity
+    pairs = tuple(tuple(c.leading_coefficient for c in fixed_pole_residues(r, z0)) for z0 in r.fixed_poles)
+    assert repr(pairs) == fixed
+
+
+@pytest.mark.parametrize("fam", [row[0] for row in _PINNED_CANDIDATES],
+                         ids=["sextic", "radial_sextic", "circular", "hyperbolic"])
+def test_ledger_localizes_at_infinity_once(fam, monkeypatch):
+    calls = []
+    localize = engine._localize_at_infinity
+    monkeypatch.setattr(engine, "_localize_at_infinity", lambda *a, **k: calls.append(a) or localize(*a, **k))
+    quantization_ledger(fam)
+    assert len(calls) == 1
 
 
 def test_non_qes_sextic_rejected():
