@@ -13,11 +13,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import math
 import sys
 
 from . import engine, oracle, spectra
-from .families import Circular, Hyperbolic, RadialSextic, Sextic, family_kind
+from .families import FAMILIES, family_kind
 from .qmf import (
     infinity_order_check,
     pole_reports,
@@ -30,13 +31,8 @@ __all__ = ["main"]
 
 _SCHEMA_VERSION = "2"
 
-_FAMILY_FIELDS = {
-    "sextic": ("alpha", "beta", "gamma"),
-    "sextic_qes": ("a", "b", "n"),
-    "radial_sextic": ("S", "a", "b", "M"),
-    "circular": ("S1", "S2", "q1", "M"),
-    "hyperbolic": ("S1", "S2", "q1", "M"),
-}
+_FIELDS = {name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in FAMILIES.items()}
+_FIELDS["sextic_qes"] = ("a", "b", "n")
 
 _DEFAULT_TOLERANCES = {"residue_tol": 1e-8, "contour_tol": 1e-8, "oracle_tol": 1e-4}
 
@@ -64,12 +60,14 @@ def _require_keys(mapping: dict, allowed: tuple, where: str, required: tuple = (
 
 
 def build_family(spec: dict):
+    """The family a config names: a class of ``FAMILIES``, or ``sextic_qes``, the
+    sextic at count n with gauge coefficients a and b."""
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("family must be an object with a 'name'")
     name = spec["name"]
-    if name not in _FAMILY_FIELDS:
+    if not isinstance(name, str) or name not in _FIELDS:
         raise ConfigError(f"unknown family name {name!r}")
-    fields = _FAMILY_FIELDS[name]
+    fields = _FIELDS[name]
     _require_keys(spec, ("name",) + fields, f"family {name!r}", fields)
     for key in fields:
         v = spec[key]
@@ -79,17 +77,9 @@ def build_family(spec: dict):
         elif type(v) not in (int, float) or not math.isfinite(v):
             raise ConfigError(f"family {key} must be a finite number, got {v!r}")
     try:
-        if name == "sextic":
-            return Sextic(float(spec["alpha"]), float(spec["beta"]), float(spec["gamma"]))
         if name == "sextic_qes":
-            return engine.qes_parameterize(
-                "sextic", spec["n"], a=float(spec["a"]), b=float(spec["b"])
-            )
-        if name == "radial_sextic":
-            return RadialSextic(float(spec["S"]), float(spec["a"]), float(spec["b"]), spec["M"])
-        if name == "circular":
-            return Circular(float(spec["S1"]), float(spec["S2"]), float(spec["q1"]), spec["M"])
-        return Hyperbolic(float(spec["S1"]), float(spec["S2"]), float(spec["q1"]), spec["M"])
+            return engine.qes_parameterize("sextic", spec["n"], a=float(spec["a"]), b=float(spec["b"]))
+        return FAMILIES[name](**{k: spec[k] if k == "M" else float(spec[k]) for k in fields})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid family parameters: {exc}") from exc
 
@@ -136,7 +126,7 @@ def load_config(path: str) -> dict:
             if type(v) is not str or not v:
                 raise ConfigError(f"output path {k} must be a non-empty string, got {v!r}")
     cfg.setdefault("tolerances", {})
-    build_family(cfg["family"])  # validate eagerly
+    cfg["_family"] = build_family(cfg["family"])  # built once, before any command runs
     cfg["_tolerances"] = tols
     return cfg
 
@@ -250,15 +240,10 @@ def _algebraic_states(family, checks: list) -> tuple:
 
 
 def _ledger_checks(ledger: engine.QuantizationLedger, checks: list) -> None:
-    """The ledger's balance check and its closed-form (sextic) or M check."""
-    family = ledger.family
-    lhs = ledger.solved_condition["lhs_value"]
+    """The ledger's balance check and the check against the family's closed form (sextic) or M."""
+    name, target, tolerance = ledger.family.ledger_check
     checks.append(_check("ledger_balance", ledger.balance_residual, 0.0, 1e-10))
-    if family_kind(family) == "sextic":
-        target = family.condition_value
-        checks.append(_check("condition_matches_closed_form", lhs, target, 1e-10 * max(1.0, abs(target))))
-    else:
-        checks.append(_check("ledger_count_equals_M", lhs, family.M, 1e-9))
+    checks.append(_check(name, ledger.solved_condition["lhs_value"], target, tolerance))
 
 
 def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, list]:
@@ -303,7 +288,7 @@ def _output_path(config: dict, key: str) -> str | None:
 
 
 def cmd_derive(config: dict, results: dict, checks: list) -> None:
-    family = build_family(config["family"])
+    family = config["_family"]
     results["family_kind"] = family_kind(family)
     with _stage("qes_condition"):
         ledger = engine.quantization_ledger(family)
@@ -331,7 +316,7 @@ def cmd_spectrum(config: dict, results: dict, checks: list, sanity: bool = False
         for i, exact in enumerate((1.0, 3.0, 5.0)):
             checks.append(_check(f"harmonic_level_{i}", spec.energies[i], exact, 1e-4))
         return
-    family = build_family(config["family"])
+    family = config["_family"]
     states = _algebraic_states(family, checks)
     results["algebraic_energies"] = [s.energy for s in states]
     results["oracle_energies"], results["matches"] = _oracle_matches(family, config, states, checks)
@@ -339,7 +324,7 @@ def cmd_spectrum(config: dict, results: dict, checks: list, sanity: bool = False
 
 def cmd_poles(config: dict, results: dict, checks: list, level: int) -> None:
     tols = config["_tolerances"]
-    family = build_family(config["family"])
+    family = config["_family"]
     states = _algebraic_states(family, checks)
     if not 0 <= level < len(states):
         raise ConfigError(f"level {level} out of range (0..{len(states) - 1})")
@@ -394,7 +379,7 @@ def cmd_poles(config: dict, results: dict, checks: list, level: int) -> None:
 
 def cmd_verify(config: dict, results: dict, checks: list) -> None:
     tols = config["_tolerances"]
-    family = build_family(config["family"])
+    family = config["_family"]
     results["family_kind"] = family_kind(family)
     states = _algebraic_states(family, checks)
     results["algebraic_energies"] = [s.energy for s in states]

@@ -1,16 +1,19 @@
 """Riccati data in each family's chart, infinity matching, branch selection, and the ledger.
 
 The momentum function p = -i psi'/psi of a bound state satisfies the Riccati
-equation ``p^2 - i p' = E - V``. Each family has one chart (z = x for the
-polynomial families, t = sin^2 x or t = cosh x for the bounded/hyperbolic
-ones). Writing p = m q dz/dx, with m the chart's measure and
-Q(z) = (dz/dx)^2 a polynomial, gives for the reduced momentum q
+equation ``p^2 - i p' = E - V``. Each family carries one chart (z = x for
+the polynomial families, t = sin^2 x or t = cosh x for the bounded/hyperbolic
+ones) and its potential in it, V = num/den, as data (see ``families``, whose
+``ChartSpec`` and charts are re-exported here). Writing p = m q dz/dx, with m
+the chart's measure and Q(z) = (dz/dx)^2 a polynomial, gives for the reduced
+momentum q
 
-    q^2 + W q' + U q = R(z; E),    W = -i/m,  U = W Q'/(2Q),  R = (E - V)/(m^2 Q),
+    q^2 + W q' + U q = R(z; E),    W = -i/m,  U = W Q'/(2Q),
+    R = (E - V)/(m^2 Q) = (E den - num)/(m^2 Q den),
 
-so W and U come from the chart alone and only R depends on the family.
-Infinity is reached from any chart by transporting the equation to w = 1/z.
-The pipeline implemented here:
+so W and U come from the chart alone and R is one formula in the family's
+data. Infinity is reached from any chart by transporting the equation to
+w = 1/z. The pipeline implemented here:
 
 1. ``riccati_in_chart``    - build R and the fixed poles for a family in its chart;
 2. ``infinity_expansion``  - match a Laurent ansatz for q order by order at
@@ -34,18 +37,21 @@ All functions are pure and deterministic.
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass, replace
-from typing import Callable, Union
+import functools
+from dataclasses import dataclass, fields, replace
+from typing import Union
 
 import numpy as np
 
 from .families import (
-    Circular,
-    Hyperbolic,
+    FAMILIES,
+    HYPER,
+    IDENTITY,
+    TRIG,
+    ChartSpec,
+    NonQESError,
     PotentialFamily,
-    RadialSextic,
     Sextic,
-    family_kind,
 )
 from .series import LaurentSeries, Polynomial
 
@@ -77,61 +83,6 @@ class MatchingFailure(ValueError):
 
 class BranchRuleError(ValueError):
     """Neither or both branch candidates satisfy the physical selection rule."""
-
-
-class NonQESError(ValueError):
-    """The ledger does not close on an integer moving-pole count."""
-
-
-@dataclass(frozen=True)
-class ChartSpec:
-    """A coordinate chart together with its momentum reduction.
-
-    ``variable`` names the chart variable z, which is also the census
-    variable of the momentum poles. ``measure`` is the constant m in
-    ``p dx = m * q dz`` for the reduced momentum q, so a pole of q with
-    residue r contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. ``Q`` is
-    (dz/dx)^2 as a polynomial in z, so d^2z/dx^2 = Q'(z)/2. The charts:
-
-    * identity, z = x, Q = 1, no reduction (the polynomial families);
-    * trig, t = sin^2 x, Q = 4t(1-t), p = sqrt(t(1-t)) q, so p dx = q dt / 2;
-    * hyper, t = cosh x, Q = t^2 - 1, p = sqrt(t^2-1) q, so p dx = q dt.
-
-    A state's polynomial P is stored in v = z^k with k = ``reduced_power``
-    (v = x^2, sin^2 x or cosh^2 x). ``coordinates`` maps x, one point or an
-    ndarray, to (z, dz/dx, d^2z/dx^2).
-    """
-
-    variable: str
-    measure: float
-    Q: Polynomial
-    reduced_power: int
-    coordinates: Callable[[np.ndarray], tuple]
-
-    def riccati_weights(self) -> tuple[Polynomial, Polynomial, Polynomial]:
-        """(W, U numerator, U denominator) of q^2 + W q' + U q = R in this chart.
-
-        W = -i/m is constant and U = W Q'/(2Q); every family shares them.
-        """
-        w = Polynomial([-1j / self.measure])
-        return w, w.coeffs[0] * self.Q.derivative(), 2 * self.Q
-
-
-def _identity_coordinates(x):
-    return x, np.ones_like(x), np.zeros_like(x)
-
-
-def _trig_coordinates(x):
-    return np.sin(x) ** 2, np.sin(2 * x), 2 * np.cos(2 * x)
-
-
-def _hyper_coordinates(x):
-    return np.cosh(x), np.sinh(x), np.cosh(x)
-
-
-IDENTITY = ChartSpec("x", 1.0, Polynomial([1]), 2, _identity_coordinates)
-TRIG = ChartSpec("t", 0.5, Polynomial([0, 4, -4]), 1, _trig_coordinates)
-HYPER = ChartSpec("t", 1.0, Polynomial([-1, 0, 1]), 2, _hyper_coordinates)
 
 
 @dataclass(frozen=True)
@@ -197,51 +148,23 @@ class QuantizationLedger:
     fixed_residues: tuple[tuple[complex, complex], ...]
 
 
-_ONE = Polynomial([1])
-
-
 def riccati_in_chart(family: PotentialFamily) -> RiccatiData:
     """Reduced Riccati data for ``family`` in its chart.
 
-    This is the one place that picks a family's chart: the polynomial
-    families use the identity chart, the trigonometric family the trig
-    chart, and the hyperbolic family the hyper chart.
+    With V = num/den in the chart variable (``family.potential_in_chart``),
+    R = (E den - num)/(m^2 Q den). Subtracting each real coefficient from
+    0.0 keeps negative zeros out of the numerator.
     """
-    kind = family_kind(family)
-    if kind == "sextic":
-        al, be, ga = family.alpha, family.beta, family.gamma
-        return RiccatiData(
-            chart=IDENTITY,
-            rhs_num_const=Polynomial([0, 0, -al, 0, -be, 0, -ga]),
-            rhs_num_energy=_ONE,
-            rhs_den=_ONE,
-            fixed_poles=(),
-        )
-    if kind == "radial_sextic":
-        g, c2, a, b = family.g, family.c2, family.a, family.b
-        return RiccatiData(
-            chart=IDENTITY,
-            rhs_num_const=Polynomial([-g, 0, 0, 0, -c2, 0, -2 * a * b, 0, -a * a]),
-            rhs_num_energy=Polynomial([0, 0, 1]),
-            rhs_den=Polynomial([0, 0, 1]),
-            fixed_poles=(0j,),
-        )
-    A, B, C, D = family.A, family.B, family.C, family.D
-    if kind == "circular":
-        return RiccatiData(
-            chart=TRIG,
-            rhs_num_const=Polynomial([-A, A - B, -C, C + D, -D]),
-            rhs_num_energy=Polynomial([0, 1, -1]),
-            rhs_den=Polynomial([0, 0, 1, -2, 1]),
-            fixed_poles=(0j, 1 + 0j),
-        )
-    return RiccatiData(
-        chart=HYPER,
-        rhs_num_const=Polynomial([-A, 0, A - B, 0, -C, 0, C + D, 0, -D]),
-        rhs_num_energy=Polynomial([0, 0, -1, 0, 1]),
-        rhs_den=Polynomial([0, 0, 1, 0, -2, 0, 1]),
-        fixed_poles=(0j, 1 + 0j, -1 + 0j),
-    )
+    num, den = family.potential_in_chart
+    energy, rhs_den = _denominators(family.chart, den)
+    return RiccatiData(family.chart, Polynomial([0.0 - c for c in num]), energy, rhs_den, family.singular_points)
+
+
+@functools.lru_cache(maxsize=16)
+def _denominators(chart: ChartSpec, den: tuple) -> tuple[Polynomial, Polynomial]:
+    """E's numerator den and R's denominator m^2 Q den, built once per chart; + 0.0 clears negative zeros."""
+    m2q = [chart.measure**2 * c.real for c in chart.Q.coeffs]
+    return Polynomial(den), Polynomial(np.convolve(m2q, den) + 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -511,10 +434,10 @@ def select_physical_branch(
 ) -> BranchCandidate:
     """Pick the square-integrable branch out of a candidate pair.
 
-    At infinity the rule is decay of the implied gauge factor; for the
-    trigonometric family, whose chart variable never reaches infinity on the
-    physical interval, the branch is fixed instead by requiring the gauge
-    slope -q1/2 that admits a terminating polynomial sector. At a fixed pole
+    At infinity the rule is decay of the implied gauge factor, unless the
+    family names the physical branch's leading coefficient as its
+    ``infinity_target`` (the trigonometric family, whose chart variable
+    never reaches infinity on the physical interval). At a fixed pole
     the candidate with the larger implied local exponent is kept (for a
     repulsive wall that is the one with psi -> 0; in the borderline attractive
     range it is the principal, limit-circle choice).
@@ -523,9 +446,8 @@ def select_physical_branch(
     if location == "infinity":
         if a.location != "infinity" or b.location != "infinity":
             raise ValueError("candidates were not produced at infinity")
-        kind = family_kind(family)
-        if kind == "circular":
-            target = 1j * family.q1
+        target = family.infinity_target
+        if target is not None:
             da = abs(a.leading_coefficient - target) < 1e-9 * (1 + abs(target))
             db = abs(b.leading_coefficient - target) < 1e-9 * (1 + abs(target))
         else:
@@ -536,10 +458,7 @@ def select_physical_branch(
         chosen, other = (a, b) if da else (b, a)
         return replace(chosen, decay_flag=True)
 
-    return _select_at_pole(pair, complex(location), riccati_in_chart(family).chart)
-
-
-_MOVING_WEIGHT = {"sextic": 1, "radial_sextic": 2, "circular": 1, "hyperbolic": 2}
+    return _select_at_pole(pair, complex(location), family.chart)
 
 
 def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -> QuantizationLedger:
@@ -548,12 +467,13 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     The infinity entry is ``i * measure * c1`` with c1 the first positive
     Laurent coefficient of the reduced momentum on the physical branch. Each
     fixed pole contributes ``i * measure * residue`` of its selected branch.
-    What remains must be the moving-pole count: n for the sextic and
-    trigonometric families, 2n for the mirror-symmetric radial and hyperbolic
-    ones. For the sextic the balance constrains (alpha, beta, gamma); for the
-    other three it returns M = n identically.
+    What remains must be the moving-pole count, n times the family's
+    ``moving_weight``: 1 for the sextic and trigonometric families, 2 for the
+    mirror-symmetric radial and hyperbolic ones. The family's
+    ``solve_ledger`` reads the balance as its closed form: for the sextic it
+    constrains (alpha, beta, gamma); for the other three it returns M = n
+    identically.
     """
-    kind = family_kind(family)
     r = riccati_in_chart(family)
     chart = r.chart
     eq = _localize_at_infinity(r)
@@ -589,34 +509,15 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
             )
         )
 
-    per_n = _MOVING_WEIGHT[kind]
+    per_n = family.moving_weight
     moving = j_value - fixed_total
     if abs(moving.imag) > 1e-10 * (1.0 + abs(moving)):
         raise MatchingFailure(f"moving-pole total is not real: {moving}")
     moving_total = moving.real
     n_value = moving_total / per_n
     n_int = int(round(n_value))
-    is_integer = abs(n_value - n_int) <= 1e-9 and n_int >= 0
-
-    if kind == "sextic":
-        solved = {
-            "lhs_value": 2.0 * j_value.real + 3.0,
-            "rhs_form": "3+2n",
-            "n_value": n_value,
-        }
-        if require_integer and not is_integer:
-            raise NonQESError(
-                f"non-QES parameterization: condition value {solved['lhs_value']:.12g} "
-                f"is not 3 + 2n for a nonnegative integer n"
-            )
-    else:
-        solved = {"lhs_value": n_value, "rhs_form": "M=n", "n_value": n_value}
-        if not is_integer or n_int != family.M:
-            raise NonQESError(
-                f"non-QES parameterization: ledger count {n_value!r} does not equal M={family.M}"
-            )
-
-    n_out = n_int if is_integer else None
+    n_out = n_int if abs(n_value - n_int) <= 1e-9 and n_int >= 0 else None
+    solved = family.solve_ledger(j_value.real, n_value, n_out, require_integer)
     entries.append(
         LedgerEntry(
             "moving poles",
@@ -642,37 +543,29 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     )
 
 
-_TEMPLATE_PARAMS = {
-    "sextic": ("a", "b"),
-    "radial_sextic": ("S", "a", "b"),
-    "circular": ("S1", "S2", "q1"),
-    "hyperbolic": ("S1", "S2", "q1"),
-}
-
-
 def qes_parameterize(template: str, n: int, **params) -> PotentialFamily:
     """Construct a family instance that satisfies its QES condition exactly.
 
-    ``template`` is one of ``sextic`` (free params a > 0 and b, giving
-    gamma = a^2, beta = 2ab, alpha = b^2 - a(3 + 2n)), ``radial_sextic``
-    (S, a, b), ``circular`` (S1, S2, q1), or ``hyperbolic`` (S1, S2, q1);
-    the last three simply set M = n. Every parameter is required except b,
-    which defaults to 0; an unknown or missing one raises ValueError.
+    ``template`` is a family's config name. The sextic takes a > 0 and b,
+    giving gamma = a^2, beta = 2ab, alpha = b^2 - a(3 + 2n); every other
+    family takes its fields but M, and M = n. Every parameter is required
+    except b, which defaults to 0; an unknown or missing one raises
+    ValueError.
     """
-    if template not in _TEMPLATE_PARAMS:
+    if template not in FAMILIES:
         raise ValueError(f"unknown family template: {template!r}")
     if isinstance(n, bool) or not isinstance(n, int) or n < 0:
         raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    names = _TEMPLATE_PARAMS[template]
+    cls = FAMILIES[template]
+    names = ("a", "b") if cls is Sextic else tuple(f.name for f in fields(cls) if f.name != "M")
     unknown = sorted(set(params) - set(names))
     missing = sorted(set(names) - set(params) - {"b"})
     if unknown or missing:
         raise ValueError(f"{template} template: unknown parameters {unknown}, missing parameters {missing}")
     v = {name: float(params.get(name, 0.0)) for name in names}
-    if template == "sextic":
-        a, b = v["a"], v["b"]
-        if a <= 0:
-            raise ValueError("sextic parameterization requires a > 0")
-        return Sextic(alpha=b * b - a * (3.0 + 2.0 * n), beta=2.0 * a * b, gamma=a * a)
-    cls = {"radial_sextic": RadialSextic, "circular": Circular, "hyperbolic": Hyperbolic}[template]
-    return cls(**v, M=n)
+    if cls is not Sextic:
+        return cls(**v, M=n)
+    a, b = v["a"], v["b"]
+    if a <= 0:
+        raise ValueError("sextic parameterization requires a > 0")
+    return Sextic(alpha=b * b - a * (3.0 + 2.0 * n), beta=2.0 * a * b, gamma=a * a)

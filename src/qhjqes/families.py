@@ -1,24 +1,44 @@
-"""The four confining 1-D potential families and their derived coefficients.
+"""The four confining 1-D potential families and the data that fixes each one's Riccati equation.
 
 Units are hbar = 2m = 1 throughout, so the eigenproblem is
-``-psi'' + V(x) psi = E psi``.
+``-psi'' + V(x) psi = E psi``. Each family is a frozen record of its
+parameters, validated at construction.
 
-Each family is a frozen record of its defining parameters; the coefficient
-combinations the rest of the pipeline needs are exposed as properties, and
-parameter ranges are validated at construction time.
+One Riccati equation serves every family; what sets a family apart is its
+chart and its potential in the chart, the normal form of a one-dimensional
+QES operator (Gonzalez-Lopez, Kamran & Olver, Commun. Math. Phys. 153, 117
+(1993)). So all the pipeline knows of a family is data on it, and no module
+branches on which family it has: ``chart``; ``potential_in_chart``, V as
+real numerator and denominator coefficients in the chart variable;
+``singular_points``, V's poles in ledger order; ``moving_weight``, moving
+poles per unit of n; ``infinity_target``, the physical branch's leading
+coefficient at infinity where decay cannot pick it; the closed forms of
+``solve_ledger``, ``ledger_check`` and ``gauge_sector``; the residual's
+``sample_window``; and the oracle's ``oracle_domain`` and ``walls``
+``(position, c, f)``, c the family's own 1/x^2 coefficient at the wall and
+f vanishing linearly there. ``FAMILIES`` maps config names to classes, and
+``family_kind`` back to the name reports carry.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, field
+from typing import Callable, Union
 
 import numpy as np
 
+from .series import Polynomial
+
 __all__ = [
+    "FAMILIES",
+    "HYPER",
+    "IDENTITY",
+    "TRIG",
+    "ChartSpec",
     "Circular",
     "Hyperbolic",
+    "NonQESError",
     "PotentialFamily",
     "RadialSextic",
     "Sextic",
@@ -26,10 +46,112 @@ __all__ = [
 ]
 
 
+class NonQESError(ValueError):
+    """The ledger does not close on an integer moving-pole count."""
+
+
+@dataclass(frozen=True, eq=False)
+class ChartSpec:
+    """A coordinate chart together with its momentum reduction.
+
+    ``variable`` names the chart variable z, which is also the census
+    variable of the momentum poles. ``measure`` is the constant m in
+    ``p dx = m * q dz`` for the reduced momentum q, so a pole of q with
+    residue r contributes ``i * m * r`` to ``(1/2pi) ∮ p dx``. ``Q`` is
+    (dz/dx)^2 as a polynomial in z, so d^2z/dx^2 = Q'(z)/2. The charts:
+
+    * identity, z = x, Q = 1, no reduction (the polynomial families);
+    * trig, t = sin^2 x, Q = 4t(1-t), p = sqrt(t(1-t)) q, so p dx = q dt / 2;
+    * hyper, t = cosh x, Q = t^2 - 1, p = sqrt(t^2-1) q, so p dx = q dt.
+
+    A state's polynomial P is stored in v = z^k with k = ``reduced_power``
+    (v = x^2, sin^2 x or cosh^2 x). ``coordinates`` maps x, one point or an
+    ndarray, to (z, dz/dx, d^2z/dx^2); it stays out of the repr, whose
+    function address would differ from process to process. Charts compare
+    and hash by identity, so the engine's per-chart cache is cheap.
+    """
+
+    variable: str
+    measure: float
+    Q: Polynomial
+    reduced_power: int
+    coordinates: Callable[[np.ndarray], tuple] = field(repr=False)
+
+    def riccati_weights(self) -> tuple[Polynomial, Polynomial, Polynomial]:
+        """(W, U numerator, U denominator) of q^2 + W q' + U q = R in this chart.
+
+        W = -i/m is constant and U = W Q'/(2Q); every family shares them.
+        """
+        w = Polynomial([-1j / self.measure])
+        return w, w.coeffs[0] * self.Q.derivative(), 2 * self.Q
+
+
+def _identity_coordinates(x):
+    """z = x; also the radial wall function, which vanishes linearly at x = 0."""
+    return x, np.ones_like(x), np.zeros_like(x)
+
+
+def _trig_coordinates(x):
+    return np.sin(x) ** 2, np.sin(2 * x), 2 * np.cos(2 * x)
+
+
+def _hyper_coordinates(x):
+    return np.cosh(x), np.sinh(x), np.cosh(x)
+
+
+IDENTITY = ChartSpec("x", 1.0, Polynomial([1]), 2, _identity_coordinates)
+TRIG = ChartSpec("t", 0.5, Polynomial([0, 4, -4]), 1, _trig_coordinates)
+HYPER = ChartSpec("t", 1.0, Polynomial([-1, 0, 1]), 2, _hyper_coordinates)
+
+
+# Wall functions: each vanishes linearly at its wall and gives (f, f', f'') at x.
+def _sin(x):
+    s, c = np.sin(x), np.cos(x)
+    return s, c, -s
+
+
+def _cos(x):
+    s, c = np.sin(x), np.cos(x)
+    return c, -s, -c
+
+
+def _sinh(x):
+    s, c = np.sinh(x), np.cosh(x)
+    return s, c, s
+
+
 def _check_finite(**values: float) -> None:
     for name, v in values.items():
         if not math.isfinite(v):
             raise ValueError(f"{name} must be finite, got {v!r}")
+
+
+def _check_count(m) -> None:
+    if m < 0 or m != int(m):
+        raise ValueError("M must be a nonnegative integer")
+
+
+def _check_quartic(gauge: list, a: float) -> None:
+    """The closed form 4 g4 = a of the identity-chart families' gauge x^4 term."""
+    if abs(4 * gauge[4] - a) > 1e-12 * (1 + a):
+        raise ArithmeticError("gauge does not reproduce the selected infinity branch")
+
+
+class _CountedByM:
+    """A family whose parameters fix the moving-pole count: the ledger must return n = M."""
+
+    infinity_target = None
+
+    def solve_ledger(self, j_value: float, n_value: float, n: int | None, require_integer: bool) -> dict:
+        """The balance as M = n; a count other than M raises even when ``require_integer`` is false."""
+        if n != self.M:
+            raise NonQESError(f"non-QES parameterization: ledger count {n_value!r} does not equal M={self.M}")
+        return {"lhs_value": n_value, "rhs_form": "M=n", "n_value": n_value}
+
+    @property
+    def ledger_check(self) -> tuple[str, int, float]:
+        """(check name, closed-form value, tolerance) for the ledger's solved count."""
+        return "ledger_count_equals_M", self.M, 1e-9
 
 
 @dataclass(frozen=True)
@@ -39,6 +161,14 @@ class Sextic:
     alpha: float
     beta: float
     gamma: float
+
+    chart = IDENTITY
+    singular_points = ()
+    moving_weight = 1
+    infinity_target = None
+    sample_window = (-4.0, 4.0)
+    oracle_domain = (-6.0, 6.0)
+    walls = ()
 
     def __post_init__(self):
         _check_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
@@ -61,9 +191,32 @@ class Sextic:
         return (self.b * self.b - self.alpha) / self.a
 
     @property
-    def qes_n(self) -> float:
-        """The (possibly non-integer) n implied by the closed-form condition."""
-        return (self.condition_value - 3.0) / 2.0
+    def potential_in_chart(self) -> tuple[tuple, tuple]:
+        return (0, 0, self.alpha, 0, self.beta, 0, self.gamma), (1,)
+
+    def solve_ledger(self, j_value: float, n_value: float, n: int | None, require_integer: bool) -> dict:
+        """The balance as the closed form 2 J + 3 = 3 + 2n, J the large-contour value.
+
+        The parameters do not fix n, so a non-integer n raises only when
+        ``require_integer`` asks for one.
+        """
+        lhs = 2.0 * j_value + 3.0
+        if require_integer and n is None:
+            raise NonQESError(
+                f"non-QES parameterization: condition value {lhs:.12g} is not 3 + 2n for a nonnegative integer n"
+            )
+        return {"lhs_value": lhs, "rhs_form": "3+2n", "n_value": n_value}
+
+    @property
+    def ledger_check(self) -> tuple[str, float, float]:
+        """(check name, closed-form value, tolerance) for the ledger's condition value."""
+        target = self.condition_value
+        return "condition_matches_closed_form", target, 1e-10 * max(1.0, abs(target))
+
+    def gauge_sector(self, gauge: list, prefactors: tuple, n: int) -> str:
+        """Check 4 g4 = a; the sector is the parity of n, whose factor x lives in the moving polynomial."""
+        _check_quartic(gauge, self.a)
+        return "odd" if n % 2 else "even"
 
     def potential(self, x):
         x2 = x * x
@@ -71,7 +224,7 @@ class Sextic:
 
 
 @dataclass(frozen=True)
-class RadialSextic:
+class RadialSextic(_CountedByM):
     """Sextic oscillator with a centrifugal barrier on the half line x > 0.
 
     V(x) = g/x^2 + c2 x^2 + 2ab x^4 + a^2 x^6 with g = 4(S-1/4)(S-3/4) and
@@ -83,14 +236,19 @@ class RadialSextic:
     b: float
     M: int
 
+    chart = IDENTITY
+    singular_points = (0j,)
+    moving_weight = 2  # P(x^2) has its zeros in pairs +-x
+    sample_window = (0.05, 4.0)
+    oracle_domain = (0.0, 6.0)
+
     def __post_init__(self):
         _check_finite(S=self.S, a=self.a, b=self.b)
         if not 4.0 * self.S > 3.0:
             raise ValueError("RadialSextic requires 4S > 3")
         if not self.a > 0:
             raise ValueError("RadialSextic requires a > 0")
-        if self.M < 0 or self.M != int(self.M):
-            raise ValueError("M must be a nonnegative integer")
+        _check_count(self.M)
 
     @property
     def g(self) -> float:
@@ -105,21 +263,33 @@ class RadialSextic:
         """Indicial exponent at the origin, psi ~ x^mu with mu = 2S - 1/2."""
         return 2.0 * self.S - 0.5
 
+    @property
+    def potential_in_chart(self) -> tuple[tuple, tuple]:
+        return (self.g, 0, 0, 0, self.c2, 0, 2.0 * self.a * self.b, 0, self.a * self.a), (0, 0, 1)
+
+    @property
+    def walls(self) -> tuple:
+        return ((0.0, self.g, _identity_coordinates),)
+
+    def gauge_sector(self, gauge: list, prefactors: tuple, n: int) -> str:
+        """Check 4 g4 = a and the origin exponent 2S - 1/2."""
+        _check_quartic(gauge, self.a)
+        mu = prefactors[0][1]
+        if abs(mu - self.mu) > 1e-10 * (1 + abs(mu)):
+            raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
+        return "radial"
+
     def potential(self, x):
         x2 = x * x
         return self.g / x2 + x2 * (self.c2 + x2 * (2.0 * self.a * self.b + x2 * self.a**2))
 
 
 @dataclass(frozen=True)
-class Circular:
-    """Trigonometric double-wall family on (0, pi/2).
+class _TwoWall(_CountedByM):
+    """The parameters the trigonometric and hyperbolic families share.
 
-    V(x) = A/sin^2 x + B/cos^2 x + C sin^2 x - D sin^4 x with
-    A = 4(S1-1/4)(S1-3/4), B = 4(S2-1/4)(S2-3/4), C = q1^2 + 4q1(S1+S2+M),
-    D = q1^2. The signs of the C and D terms are fixed by requiring a
-    normalizable polynomial sector: with them, the gauge factor
-    exp(-q1 sin^2 x / 2) truncates the series sector at degree M and the
-    residue ledger closes.
+    A = 4(S1-1/4)(S1-3/4), B = 4(S2-1/4)(S2-3/4), C = q1^2 + 4q1(S1+S2+M) and
+    D = q1^2 are the couplings of their potentials.
     """
 
     S1: float
@@ -130,11 +300,9 @@ class Circular:
     def __post_init__(self):
         _check_finite(S1=self.S1, S2=self.S2, q1=self.q1)
         if not (2.0 * self.S1 > 1.0 and 2.0 * self.S2 > 1.0):
-            raise ValueError("Circular requires 2*S1 > 1 and 2*S2 > 1")
-        if self.q1 == 0:
-            raise ValueError("Circular requires q1 != 0 (the sin^4 coupling)")
-        if self.M < 0 or self.M != int(self.M):
-            raise ValueError("M must be a nonnegative integer")
+            raise ValueError(f"{type(self).__name__} requires 2*S1 > 1 and 2*S2 > 1")
+        self._check_q1()
+        _check_count(self.M)
 
     @property
     def A(self) -> float:
@@ -151,6 +319,52 @@ class Circular:
     @property
     def D(self) -> float:
         return self.q1**2
+
+    def gauge_sector(self, gauge: list, prefactors: tuple, n: int) -> str:
+        return "chart"
+
+
+@dataclass(frozen=True)
+class Circular(_TwoWall):
+    """Trigonometric double-wall family on (0, pi/2).
+
+    V(x) = A/sin^2 x + B/cos^2 x + C sin^2 x - D sin^4 x. The signs of the C
+    and D terms are fixed by requiring a normalizable polynomial sector:
+    with them, the gauge factor exp(-q1 sin^2 x / 2) truncates the series
+    sector at degree M and the residue ledger closes.
+    """
+
+    chart = TRIG
+    singular_points = (0j, 1 + 0j)
+    moving_weight = 1
+    sample_window = (0.02, math.pi / 2 - 0.02)
+    oracle_domain = (0.0, math.pi / 2)
+
+    def _check_q1(self):
+        if self.q1 == 0:
+            raise ValueError("Circular requires q1 != 0 (the sin^4 coupling)")
+
+    @property
+    def infinity_target(self) -> complex:
+        """The physical branch at infinity has leading coefficient i q1.
+
+        The chart variable t = sin^2 x stays in [0, 1] on the physical
+        interval, so both branches are normalizable and decay cannot choose.
+        Only the branch i q1 gives the gauge exp(-q1 t/2) whose polynomial
+        sector truncates: on the other one the ledger's moving-pole count is
+        -(2 S1 + 2 S2 + M), negative and in general not an integer, and a
+        decay test would pick that branch whenever q1 < 0.
+        """
+        return 1j * self.q1
+
+    @property
+    def potential_in_chart(self) -> tuple[tuple, tuple]:
+        A, B, C, D = self.A, self.B, self.C, self.D
+        return (A, B - A, C, -(C + D), D), (0, 1, -1)
+
+    @property
+    def walls(self) -> tuple:
+        return ((0.0, self.A, _sin), (math.pi / 2, self.B, _cos))
 
     def potential(self, x):
         s2 = np.sin(x) ** 2
@@ -159,43 +373,35 @@ class Circular:
 
 
 @dataclass(frozen=True)
-class Hyperbolic:
+class Hyperbolic(_TwoWall):
     """Hyperbolic confining family on the half line x > 0.
 
-    V(x) = -A/cosh^2 x + B/sinh^2 x - C cosh^2 x + D cosh^4 x with the same
-    A, B, C, D combinations as the trigonometric family. Normalizability of
-    the gauge factor exp(-q1 cosh^2 x / 2) requires q1 > 0.
+    V(x) = -A/cosh^2 x + B/sinh^2 x - C cosh^2 x + D cosh^4 x. Normalizability
+    of the gauge factor exp(-q1 cosh^2 x / 2) requires q1 > 0.
     """
 
-    S1: float
-    S2: float
-    q1: float
-    M: int
+    chart = HYPER
+    singular_points = (0j, 1 + 0j, -1 + 0j)
+    moving_weight = 2  # P(cosh^2 x) has its zeros in pairs +-t
+    sample_window = (0.05, 3.0)
+    # cosh^4 x reaches ~2e9 already at x = 6; pushing the wall further would
+    # swamp the eigenvalues in the matrix norm (eigvalsh resolves eigenvalues
+    # only to machine-eps times the norm), while the gauge factor
+    # exp(-q1 cosh^2 x / 2) is dead long before x = 4.
+    oracle_domain = (0.0, 4.0)
 
-    def __post_init__(self):
-        _check_finite(S1=self.S1, S2=self.S2, q1=self.q1)
-        if not (2.0 * self.S1 > 1.0 and 2.0 * self.S2 > 1.0):
-            raise ValueError("Hyperbolic requires 2*S1 > 1 and 2*S2 > 1")
+    def _check_q1(self):
         if not self.q1 > 0:
             raise ValueError("Hyperbolic requires q1 > 0")
-        if self.M < 0 or self.M != int(self.M):
-            raise ValueError("M must be a nonnegative integer")
 
     @property
-    def A(self) -> float:
-        return 4.0 * (self.S1 - 0.25) * (self.S1 - 0.75)
+    def potential_in_chart(self) -> tuple[tuple, tuple]:
+        A, B, C, D = self.A, self.B, self.C, self.D
+        return (A, 0, B - A, 0, C, 0, -(C + D), 0, D), (0, 0, -1, 0, 1)
 
     @property
-    def B(self) -> float:
-        return 4.0 * (self.S2 - 0.25) * (self.S2 - 0.75)
-
-    @property
-    def C(self) -> float:
-        return self.q1**2 + 4.0 * self.q1 * (self.S1 + self.S2 + self.M)
-
-    @property
-    def D(self) -> float:
-        return self.q1**2
+    def walls(self) -> tuple:
+        return ((0.0, self.B, _sinh),)
 
     def potential(self, x):
         ch2 = np.cosh(x) ** 2
@@ -205,16 +411,12 @@ class Hyperbolic:
 
 PotentialFamily = Union[Sextic, RadialSextic, Circular, Hyperbolic]
 
-_KINDS = {
-    Sextic: "sextic",
-    RadialSextic: "radial_sextic",
-    Circular: "circular",
-    Hyperbolic: "hyperbolic",
-}
+FAMILIES = {"sextic": Sextic, "radial_sextic": RadialSextic, "circular": Circular, "hyperbolic": Hyperbolic}
+_KINDS = {cls: name for name, cls in FAMILIES.items()}
 
 
 def family_kind(family: PotentialFamily) -> str:
-    """Stable lowercase name for a family instance."""
+    """The config name of a family instance, the label reports carry."""
     try:
         return _KINDS[type(family)]
     except KeyError:

@@ -1,12 +1,14 @@
 """Independent numerical ground truth for the eigenproblem -psi'' + V psi = E psi.
 
 Singular walls sit exactly on the singular point, and the wavefunction is
-factored there as psi = w phi. The wall factor w is built from the larger
-root mu = 1/2 + sqrt(1/4 + c) of the indicial equation mu (mu - 1) = c of
-each wall's c/x^2 coefficient: x^mu for the radial sextic,
-sin^a x cos^b x for the circular family and sinh^a x for the hyperbolic one.
-The exponents are read from V's coefficients alone, so the oracle never
-sees the algebraic sector. phi solves the weighted problem
+factored there as psi = w phi. Each family lists its walls as
+``(position, c, f)``, with c its own 1/x^2 coefficient there and f vanishing
+linearly at the wall, and w is the product of f^mu over them, mu = 1/2 +
+sqrt(1/4 + c) the larger root of the indicial equation mu (mu - 1) = c:
+x^mu for the radial sextic, sin^a x cos^b x for the circular family and
+sinh^a x for the hyperbolic one. The exponents are read from V's
+coefficients alone, so the oracle never sees the algebraic sector. phi
+solves the weighted problem
 
     -(w^2 phi')' + w^2 (V - w''/w) phi = E w^2 phi,
 
@@ -23,12 +25,13 @@ Lagrange derivative matrix, the mass is diagonal, M = diag(q r), the
 stiffness is K = D^T diag(q r) D + diag(q r U), and the energies are the
 eigenvalues of the symmetric H = M^(-1/2) K M^(-1/2) from numpy's
 ``eigvalsh``. Bare callables, the sextic (w = 1) and domains whose ends are
-off the singular points get the Lobatto-Legendre rule.
+off the singular points get the Lobatto-Legendre rule. A family's
+``oracle_domain`` is the default domain.
 
 The smooth weighted equation makes the error fall exponentially with the
 node count, so ``refine`` takes the change between N and 1.5 N nodes as each
-level's error estimate. One solve on a grown domain (ends facing infinity
-moved outward by one unit, ends facing a singular point moved onto it)
+level's error estimate. One solve on a grown domain (an end with a wall
+beyond it moved onto that wall, any other end moved outward by one unit)
 bounds the truncation error.
 """
 
@@ -39,10 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .families import family_kind
-
 __all__ = [
-    "DEFAULT_DOMAINS",
     "Grid",
     "N_MAX",
     "N_MIN",
@@ -53,17 +53,6 @@ __all__ = [
     "low_spectrum",
     "refine",
 ]
-
-DEFAULT_DOMAINS = {
-    "sextic": (-6.0, 6.0),
-    "radial_sextic": (0.0, 6.0),
-    "circular": (0.0, math.pi / 2),
-    # cosh^4 x reaches ~2e9 already at x = 6; pushing the wall further would
-    # swamp the eigenvalues in the matrix norm (eigvalsh resolves eigenvalues
-    # only to machine-eps times the norm), while the gauge factor
-    # exp(-q1 cosh^2 x / 2) is dead long before x = 4.
-    "hyperbolic": (0.0, 4.0),
-}
 
 # Node counts ``refine`` starts from and accepts; the dense matrix has N^2 entries.
 N_MIN = 8
@@ -94,42 +83,14 @@ class Grid:
             raise ValueError("n_interior must be a positive integer")
 
 
-# A wall factor is a product of f(x)^mu over the singular walls, each f
-# vanishing linearly at its wall. Each entry gives (f, f', f'') at x.
-def _power(x):
-    return x, np.ones_like(x), np.zeros_like(x)
-
-
-def _sin(x):
-    s, c = np.sin(x), np.cos(x)
-    return s, c, -s
-
-
-def _cos(x):
-    s, c = np.sin(x), np.cos(x)
-    return c, -s, -c
-
-
-def _sinh(x):
-    s, c = np.sinh(x), np.cosh(x)
-    return s, c, s
-
-
 def _indicial(c: float) -> float:
     """Larger root of mu (mu - 1) = c: psi ~ x^mu at a c/x^2 wall."""
     return 0.5 + math.sqrt(0.25 + c)
 
 
 def _walls(family) -> tuple:
-    """(position, exponent, f) for each singular wall of ``family``."""
-    kind = family_kind(family) if hasattr(family, "potential") else None
-    if kind == "radial_sextic":
-        return ((0.0, _indicial(family.g), _power),)
-    if kind == "circular":
-        return ((0.0, _indicial(family.A), _sin), (math.pi / 2, _indicial(family.B), _cos))
-    if kind == "hyperbolic":
-        return ((0.0, _indicial(family.B), _sinh),)
-    return ()
+    """(position, exponent, f) for each singular wall of ``family``; a bare callable has none."""
+    return tuple((position, _indicial(c), f) for position, c, f in getattr(family, "walls", ()))
 
 
 def _log_wall_factor(walls, x):
@@ -143,12 +104,6 @@ def _log_wall_factor(walls, x):
         slope += mu * f1 / f0
         curvature += mu * (f2 / f0 - (f1 / f0) ** 2)
     return log_w, curvature + slope * slope
-
-
-def _potential_of(family_or_callable):
-    if hasattr(family_or_callable, "potential"):
-        return family_or_callable.potential
-    return family_or_callable
 
 
 def _jacobi_mass(alpha: float, beta: float) -> float:
@@ -216,7 +171,7 @@ def discretize(family, grid: Grid) -> np.ndarray:
     every other end is a fixed node whose basis function is dropped. A bare
     callable or a wall-free family has w = 1.
     """
-    pot = _potential_of(family)
+    pot = getattr(family, "potential", family)
     walls = _walls(family)
     exponent = [0.0, 0.0]  # Jacobi exponent at x_min, x_max; 2 mu > 1 on a wall
     for position, mu, _ in walls:
@@ -268,18 +223,16 @@ class OracleSpectrum:
             raise ValueError("error estimates must be positive")
 
 
-def _grown_domain(kind: str | None, domain: tuple[float, float]) -> tuple[float, float]:
-    """The domain of the truncation check: ends facing infinity move out by one
-    unit, ends facing a singular point move onto it (the default domains
-    already put them there)."""
+def _grown_domain(walls: tuple, domain: tuple[float, float]) -> tuple[float, float]:
+    """The domain of the truncation check: an end with a wall beyond it moves
+    onto that wall (the default domains already put it there), and any other
+    end moves out by one unit. One more unit multiplies the tail bound
+    enormously while keeping the hyperbolic cosh^4 within floating-point
+    reach."""
     lo, hi = domain
-    if kind == "circular":
-        return 0.0, math.pi / 2
-    if kind in ("radial_sextic", "hyperbolic"):
-        # One more unit multiplies the tail bound enormously while keeping
-        # the hyperbolic cosh^4 within floating-point reach.
-        return 0.0, hi + 1.0
-    return lo - 1.0, hi + 1.0
+    below = [position for position, _, _ in walls if position <= lo]
+    above = [position for position, _, _ in walls if position >= hi]
+    return max(below, default=lo - 1.0), min(above, default=hi + 1.0)
 
 
 def _solve(family, grid: Grid, k: int) -> tuple[np.ndarray, float]:
@@ -308,11 +261,10 @@ def refine(
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
     if k > n_start:
         raise ValueError(f"{k} levels need at least {k} nodes; n_start is {n_start}")
-    kind = family_kind(family) if hasattr(family, "potential") else None
     if domain is None:
-        if kind is None:
+        if not hasattr(family, "oracle_domain"):
             raise ValueError("a domain is required for a bare potential callable")
-        domain = DEFAULT_DOMAINS[kind]
+        domain = family.oracle_domain
 
     grid = Grid(domain[0], domain[1], n_start)
     energies, _ = _solve(family, grid, k)
@@ -332,7 +284,7 @@ def refine(
         )
 
     shift = np.zeros(k)
-    grown = _grown_domain(kind, domain)
+    grown = _grown_domain(_walls(family), domain)
     if grown != tuple(domain):
         n_grown = math.ceil(grid.n_interior * (grown[1] - grown[0]) / (domain[1] - domain[0]))
         shift = np.abs(_solve(family, Grid(grown[0], grown[1], n_grown), k)[0] - energies)

@@ -12,19 +12,20 @@ the polynomial families, t = sin^2 x for the trigonometric family and
 t = cosh x for the hyperbolic one. P is stored in v = z^k, the chart's
 reduced power: x^2 (the sextic's parity sectors and the radial family),
 sin^2 x and cosh^2 x. One formula in z evaluates every family's
-eigenfunction, and the chart's map carries it to x.
+eigenfunction, and the chart's map carries it to x. The closed forms the
+gauge is checked against, the sector and the sample window are the family's
+own data.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import engine
-from .families import PotentialFamily, family_kind
+from .families import PotentialFamily
 from .series import Polynomial
 
 __all__ = [
@@ -59,10 +60,10 @@ class GaugeSpec:
     ``(location, exponent)`` per fixed pole of the ledger, the exponent being
     i * measure times the selected momentum residue there.
     ``gauge_polynomial`` is G(z) with ``psi`` carrying ``exp(-G)``; it
-    integrates the principal part of the momentum at infinity. ``sector`` is
-    ``even``/``odd`` for the sextic (the parity of n), ``radial`` or
-    ``chart`` otherwise. ``ledger`` is the quantization ledger all three
-    were read from.
+    integrates the principal part of the momentum at infinity. ``sector``,
+    named by the family, is ``even``/``odd`` for the sextic (the parity of
+    n), ``radial`` or ``chart`` otherwise. ``ledger`` is the quantization
+    ledger all three were read from.
     """
 
     prefactors: tuple[tuple[complex, float], ...]
@@ -101,11 +102,10 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     Every exponent comes from a fixed-pole residue. The gauge polynomial
     integrates the principal part of the momentum at infinity,
     ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
-    variable z. Closed-form consistency with the family parameters is
-    asserted. A sextic off its solvability condition raises
+    variable z. The family's ``gauge_sector`` checks its closed forms
+    against them. A sextic off its solvability condition raises
     :class:`QESConditionError`.
     """
-    kind = family_kind(family)
     ledger = engine.quantization_ledger(family, require_integer=False)
     if ledger.n is None:  # only a sextic; the other families raise NonQESError in the ledger
         nu = ledger.solved_condition["n_value"]
@@ -121,18 +121,7 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     prefactors = tuple(
         (loc, _real_part(1j * measure * res, "prefactor exponent")) for loc, res in ledger.fixed_residues
     )
-    if kind in ("sextic", "radial_sextic") and abs(4 * g[4] - family.a) > 1e-12 * (1 + family.a):
-        raise ArithmeticError("gauge does not reproduce the selected infinity branch")
-    sector = "chart"
-    if kind == "sextic":
-        # no fixed pole; the odd sector's factor x lives in the moving polynomial
-        sector = "odd" if ledger.n % 2 else "even"
-    elif kind == "radial_sextic":
-        sector = "radial"
-        mu = prefactors[0][1]
-        if abs(mu - family.mu) > 1e-10 * (1 + abs(mu)):
-            raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
-    return GaugeSpec(prefactors, Polynomial(g), sector, ledger)
+    return GaugeSpec(prefactors, Polynomial(g), family.gauge_sector(g, prefactors, ledger.n), ledger)
 
 
 def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray:
@@ -153,44 +142,35 @@ def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray
 def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
     """Dense real matrix of the finite coefficient recursion on (c_0, c_1, ...).
 
-    Its eigenpairs are the algebraic energies and states. The sextic acts on
-    the powers of x of the gauge's parity sector; the ledger's n makes the
-    recursion truncate for every family.
+    Its eigenpairs are the algebraic energies and states; the ledger's chart
+    picks the recursion and its n makes it truncate. On the identity chart
+    it acts on P(x^2) with x^mu at the origin: mu is the radial family's
+    closed form 2S - 1/2 at a fixed pole there, else the parity of the
+    sextic's moving polynomial.
     """
-    family, n = gauge.ledger.family, gauge.ledger.n
-    kind = family_kind(family)
-    if kind == "sextic":
+    ledger = gauge.ledger
+    family, n, chart = ledger.family, ledger.n, ledger.chart
+    if chart.Q.degree == 0:
         a, b = family.a, family.b
-        ks = range(n % 2, n + 1, 2)
-        dim = len(ks)
+        mu = family.mu if gauge.prefactors else n % 2
+        half = ledger.per_n_weight * n // 2
+        dim = half + 1
         h = np.zeros((dim, dim))
-        for i, k in enumerate(ks):
-            h[i, i] = b * (2 * k + 1)
-            if i + 1 < dim:
-                h[i, i + 1] = -(k + 2) * (k + 1)
-            if i - 1 >= 0:
-                h[i, i - 1] = 2.0 * a * (k - 2 - n)
-        return h
-
-    if kind == "radial_sextic":
-        a, b, mu = family.a, family.b, family.mu
-        ks = range(0, 2 * n + 1, 2)
-        dim = len(ks)
-        h = np.zeros((dim, dim))
-        for i, k in enumerate(ks):
+        for i in range(dim):
+            k = 2 * i
             h[i, i] = b * (2 * k + 2 * mu + 1)
             if i + 1 < dim:
                 h[i, i + 1] = -(k + 2) * (k + 1 + 2 * mu)
             if i - 1 >= 0:
-                h[i, i - 1] = 2.0 * a * (k - 2 - 2 * n)
+                h[i, i - 1] = 2.0 * a * (k - 2 - 2 * half)
         return h
 
     (_, mu0), (_, mu1) = gauge.prefactors[:2]
-    if kind == "hyperbolic":
-        # the recursion acts on P(s), s = t^2, which is quadratic at t = 0
-        mu0 = mu0 / 2.0
-    h = _chart_matrix(mu0, mu1, family.q1, n)
-    return -h if kind == "hyperbolic" else h
+    if chart.Q(0) == 0:  # Q = 4t(1 - t): the t = sin^2 x recursion
+        return _chart_matrix(mu0, mu1, family.q1, n)
+    # Q = t^2 - 1: the recursion acts on P(s), s = t^2, which is quadratic at
+    # t = 0, and is the trigonometric one negated
+    return -_chart_matrix(mu0 / 2.0, mu1, family.q1, n)
 
 
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
@@ -267,7 +247,7 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     m = moving_polynomial(state)
     m1 = m.derivative()
     m2 = m1.derivative()
-    lo, hi = _sample_window(state.family)
+    lo, hi = state.family.sample_window
     inside = coordinates(0.5 * (lo + hi))[0].real  # a point of the physical interval, in z
     factors = [(loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in gauge.prefactors]
 
@@ -289,25 +269,12 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     return evaluate
 
 
-_SAMPLE_WINDOWS = {
-    "sextic": (-4.0, 4.0),
-    "radial_sextic": (0.05, 4.0),
-    "circular": (0.02, math.pi / 2 - 0.02),
-    "hyperbolic": (0.05, 3.0),
-}
-
-
-def _sample_window(family: PotentialFamily) -> tuple[float, float]:
-    """The real interval where the Schrödinger residual is sampled."""
-    return _SAMPLE_WINDOWS[family_kind(family)]
-
-
 def schrodinger_residual(state: AlgebraicState, n_samples: int = 50) -> float:
     """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window.
 
     The evaluator and the potential are each called once, on all samples.
     """
-    xs = np.linspace(*_sample_window(state.family), n_samples)
+    xs = np.linspace(*state.family.sample_window, n_samples)
     psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
     worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))
     peak = float(np.max(np.abs(psi)))

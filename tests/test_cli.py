@@ -40,6 +40,13 @@ def test_unknown_family_parameter_rejected(tmp_path):
     assert main(["derive", "--config", cfg]) == 1
 
 
+@pytest.mark.parametrize("name", [["circular"], {"circular": 1}, 3])
+def test_family_name_that_is_not_a_string_is_a_config_error(tmp_path, capsys, name):
+    cfg = write_config(tmp_path, {"family": {"name": name, "S1": 1.0, "S2": 1.2, "q1": 1.0, "M": 2}})
+    assert main(["derive", "--config", cfg]) == 1
+    assert "config error: unknown family name" in capsys.readouterr().err
+
+
 def test_missing_family_field_rejected(tmp_path):
     cfg = write_config(tmp_path, {"family": {"name": "sextic", "alpha": 1.0}})
     assert main(["derive", "--config", cfg]) == 1

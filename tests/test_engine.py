@@ -310,6 +310,12 @@ def test_ledger_is_pinned(fam, entries, coeffs, lo, hi, fixed):
     assert repr(led.fixed_residues) == fixed
 
 
+@pytest.mark.parametrize("fam", [row[0] for row in _PINNED_LEDGERS], ids=["sextic", "radial_sextic", "circular", "hyperbolic"])
+def test_ledger_repr_holds_no_address(fam):
+    # the chart's coordinate map stays out of the repr, so a ledger reads the same in every process
+    assert "0x" not in repr(quantization_ledger(fam))
+
+
 # Both candidates of every residue quadratic, by repr (signed zeros included):
 # U = W Q'/(2Q) feeds the linear term of each fixed-pole quadratic, so the way
 # W and U are formed must leave these as they are.

@@ -193,7 +193,7 @@ def _closed_form_psi(family, poly, x):
     """psi on real x written from the family's parameters alone; poly is P in the reduced variable."""
     kind = family_kind(family)
     if kind in ("sextic", "radial_sextic"):
-        power = round(family.qes_n) % 2 if kind == "sextic" else 2 * family.S - 0.5
+        power = round((family.condition_value - 3.0) / 2.0) % 2 if kind == "sextic" else 2 * family.S - 0.5
         return x**power * np.exp(-family.a * x**4 / 4 - family.b * x**2 / 2) * poly(x * x)
     if kind == "circular":
         s, c = np.sin(x), np.cos(x)
@@ -204,7 +204,7 @@ def _closed_form_psi(family, poly, x):
 
 @pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
 def test_evaluator_matches_the_closed_forms_of_the_parameters(family):
-    xs = np.linspace(*spectra._SAMPLE_WINDOWS[family_kind(family)], 50)
+    xs = np.linspace(*family.sample_window, 50)
     for s in algebraic_states(family):
         expected = _closed_form_psi(family, s.poly, xs)
         psi = eigenfunction_with_derivatives(s)(xs)[0]
@@ -247,7 +247,7 @@ def test_moving_polynomial_is_pinned(family, coeffs):
 
 def _residual_by_loop(state, n_samples=50):
     """The Schrödinger residual one sample at a time: the reference for the array version."""
-    lo, hi = spectra._SAMPLE_WINDOWS[family_kind(state.family)]
+    lo, hi = state.family.sample_window
     f = eigenfunction_with_derivatives(state)
     worst = peak = 0.0
     for x in np.linspace(lo, hi, n_samples):
