@@ -254,14 +254,14 @@ def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, l
     itself, so a poorly certified oracle cannot widen its own check.
     """
     tol = config["_tolerances"]["oracle_tol"]
-    grid = config.get("grid")
-    options = {}
+    grid = config.get("grid") or {}
+    k = 2 * len(states) + 4
+    # refine needs a node per level; a smaller starting count is raised to k
+    options = {"n_start": max(k, grid.get("n", oracle.N_START))}
     if grid:
         options["domain"] = (float(grid["x_min"]), float(grid["x_max"]))
-        if "n" in grid:
-            options["n_start"] = grid["n"]
     with _stage("oracle_convergence"):
-        spec = oracle.refine(family, k=2 * len(states) + 4, tol=max(1e-8, tol / 2.0), **options)
+        spec = oracle.refine(family, k=k, tol=max(1e-8, tol / 2.0), **options)
     matches = []
     for s in states:
         j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -110,7 +110,6 @@ class BranchCandidate:
     label: str
     leading_coefficient: complex
     location: Union[str, complex]
-    decay_flag: bool | None = None
 
 
 @dataclass(frozen=True)
@@ -423,8 +422,7 @@ def _select_at_pole(
     eb = _implied_exponent(b, chart)
     if abs(ea - eb) <= 1e-12 * (1.0 + abs(ea) + abs(eb)):
         raise BranchRuleError("branch rule indeterminate: degenerate local exponents")
-    chosen = a if ea > eb else b
-    return replace(chosen, decay_flag=True)
+    return a if ea > eb else b
 
 
 def select_physical_branch(
@@ -455,8 +453,7 @@ def select_physical_branch(
             db = (1j * b.leading_coefficient).real < 0
         if da == db:
             raise BranchRuleError("branch rule indeterminate: decay test does not split the pair")
-        chosen, other = (a, b) if da else (b, a)
-        return replace(chosen, decay_flag=True)
+        return a if da else b
 
     return _select_at_pole(pair, complex(location), family.chart)
 

@@ -3,14 +3,13 @@
 The momentum function p = -i psi'/psi of a closed-form state is assembled
 analytically (log-derivative of the stored factors; no numerical
 differentiation). Its simple poles at the zeros of the polynomial factor are
-the moving poles; this module measures their residues by contour quadrature,
-counts them two independent ways, and checks the counting laws:
+the moving poles; this module measures their residues by contour quadrature
+and checks the counting laws:
 
 * every simple moving pole carries residue -i times the chart weight;
 * a contour hugging the real axis picks up exactly the real zeros;
-* a large contour, after removing the fixed-pole contributions, counts all
-  moving poles - and must agree with the argument principle applied to the
-  polynomial factor alone.
+* a large contour, after removing the exact fixed-pole contributions, counts
+  all moving poles.
 
 The census lives in the plane of the ledger's chart variable: x for the
 polynomial families, t = sin^2 x or t = cosh x for the trigonometric and
@@ -62,10 +61,11 @@ class QmfEvaluator:
 
     ``evaluation`` maps a point of the census plane to p (or the reduced
     chart momentum q), elementwise when given an ndarray of points; its
-    moving-pole part is P'/P from the coefficients of ``moving_poly``.
-    ``moving_zeros`` holds the zeros of ``moving_poly`` with multiplicities,
-    as ``poly_roots`` returns them, solved once when the evaluator is built;
-    they place contours and name poles but never enter ``evaluation``.
+    moving-pole part is P'/P from the coefficients of the moving polynomial.
+    ``moving_zeros`` holds its zeros with multiplicities, sorted as
+    ``poly_roots`` returns them, solved and split into ``real_zeros`` and
+    ``complex_zeros`` once when the evaluator is built; they place contours
+    and name poles but never enter ``evaluation``.
     ``moving_residue`` is the exact residue every simple moving pole must
     carry; ``measure`` converts chart residues to quantization units, so
     measure * moving_residue = -i always.
@@ -74,8 +74,9 @@ class QmfEvaluator:
     state: AlgebraicState
     evaluation: Callable[[complex | np.ndarray], complex | np.ndarray]
     census_variable: str
-    moving_poly: Polynomial
     moving_zeros: tuple[tuple[complex, int], ...]
+    real_zeros: tuple[complex, ...]
+    complex_zeros: tuple[complex, ...]
     fixed_singularities: tuple[tuple[complex, complex], ...]  # (location, residue)
     measure: float
     moving_residue: complex
@@ -110,12 +111,14 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     ``p(z) = sum_{k=lo}^{0} c_k z^(-k) + sum_i res_i / (z - z_i) + (-i/measure) P'(z)/P(z)``,
     the principal part of the infinity series, the selected fixed-pole
     residues, and one pole of residue -i/measure at each zero of P. The
-    census variable z and the measure are the ledger's chart.
+    census variable z and the measure are the ledger's chart. A degenerate
+    zero raises ``DegenerateZeroError``.
     """
     ledger = state.gauge.ledger
     pol = moving_polynomial(state)
     dpol = pol.derivative()
     zeros = tuple(poly_roots(pol)) if pol.degree else ()
+    real, cplx = _classified_zeros(zeros)
     ser = ledger.infinity_series
     principal = Polynomial([ser.coefficient(-j) for j in range(1 - ser.lo)])
     fixed = ledger.fixed_residues
@@ -128,12 +131,12 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
             val = val + res / (z - loc)
         return val
 
-    return QmfEvaluator(state, evaluation, chart.variable, pol, zeros, fixed, chart.measure, moving)
+    return QmfEvaluator(state, evaluation, chart.variable, zeros, real, cplx, fixed, chart.measure, moving)
 
 
-def _classified_zeros(e: QmfEvaluator):
+def _classified_zeros(zeros: tuple[tuple[complex, int], ...]):
     real, cplx = [], []
-    for z, mult in e.moving_zeros:
+    for z, mult in zeros:
         if mult > 1:
             raise DegenerateZeroError(f"degenerate zero at {z} (multiplicity {mult})")
         threshold = _REAL_AXIS_TOL * (1.0 + abs(z))
@@ -146,7 +149,7 @@ def _classified_zeros(e: QmfEvaluator):
             real.append(z)
         else:
             cplx.append(z)
-    return real, cplx
+    return tuple(real), tuple(cplx)
 
 
 @functools.lru_cache(maxsize=8)
@@ -158,16 +161,16 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _stadium_integral(f, x_lo: float, x_hi: float, h: float, n_nodes: int = 48) -> complex:
+def _stadium_integral(f, x_lo: float, x_hi: float, h: float) -> complex:
     """Counterclockwise integral over a stadium around [x_lo, x_hi] of half-height h.
 
-    Right arc, upper side, left arc and lower side each use n_nodes-point
+    Right arc, upper side, left arc and lower side each use 48-point
     Gauss-Legendre, and ``f`` is called once on all their nodes. The rule
-    is built once per node count and shared by every call. The straight
+    is built once and shared by every call. The straight
     sides are split into panels no longer than the pole clearance h, so
     accuracy does not degrade when the stadium is flat.
     """
-    x, w = _gauss_legendre(n_nodes)
+    x, w = _gauss_legendre(48)
     n_panels = min(1000, max(1, math.ceil((x_hi - x_lo) / h)))
 
     def arc(center: float, a0: float, a1: float):
@@ -193,7 +196,7 @@ def _stadium_integral(f, x_lo: float, x_hi: float, h: float, n_nodes: int = 48) 
     return complex(np.sum(weights * sample_finite(f, nodes)))
 
 
-def residue_at_zero(e: QmfEvaluator, z0: complex, n_points: int = 2048) -> complex:
+def residue_at_zero(e: QmfEvaluator, z0: complex) -> complex:
     """(1/2 pi i) times the small-circle integral of the momentum around z0."""
     z0 = complex(z0)
     others = [z for z, _ in e.moving_zeros if abs(z - z0) > 1e-12]
@@ -201,7 +204,7 @@ def residue_at_zero(e: QmfEvaluator, z0: complex, n_points: int = 2048) -> compl
     radius = 0.1
     if others:
         radius = min(radius, 0.5 * min(abs(z0 - z) for z in others))
-    integral = contour_integral(e.evaluation, CircleContour(z0, radius), n_points)
+    integral = contour_integral(e.evaluation, CircleContour(z0, radius), 2048)
     return integral / (2j * math.pi)
 
 
@@ -214,7 +217,7 @@ def quantization_check(e: QmfEvaluator) -> float:
     return 0. Rounding the result to the nearest integer is exact within the
     documented tolerance.
     """
-    real, cplx = _classified_zeros(e)
+    real, cplx = e.real_zeros, e.complex_zeros
     if not real:
         return 0.0
     h = 0.5
@@ -248,48 +251,31 @@ def quantization_check(e: QmfEvaluator) -> float:
     return value.real
 
 
-def global_pole_count(e: QmfEvaluator, n_points: int = 4096) -> float:
-    """Total moving-pole count from a large contour, checked two ways.
+def global_pole_count(e: QmfEvaluator) -> float:
+    """Total moving-pole count from a large contour.
 
-    Route one subtracts the exact fixed-pole contributions from the raw
-    momentum integral; route two applies the argument principle to the
-    polynomial factor alone. The two must agree to 1e-10.
+    The exact fixed-pole contributions are subtracted from the raw momentum
+    integral; what is left, in quantization units, counts the moving poles.
     """
     extent = [abs(z) for z, _ in e.moving_zeros] + [abs(loc) for loc, _ in e.fixed_singularities]
     radius = 2.0 * (1.0 + (max(extent) if extent else 0.0))
-    circle = CircleContour(0j, radius)
-
-    raw = contour_integral(e.evaluation, circle, n_points)
+    raw = contour_integral(e.evaluation, CircleContour(0j, radius), 4096)
     fixed = sum(res for _, res in e.fixed_singularities)
-    route1 = e.measure * raw / (2.0 * math.pi) - 1j * e.measure * fixed
-
-    dpol = e.moving_poly.derivative()
-    if e.moving_poly.degree == 0:
-        route2 = 0j
-    else:
-        route2 = contour_integral(
-            lambda z: dpol(z) / e.moving_poly(z), circle, n_points
-        ) / (2j * math.pi)
-
-    if abs(route1 - route2) > 1e-10 * (1.0 + abs(route1)):
-        raise ArithmeticError(
-            f"count routes disagree: ledger {route1}, argument principle {route2}"
-        )
-    if abs(route1.imag) > 1e-8 * (1.0 + abs(route1)):
-        raise ArithmeticError(f"global count is not real: {route1}")
-    return route1.real
+    count = e.measure * raw / (2.0 * math.pi) - 1j * e.measure * fixed
+    if abs(count.imag) > 1e-8 * (1.0 + abs(count)):
+        raise ArithmeticError(f"global count is not real: {count}")
+    return count.real
 
 
 def zero_census(e: QmfEvaluator) -> CensusReport:
     """Full census: locations, real/complex split, and both counting checks."""
-    real, cplx = _classified_zeros(e)
     return CensusReport(
-        n_real=len(real),
-        n_complex=len(cplx),
-        total=len(real) + len(cplx),
+        n_real=len(e.real_zeros),
+        n_complex=len(e.complex_zeros),
+        total=len(e.moving_zeros),
         quantization_value=quantization_check(e),
         global_count=global_pole_count(e),
-        zeros=tuple(sorted(real + cplx, key=lambda z: (z.real, z.imag))),
+        zeros=tuple(z for z, _ in e.moving_zeros),
     )
 
 
@@ -297,7 +283,7 @@ def pole_reports(e: QmfEvaluator) -> tuple[PoleReport, ...]:
     """Measured residues of every moving pole and every fixed pole."""
     reports = []
     for z, mult in e.moving_zeros:
-        axis = "real" if abs(z.imag) < _REAL_AXIS_TOL * (1 + abs(z)) else "complex"
+        axis = "real" if z in e.real_zeros else "complex"
         reports.append(
             PoleReport(z, mult, residue_at_zero(e, z), "moving", axis)
         )
@@ -308,7 +294,7 @@ def pole_reports(e: QmfEvaluator) -> tuple[PoleReport, ...]:
     return tuple(reports)
 
 
-def infinity_order_check(e: QmfEvaluator, ray_angle: float = 0.37) -> dict:
+def infinity_order_check(e: QmfEvaluator) -> dict:
     """Fit the growth of p along a ray with 10 <= |z| <= 100.
 
     Only meaningful for the polynomial (sextic-type) families, whose momentum
@@ -319,7 +305,7 @@ def infinity_order_check(e: QmfEvaluator, ray_angle: float = 0.37) -> dict:
     if e.census_variable != "x":
         raise ValueError("infinity order check applies to the polynomial families")
     radii = np.geomspace(10.0, 100.0, 24)
-    direction = np.exp(1j * ray_angle)
+    direction = np.exp(0.37j)
     vals = e.evaluation(radii * direction)
     logs_r, logs_p = np.log(radii), np.log(np.abs(vals))
     slope, intercept = np.polyfit(logs_r, logs_p, 1)

@@ -398,6 +398,20 @@ def test_poorly_certified_oracle_fails_its_check(tmp_path, capsys, command, conf
             assert check["tolerance"] == 1e-4
 
 
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+def test_grid_n_below_the_level_count_is_raised(tmp_path, capsys, command):
+    # M = 4 asks the oracle for 2 * 5 + 4 = 14 levels, more than the 8 starting nodes
+    cfg = write_config(
+        tmp_path,
+        {
+            "family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 4},
+            "grid": {"x_min": 0.0, "x_max": 1.5707963267948966, "n": 8},
+        },
+    )
+    assert main([command, "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["first_failure"] is None
+
+
 @pytest.mark.parametrize("command", ["verify", "poles"])
 def test_library_error_still_emits_report(tmp_path, capsys, command):
     # the recursion's leading coefficient vanishes for this instance
@@ -456,6 +470,8 @@ def test_traced_names_resolve_to_functions():
     assert plan
     for owner, attr, *_ in plan:
         assert inspect.isfunction(getattr(owner, attr, None)), f"{owner.__name__}.{attr}"
+    # the contour spans record their node count from this parameter, by name
+    assert "n_points" in inspect.signature(importlib.import_module("qhjqes.series").contour_integral).parameters
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qhjqes.__path__)))
@@ -475,7 +491,7 @@ def test_traced_verify_records_oracle_node_counts(tmp_path):
     with tracer.installed():
         assert tracer.root("cli.main", "cli", 0, main, ["verify", "--config", cfg, "--out", str(traced)]) == 0
     assert traced.read_bytes() == plain.read_bytes()
-    for name in ("oracle.refine", "oracle.low_spectrum"):
+    for name in ("oracle.refine", "oracle.low_spectrum", "series.contour_integral"):
         infos = [info for span, info in zip(tracer.name, tracer.info) if span == name]
         assert infos and all(type(info) is int and info > 0 for info in infos), name
 

@@ -153,7 +153,6 @@ def test_radial_fixed_pole_pair_and_selection():
     assert abs(leads[1] - 0.5j) < 1e-14
     sel = select_physical_branch(pair, fam, 0)
     assert abs(sel.leading_coefficient - (-1.5j)) < 1e-14
-    assert sel.decay_flag
 
 
 def test_radial_pair_formula_generic_s():

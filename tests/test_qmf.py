@@ -75,7 +75,7 @@ def test_array_evaluation_matches_scalar(monkeypatch):
         vals = e.evaluation(nodes)
         scalar = np.array([e.evaluation(complex(z)) for z in nodes])
         assert np.max(np.abs(vals - scalar) / np.abs(scalar)) < 1e-13
-        # p'/p comes from the coefficients of moving_poly, never from the
+        # p'/p comes from the coefficients of the moving polynomial, never from the
         # stored zeros: an evaluator built on wrong zeros evaluates the same
         monkeypatch.setattr(
             qmf_module, "poly_roots", lambda pol: [(z + 0.01, m) for z, m in real_roots(pol)]
@@ -215,6 +215,16 @@ def test_quantization_single_origin_pole():
     assert abs(quantization_check(qmf(_sextic_states(1)[0])) - 1.0) < 1e-8
 
 
+def test_global_count_is_one_contour_integral(monkeypatch):
+    real_integral, calls = qmf_module.contour_integral, []
+    monkeypatch.setattr(
+        qmf_module, "contour_integral", lambda *a, **k: calls.append(a) or real_integral(*a, **k)
+    )
+    e = qmf(algebraic_states(RadialSextic(S=1.25, a=1.0, b=0.5, M=2))[1])
+    assert abs(global_pole_count(e) - 4.0) < 1e-8
+    assert len(calls) == 1
+
+
 def test_global_count_equals_degree():
     for state in _sextic_states(2):
         assert abs(global_pole_count(qmf(state)) - 2.0) < 1e-10
@@ -240,12 +250,12 @@ def test_counting_laws_hold_simultaneously():
             assert round(census.quantization_value) == census.n_real
 
 
-def test_separating_contour_failure():
+def _squeezed_state():
     state = _sextic_states(4)[0]
     # two real nodes plus a conjugate pair hugging the real axis
     u1, u2 = 0.25, complex(0.49, 1.4e-8)
     poly = Polynomial([u1 * u2, -(u1 + u2), 1.0])
-    squeezed = type(state)(
+    return type(state)(
         family=state.family,
         energy=state.energy,
         poly=poly,
@@ -253,9 +263,22 @@ def test_separating_contour_failure():
         n_label=state.n_label,
         index=0,
     )
+
+
+def test_separating_contour_failure():
+    squeezed = _squeezed_state()
     with pytest.warns(UserWarning, match="threshold"):
         with pytest.raises(NoSeparatingContourError):
             quantization_check(qmf(squeezed))
+
+
+def test_each_near_threshold_zero_warns_once_per_census():
+    # the zeros are classified once, when the evaluator is built
+    with pytest.warns(UserWarning, match="threshold") as record:
+        e = qmf(_squeezed_state())
+        with pytest.raises(NoSeparatingContourError):
+            zero_census(e)
+    assert len(record) == 2
 
 
 def test_quantization_handles_zeros_crowding_a_wall():
@@ -366,6 +389,77 @@ def test_pipeline_cloud():
 
 
 # --------------------------------------------------------------- reports
+
+# One state per family, by repr: the census and the pole reports must read the
+# same however the zeros are classified and counted.
+_PINNED_CENSUS = [
+    (
+        qes_parameterize("sextic", 3, a=1.5, b=-0.7), 0,
+        'CensusReport(n_real=1, n_complex=2, total=3, quantization_value=0.9999999999999963, '
+        'global_count=3.0000000000000124, zeros=(-0.8908019533263034j, 0j, 0.8908019533263034j))',
+        '(PoleReport(location=-0.8908019533263034j, multiplicity=1, '
+        "measured_residue=(5.204170427930421e-18-1j), kind='moving', axis='complex'), "
+        "PoleReport(location=0j, multiplicity=1, measured_residue=-1j, kind='moving', axis='real'), "
+        "PoleReport(location=0.8908019533263034j, multiplicity=1, measured_residue=-1j, kind='moving', "
+        "axis='complex'))",
+    ),
+    (
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=2), 1,
+        'CensusReport(n_real=2, n_complex=2, total=4, quantization_value=2.0000000000000138, '
+        'global_count=4.000000000000015, zeros=((-1.263399454869676+0j), -1.4757558455539257j, '
+        '1.4757558455539257j, (1.263399454869676+0j)))',
+        '(PoleReport(location=(-1.263399454869676+0j), multiplicity=1, '
+        "measured_residue=(-1.734723475976807e-18-1j), kind='moving', axis='real'), "
+        'PoleReport(location=-1.4757558455539257j, multiplicity=1, '
+        "measured_residue=(3.469446951953614e-18-1j), kind='moving', axis='complex'), "
+        "PoleReport(location=1.4757558455539257j, multiplicity=1, measured_residue=-1j, kind='moving', "
+        "axis='complex'), PoleReport(location=(1.263399454869676+0j), multiplicity=1, "
+        "measured_residue=(5.204170427930421e-18-1j), kind='moving', axis='real'), PoleReport(location=0j, "
+        "multiplicity=1, measured_residue=(-1.734723475976807e-18-2j), kind='fixed', axis='real'))",
+    ),
+    (
+        Circular(S1=1.0, S2=1.2, q1=-1.5, M=3), 0,
+        'CensusReport(n_real=3, n_complex=0, total=3, quantization_value=3.0, '
+        'global_count=2.999999999999999, zeros=((-6.936851136178023+0j), (-3.37166908356238+0j), '
+        '(-1.1949493603181798+0j)))',
+        '(PoleReport(location=(-6.936851136178023+0j), multiplicity=1, '
+        "measured_residue=(1.1275702593849248e-17-2j), kind='moving', axis='real'), "
+        'PoleReport(location=(-3.37166908356238+0j), multiplicity=1, '
+        "measured_residue=(4.163336342344337e-17-1.9999999999999998j), kind='moving', axis='real'), "
+        'PoleReport(location=(-1.1949493603181798+0j), multiplicity=1, '
+        "measured_residue=(-6.938893903907228e-18-2j), kind='moving', axis='real'), "
+        'PoleReport(location=0j, multiplicity=1, measured_residue=(-1.3877787807814457e-17-1.5j), '
+        "kind='fixed', axis='real'), PoleReport(location=(1+0j), multiplicity=1, measured_residue=-1.9j, "
+        "kind='fixed', axis='real'))",
+    ),
+    (
+        Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2), 0,
+        'CensusReport(n_real=4, n_complex=0, total=4, quantization_value=4.000000000000002, '
+        'global_count=4.000000000000001, zeros=((-0.7993886662966713+0j), (-0.4711637400165076+0j), '
+        '(0.4711637400165077+0j), (0.7993886662966713+0j)))',
+        '(PoleReport(location=(-0.7993886662966713+0j), multiplicity=1, '
+        "measured_residue=(2.0816681711721685e-17-1j), kind='moving', axis='real'), "
+        'PoleReport(location=(-0.4711637400165076+0j), multiplicity=1, measured_residue=-1j, '
+        "kind='moving', axis='real'), PoleReport(location=(0.4711637400165077+0j), multiplicity=1, "
+        "measured_residue=(-6.938893903907228e-18-0.9999999999999999j), kind='moving', axis='real'), "
+        'PoleReport(location=(0.7993886662966713+0j), multiplicity=1, '
+        "measured_residue=(1.3877787807814457e-17-1j), kind='moving', axis='real'), "
+        'PoleReport(location=0j, multiplicity=1, measured_residue=(-1.0408340855860843e-17-1.5j), '
+        "kind='fixed', axis='real'), PoleReport(location=(1+0j), multiplicity=1, "
+        "measured_residue=(-5.551115123125783e-17-1j), kind='fixed', axis='real'), "
+        "PoleReport(location=(-1+0j), multiplicity=1, measured_residue=-1j, kind='fixed', axis='real'))",
+    ),
+]
+
+
+@pytest.mark.parametrize(
+    "family,index,census,reports", _PINNED_CENSUS, ids=["sextic-odd", "radial", "circular-q1-neg", "hyperbolic"]
+)
+def test_census_and_pole_reports_are_pinned(family, index, census, reports):
+    e = qmf(algebraic_states(family)[index])
+    assert repr(zero_census(e)) == census
+    assert repr(pole_reports(e)) == reports
+
 
 
 def test_pole_reports_cover_all_zeros():
