@@ -87,10 +87,9 @@ def build_family(spec: dict):
 def _check_grid(grid) -> None:
     """The oracle's domain: finite ends with x_max > x_min, and an optional integer starting node count."""
     _require_keys(grid, ("x_min", "x_max", "n"), "grid", ("x_min", "x_max"))
-    try:
-        lo, hi = float(grid["x_min"]), float(grid["x_max"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"grid ends must be numbers: {exc}") from exc
+    lo, hi = grid["x_min"], grid["x_max"]
+    if type(lo) not in (int, float) or type(hi) not in (int, float):
+        raise ConfigError(f"grid ends must be numbers, got {lo!r}..{hi!r}")
     if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
         raise ConfigError(f"grid needs finite ends with x_max > x_min, got {lo!r}..{hi!r}")
     n = grid.get("n", oracle.N_START)

@@ -27,9 +27,12 @@ w = 1/z. The pipeline implemented here:
                              per moving pole, and solve the balance for the
                              family parameters.
 
-Energy is carried through the matching as a symbolic linear unknown. For all
-four families it stays out of the coefficients the ledger consumes; the
-matcher checks that rather than assuming it.
+Energy enters R only through the numerator term E den (``rhs_num_energy``),
+so the lowest order at which it reaches R at infinity follows from the
+degrees of den and of R's denominator. The matcher is plain complex
+arithmetic on R without that term, and the ledger's window stops below the
+first coefficient of q that E reaches; for every family the large-contour
+value sits below it.
 
 All functions are pure and deterministic.
 """
@@ -166,40 +169,6 @@ def _denominators(chart: ChartSpec, den: tuple) -> tuple[Polynomial, Polynomial]
     return Polynomial(den), Polynomial(np.convolve(m2q, den) + 0.0)
 
 
-# ----------------------------------------------------------------------
-# Energy-linear arithmetic for the matcher.
-
-
-@dataclass(frozen=True)
-class _AffineE:
-    """A value c + e*E with the energy E kept symbolic (linear only)."""
-
-    c: complex
-    e: complex = 0j
-
-    def __add__(self, other: "_AffineE") -> "_AffineE":
-        return _AffineE(self.c + other.c, self.e + other.e)
-
-    def __sub__(self, other: "_AffineE") -> "_AffineE":
-        return _AffineE(self.c - other.c, self.e - other.e)
-
-    def times(self, other: "_AffineE") -> "_AffineE":
-        if self.e != 0 and other.e != 0:
-            raise MatchingFailure(
-                "energy would enter the matching nonlinearly; reduce the depth"
-            )
-        return _AffineE(self.c * other.c, self.c * other.e + self.e * other.c)
-
-    def scaled(self, z: complex) -> "_AffineE":
-        return _AffineE(self.c * z, self.e * z)
-
-    def over(self, z: complex) -> "_AffineE":
-        return _AffineE(self.c / z, self.e / z)
-
-
-_AFFINE_ZERO = _AffineE(0j, 0j)
-
-
 def _series_inverse(d: np.ndarray, n: int) -> np.ndarray:
     """First n coefficients of 1/d(w) as a power series; d[0] != 0."""
     inv = np.zeros(n, dtype=complex)
@@ -244,12 +213,13 @@ class _LocalEquation:
 
     w_coeffs: dict[int, complex]
     u_coeffs: dict[int, complex]
-    r_coeffs: dict[int, _AffineE]
+    r_coeffs: dict[int, complex]
     leading_order: int  # m, with q = c_m w^m + ...
     depth: int  # number of coefficients of q to match
+    energy_order: int | None  # lowest order of E in R, left out of r_coeffs; None once E is a number in R
 
 
-def _localize_at_infinity(r: RiccatiData, depth: int | None = None) -> _LocalEquation:
+def _localize_at_infinity(r: RiccatiData, depth: int | None = None, energy: float | None = None) -> _LocalEquation:
     """Expand the chart equation about the image of x = infinity.
 
     The equation is transported to w = 1/z, under which q'(z) becomes
@@ -258,6 +228,12 @@ def _localize_at_infinity(r: RiccatiData, depth: int | None = None) -> _LocalEqu
     reversed numerator of top degree have nonzero constant terms. ``depth``
     (the number of coefficients of q to match) defaults to the pole order of
     q at w = 0 plus 3.
+
+    E enters R only through ``rhs_num_energy``, so by the same argument its
+    first term sits exactly at ``energy_order = deg rhs_den - deg
+    rhs_num_energy``, never below R's leading order. With ``energy=None`` R
+    is expanded without E's part, which is exact below ``energy_order``;
+    a given ``energy`` is substituted into the numerator instead.
     """
     dn = max(r.rhs_num_const.degree, r.rhs_num_energy.degree)
     dd = r.rhs_den.degree
@@ -272,57 +248,54 @@ def _localize_at_infinity(r: RiccatiData, depth: int | None = None) -> _LocalEqu
         raise ValueError(f"depth must be at least {pole_order + 2} for this equation")
 
     hi = m2 + depth + 2
-    num_c = _reversed_poly(r.rhs_num_const, dn)
-    num_e = _reversed_poly(r.rhs_num_energy, dn)
-    den = _reversed_poly(r.rhs_den, dd)
-    r_c = _laurent_rational(num_c, den, m2, hi)
-    r_e = _laurent_rational(num_e, den, m2, hi)
-    r_coeffs = {k: _AffineE(r_c.get(k, 0j), r_e.get(k, 0j)) for k in set(r_c) | set(r_e)}
+    num, energy_order = r.rhs_num_const, dd - r.rhs_num_energy.degree
+    if energy is not None:
+        num = Polynomial(np.polynomial.polynomial.polyadd(num.coeffs, (energy * r.rhs_num_energy).coeffs))
+        energy_order = None
+    r_coeffs = _laurent_rational(_reversed_poly(num, dn), _reversed_poly(r.rhs_den, dd), m2, hi)
     w, u_num, u_den = r.chart.riccati_weights()
     un, ud = u_num.degree, u_den.degree
     u_coeffs = _laurent_rational(_reversed_poly(u_num, un), _reversed_poly(u_den, ud), ud - un, hi + 2)
-    return _LocalEquation({2: -w.coeffs[0]}, u_coeffs, r_coeffs, m, depth)
+    return _LocalEquation({2: -w.coeffs[0]}, u_coeffs, r_coeffs, m, depth, energy_order)
 
 
-def _match_local(eq: _LocalEquation, lead: complex, n_coeffs: int) -> dict[int, _AffineE]:
+def _match_local(eq: _LocalEquation, lead: complex, n_coeffs: int) -> dict[int, complex]:
     """Solve q^2 + W q' + U q = R order by order from the leading power up."""
     m = eq.leading_order
-    coeffs: dict[int, _AffineE] = {m: _AffineE(complex(lead))}
-    lead2 = _AffineE(complex(lead)).times(_AffineE(complex(lead)))
-    r2m = eq.r_coeffs.get(2 * m, _AFFINE_ZERO)
-    resid = lead2 - r2m
-    scale = max(1.0, abs(r2m.c))
-    if abs(resid.c) > 1e-10 * scale or resid.e != 0:
-        raise MatchingFailure(f"matching failure at order {2 * m}: leading quadratic off by {resid.c:.3e}")
+    lead = complex(lead)
+    coeffs = {m: lead}
+    r2m = eq.r_coeffs.get(2 * m, 0j)
+    resid = lead * lead - r2m
+    scale = max(1.0, abs(r2m))
+    if abs(resid) > 1e-10 * scale or eq.energy_order == 2 * m:
+        raise MatchingFailure(f"matching failure at order {2 * m}: leading quadratic off by {resid:.3e}")
 
     for new in range(m + 1, m + n_coeffs):
         s = new + m
-        total = _AFFINE_ZERO
+        total = 0j
         for i in range(m, s - m + 1):
             j = s - i
             if j < m or i == new or j == new:
                 continue
-            total = total + coeffs[i].times(coeffs[j])
+            total += coeffs[i] * coeffs[j]
         for k, ck in coeffs.items():
             wk = eq.w_coeffs.get(s - k + 1)
             if wk and k != 0:
-                total = total + ck.scaled(k * wk)
+                total += ck * (k * wk)
             uk = eq.u_coeffs.get(s - k)
             if uk:
-                total = total + ck.scaled(uk)
+                total += ck * uk
         lin = 2.0 * lead + new * eq.w_coeffs.get(m + 1, 0j) + eq.u_coeffs.get(m, 0j)
         if lin == 0:
             raise MatchingFailure(f"matching failure at order {s}: resonant linear coefficient")
-        rhs = eq.r_coeffs.get(s, _AFFINE_ZERO) - total
-        coeffs[new] = rhs.over(lin)
+        coeffs[new] = (eq.r_coeffs.get(s, 0j) - total) / lin
     return coeffs
 
 
 def _branch_pair(eq: _LocalEquation) -> tuple[BranchCandidate, BranchCandidate]:
-    r2m = eq.r_coeffs.get(2 * eq.leading_order, _AFFINE_ZERO)
-    if r2m.e != 0:
+    if eq.energy_order == 2 * eq.leading_order:
         raise MatchingFailure("energy enters the leading matching order")
-    root = cmath.sqrt(r2m.c)
+    root = cmath.sqrt(eq.r_coeffs.get(2 * eq.leading_order, 0j))
     if root == 0:
         raise MatchingFailure("degenerate leading coefficient (vanishing top term)")
     return (
@@ -331,19 +304,13 @@ def _branch_pair(eq: _LocalEquation) -> tuple[BranchCandidate, BranchCandidate]:
     )
 
 
-def _expansion(eq: _LocalEquation, branch: BranchCandidate, energy: float | None) -> LaurentSeries:
-    coeffs = _match_local(eq, branch.leading_coefficient, eq.depth)
+def _expansion(eq: _LocalEquation, branch: BranchCandidate) -> LaurentSeries:
+    """q through ``depth`` coefficients, or up to the first one that E reaches (order ``energy_order - m``)."""
     m = eq.leading_order
     hi = m + eq.depth - 1
-    if energy is not None:
-        values = {k: v.c + v.e * energy for k, v in coeffs.items()}
-        return LaurentSeries(values, m, hi)
-    for k in sorted(coeffs):
-        if coeffs[k].e != 0:
-            hi = k - 1
-            break
-    values = {k: v.c for k, v in coeffs.items() if k <= hi}
-    return LaurentSeries(values, m, hi)
+    if eq.energy_order is not None:
+        hi = min(hi, eq.energy_order - m - 1)
+    return LaurentSeries(_match_local(eq, branch.leading_coefficient, hi - m + 1), m, hi)
 
 
 def infinity_branch_candidates(r: RiccatiData) -> tuple[BranchCandidate, BranchCandidate]:
@@ -359,14 +326,16 @@ def infinity_expansion(
 ) -> LaurentSeries:
     """Laurent coefficients of the reduced momentum at the image of infinity.
 
-    With ``energy=None`` the energy stays symbolic and the returned window is
-    capped just below the first energy-dependent coefficient (everything the
-    ledger consumes sits below that). Passing a concrete ``energy`` returns
-    the full requested depth, which defaults to the pole order plus 3.
+    E enters R only through ``rhs_num_energy``, first at the order
+    ``deg rhs_den - deg rhs_num_energy`` that the degrees fix, and so reaches
+    q first at that order less q's leading order. With ``energy=None`` the
+    returned window stops just below that coefficient (everything the ledger
+    consumes sits below it). Passing a concrete ``energy`` returns the full
+    requested depth, which defaults to the pole order plus 3.
 
     The exponents are powers of w = 1/z, z the chart variable.
     """
-    return _expansion(_localize_at_infinity(r, depth), branch, energy)
+    return _expansion(_localize_at_infinity(r, depth, energy), branch)
 
 
 def fixed_pole_residues(r: RiccatiData, pole: complex) -> tuple[BranchCandidate, BranchCandidate]:
@@ -476,7 +445,7 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     eq = _localize_at_infinity(r)
     pair = _branch_pair(eq)
     sel = select_physical_branch(pair, family, "infinity")
-    ser = _expansion(eq, sel, None)
+    ser = _expansion(eq, sel)
     c1 = ser.coefficient(1)
     j_value = 1j * chart.measure * c1
     if abs(j_value.imag) > 1e-10 * (1.0 + abs(j_value)):

@@ -70,8 +70,9 @@ def test_missing_file_is_a_config_error():
         {"x_min": 1.0, "x_max": -1.0, "n": 50},
         {"x_min": "a", "x_max": 1.0},
         {"x_min": -6.0, "x_max": 6.0, "n": 2048},
+        {"x_min": "-6", "x_max": True, "n": 48},
     ],
-    ids=["no-ends", "reversed-ends", "non-numeric-end", "n-out-of-range"],
+    ids=["no-ends", "reversed-ends", "non-numeric-end", "n-out-of-range", "string-and-boolean-ends"],
 )
 def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, {**SEXTIC_N2, "grid": grid})

@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from qhjqes.engine import (
     IDENTITY,
     TRIG,
     BranchRuleError,
+    MatchingFailure,
     NonQESError,
     fixed_pole_residues,
     infinity_branch_candidates,
@@ -19,6 +21,7 @@ from qhjqes.engine import (
     select_physical_branch,
 )
 from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic
+from test_families import ReflectedCircular
 
 
 def _sextic(alpha=-7.0, beta=0.0, gamma=1.0):
@@ -114,12 +117,36 @@ def test_energy_stays_out_of_ledger_coefficients():
             assert abs(symbolic.coefficient(k) - concrete.coefficient(k)) < 1e-14
 
 
-def test_energy_enters_above_ledger_window():
-    r = riccati_in_chart(_sextic())
-    branch = infinity_branch_candidates(r)[0]
-    low = infinity_expansion(r, branch, depth=9, energy=0.0)
-    high = infinity_expansion(r, branch, depth=9, energy=10.0)
-    assert abs(low.coefficient(3) - high.coefficient(3)) > 1e-6
+@pytest.mark.parametrize(
+    "fam,hi",
+    [
+        (_sextic(), 2),
+        (Sextic(-4.0, 2.0, 1.0), 2),
+        (RadialSextic(S=1.25, a=1.0, b=0.5, M=2), 2),
+        (Circular(S1=1.1, S2=0.9, q1=1.4, M=1), 1),
+        (Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1), 2),
+        (ReflectedCircular(1.1, 0.9, 1.4, 1), 1),
+    ],
+    ids=["readme_sextic", "sextic", "radial_sextic", "circular", "hyperbolic", "reflected_circular"],
+)
+def test_energy_enters_above_ledger_window(fam, hi):
+    # the window's end comes from degrees alone; two concrete energies must
+    # first disagree on the coefficient just above it, on both branches
+    r = riccati_in_chart(fam)
+    for branch in infinity_branch_candidates(r):
+        assert infinity_expansion(r, branch).hi == hi
+        low = infinity_expansion(r, branch, energy=0.0)
+        high = infinity_expansion(r, branch, energy=10.0)
+        gap = [abs(low.coefficient(k) - high.coefficient(k)) for k in range(low.lo, hi + 2)]
+        assert max(gap[:-1]) <= 1e-12 and gap[-1] > 1e-6
+
+
+def test_energy_in_the_leading_order_is_a_matching_failure():
+    # bounded V = z^2/(1 + z^2) on the identity chart: R -> E - 1 at infinity,
+    # so E already sits in the quadratic for the leading coefficient
+    fam = SimpleNamespace(chart=IDENTITY, potential_in_chart=((0, 0, 1), (1, 0, 1)), singular_points=())
+    with pytest.raises(MatchingFailure, match="energy enters the leading matching order"):
+        infinity_branch_candidates(riccati_in_chart(fam))
 
 
 def test_depth_validation():
@@ -317,31 +344,51 @@ def test_ledger_repr_holds_no_address(fam):
 
 # Both candidates of every residue quadratic, by repr (signed zeros included):
 # U = W Q'/(2Q) feeds the linear term of each fixed-pole quadratic, so the way
-# W and U are formed must leave these as they are.
+# W and U are formed must leave these as they are. The last field is the
+# ledger those candidates lead to, by repr: the infinity series (sorted
+# coefficients, lo, hi), the entry values and the fixed residues.
 _PINNED_CANDIDATES = [
-    (Sextic(-4.0, 2.0, 1.0), "(1j, (-0-1j))", "()"),
-    (RadialSextic(S=1.25, a=1.0, b=0.5, M=2), "(1j, (-0-1j))", "((1j, (-0-2j)),)"),
+    (
+        Sextic(-4.0, 2.0, 1.0),
+        "(1j, (-0-1j))",
+        "()",
+        "(([(-3, 1j), (-1, 1j), (1, -1j)], -3, 2), ((1+0j), (1+0j)), ())",
+    ),
+    (
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
+        "(1j, (-0-1j))",
+        "((1j, (-0-2j)),)",
+        "(([(-3, 1j), (-1, 0.5j), (1, -6j)], -3, 2), ((6+0j), (2-0j), (4+0j)), ((0j, (-0-2j)),))",
+    ),
     (
         Circular(S1=1.1, S2=0.9, q1=1.4, M=1),
         "(1.4j, (-0-1.4j))",
         "((0.7000000000000002j, (-0-1.7000000000000002j)), (0.30000000000000004j, -1.3j))",
+        "(([(0, 1.4j), (1, -5j)], 0, 1), ((2.5+0j), (0.8500000000000001-0j), (0.65+0j), (1+0j)), "
+        "((0j, (-0-1.7000000000000002j)), ((1+0j), -1.3j)))",
     ),
     (
         Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1),
         "(1.4j, (-0-1.4j))",
         "((0.7000000000000002j, (-0-1.7000000000000002j)), (0.15000000000000002j, (-0-0.65j)), "
         "(0.15000000000000002j, (-0-0.65j)))",
+        "(([(-1, 1.4j), (1, -5j)], -1, 2), ((5+0j), (1.7000000000000002-0j), (0.65-0j), (0.65-0j), (2+0j)), "
+        "((0j, (-0-1.7000000000000002j)), ((1+0j), (-0-0.65j)), ((-1+0j), (-0-0.65j))))",
     ),
 ]
 
 
-@pytest.mark.parametrize("fam,infinity,fixed", _PINNED_CANDIDATES,
+@pytest.mark.parametrize("fam,infinity,fixed,ledger", _PINNED_CANDIDATES,
                          ids=["sextic", "radial_sextic", "circular", "hyperbolic"])
-def test_candidates_are_pinned(fam, infinity, fixed):
+def test_candidates_are_pinned(fam, infinity, fixed, ledger):
     r = riccati_in_chart(fam)
     assert repr(tuple(c.leading_coefficient for c in infinity_branch_candidates(r))) == infinity
     pairs = tuple(tuple(c.leading_coefficient for c in fixed_pole_residues(r, z0)) for z0 in r.fixed_poles)
     assert repr(pairs) == fixed
+    led = quantization_ledger(fam)
+    ser = led.infinity_series
+    assert repr(((sorted(ser.coeffs.items()), ser.lo, ser.hi), tuple(e.value for e in led.entries),
+                 led.fixed_residues)) == ledger
 
 
 @pytest.mark.parametrize("fam", [row[0] for row in _PINNED_CANDIDATES],
