@@ -10,9 +10,7 @@ pole census.
 from .engine import (
     BranchCandidate,
     BranchRuleError,
-    ChartSpec,
     MatchingFailure,
-    NonQESError,
     QuantizationLedger,
     RiccatiData,
     fixed_pole_residues,
@@ -23,7 +21,7 @@ from .engine import (
     riccati_in_chart,
     select_physical_branch,
 )
-from .families import Circular, Hyperbolic, PotentialFamily, RadialSextic, Sextic
+from .families import ChartSpec, Circular, Hyperbolic, NonQESError, PotentialFamily, RadialSextic, Sextic
 from .oracle import Grid, OracleSpectrum, discretize, low_spectrum, refine
 from .qmf import (
     CensusReport,

@@ -59,6 +59,13 @@ def _require_keys(mapping: dict, allowed: tuple, where: str, required: tuple = (
         raise ConfigError(f"missing keys in {where}: {missing}")
 
 
+def _is_finite_number(v) -> bool:
+    """A JSON number, not a bool, whose float is finite; an integer too large for a float is not one."""
+    with contextlib.suppress(OverflowError):
+        return type(v) in (int, float) and math.isfinite(v)
+    return False
+
+
 def build_family(spec: dict):
     """The family a config names: a class of ``FAMILIES``, or ``sextic_qes``, the
     sextic at count n with gauge coefficients a and b."""
@@ -71,10 +78,9 @@ def build_family(spec: dict):
     _require_keys(spec, ("name",) + fields, f"family {name!r}", fields)
     for key in fields:
         v = spec[key]
-        if key in ("n", "M"):
-            if type(v) is not int:
-                raise ConfigError(f"family {key} must be an integer, got {v!r}")
-        elif type(v) not in (int, float) or not math.isfinite(v):
+        if key in ("n", "M") and type(v) is not int:
+            raise ConfigError(f"family {key} must be an integer, got {v!r}")
+        if not _is_finite_number(v):
             raise ConfigError(f"family {key} must be a finite number, got {v!r}")
     try:
         if name == "sextic_qes":
@@ -90,7 +96,7 @@ def _check_grid(grid) -> None:
     lo, hi = grid["x_min"], grid["x_max"]
     if type(lo) not in (int, float) or type(hi) not in (int, float):
         raise ConfigError(f"grid ends must be numbers, got {lo!r}..{hi!r}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and hi > lo):
+    if not (_is_finite_number(lo) and _is_finite_number(hi) and hi > lo):
         raise ConfigError(f"grid needs finite ends with x_max > x_min, got {lo!r}..{hi!r}")
     n = grid.get("n", oracle.N_START)
     if type(n) is not int or not oracle.N_MIN <= n <= oracle.N_MAX:
@@ -116,7 +122,7 @@ def load_config(path: str) -> dict:
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], tuple(_DEFAULT_TOLERANCES), "tolerances")
         for k, v in cfg["tolerances"].items():
-            if type(v) not in (int, float) or not (math.isfinite(v) and v > 0):
+            if not (_is_finite_number(v) and v > 0):
                 raise ConfigError(f"tolerance {k} must be a finite positive number, got {v!r}")
             tols[k] = float(v)
     if "outputs" in cfg:

@@ -3,8 +3,8 @@
 The momentum function p = -i psi'/psi of a bound state satisfies the Riccati
 equation ``p^2 - i p' = E - V``. Each family carries one chart (z = x for
 the polynomial families, t = sin^2 x or t = cosh x for the bounded/hyperbolic
-ones) and its potential in it, V = num/den, as data (see ``families``, whose
-``ChartSpec`` and charts are re-exported here). Writing p = m q dz/dx, with m
+ones) and its potential in it, V = num/den, as data (see ``families``, where
+``ChartSpec`` and the charts live). Writing p = m q dz/dx, with m
 the chart's measure and Q(z) = (dz/dx)^2 a polynomial, gives for the reduced
 momentum q
 
@@ -46,28 +46,14 @@ from typing import Union
 
 import numpy as np
 
-from .families import (
-    FAMILIES,
-    HYPER,
-    IDENTITY,
-    TRIG,
-    ChartSpec,
-    NonQESError,
-    PotentialFamily,
-    Sextic,
-)
+from .families import FAMILIES, ChartSpec, PotentialFamily, Sextic
 from .series import LaurentSeries, Polynomial
 
 __all__ = [
-    "HYPER",
-    "IDENTITY",
-    "TRIG",
     "BranchCandidate",
     "BranchRuleError",
-    "ChartSpec",
     "LedgerEntry",
     "MatchingFailure",
-    "NonQESError",
     "QuantizationLedger",
     "RiccatiData",
     "fixed_pole_residues",
@@ -126,8 +112,8 @@ class LedgerEntry:
 class QuantizationLedger:
     """Itemized residue bookkeeping and the solved solvability condition.
 
-    ``chart`` is the family's chart, ``infinity_branches`` the candidate pair
-    at infinity in it and ``selected_branch`` the label of the physical one.
+    ``infinity_branches`` is the candidate pair at infinity in the family's
+    chart and ``selected_branch`` the label of the physical one.
 
     It also describes every singularity of the momentum q in the chart
     variable z, with ``p dx = chart.measure * q dz``: ``infinity_series`` is
@@ -141,11 +127,9 @@ class QuantizationLedger:
     entries: tuple[LedgerEntry, ...]
     solved_condition: dict
     n: int | None
-    per_n_weight: int
     balance_residual: float
     infinity_branches: tuple[BranchCandidate, BranchCandidate]
     selected_branch: str
-    chart: ChartSpec
     infinity_series: LaurentSeries
     fixed_residues: tuple[tuple[complex, complex], ...]
 
@@ -381,25 +365,10 @@ def _implied_exponent(candidate: BranchCandidate, chart: ChartSpec) -> float:
     return lam.real
 
 
-def _select_at_pole(
-    pair: tuple[BranchCandidate, BranchCandidate], z0: complex, chart: ChartSpec
-) -> BranchCandidate:
-    a, b = pair
-    if a.location != z0 or b.location != z0:
-        raise ValueError("candidates were not produced at the requested pole")
-    ea = _implied_exponent(a, chart)
-    eb = _implied_exponent(b, chart)
-    if abs(ea - eb) <= 1e-12 * (1.0 + abs(ea) + abs(eb)):
-        raise BranchRuleError("branch rule indeterminate: degenerate local exponents")
-    return a if ea > eb else b
-
-
 def select_physical_branch(
-    pair: tuple[BranchCandidate, BranchCandidate],
-    family: PotentialFamily,
-    location: Union[str, complex],
+    pair: tuple[BranchCandidate, BranchCandidate], family: PotentialFamily
 ) -> BranchCandidate:
-    """Pick the square-integrable branch out of a candidate pair.
+    """Pick the square-integrable branch out of a candidate pair, at the location both carry.
 
     At infinity the rule is decay of the implied gauge factor, unless the
     family names the physical branch's leading coefficient as its
@@ -410,9 +379,9 @@ def select_physical_branch(
     range it is the principal, limit-circle choice).
     """
     a, b = pair
-    if location == "infinity":
-        if a.location != "infinity" or b.location != "infinity":
-            raise ValueError("candidates were not produced at infinity")
+    if a.location != b.location:
+        raise ValueError("candidates were produced at two locations")
+    if a.location == "infinity":
         target = family.infinity_target
         if target is not None:
             da = abs(a.leading_coefficient - target) < 1e-9 * (1 + abs(target))
@@ -424,7 +393,11 @@ def select_physical_branch(
             raise BranchRuleError("branch rule indeterminate: decay test does not split the pair")
         return a if da else b
 
-    return _select_at_pole(pair, complex(location), family.chart)
+    ea = _implied_exponent(a, family.chart)
+    eb = _implied_exponent(b, family.chart)
+    if abs(ea - eb) <= 1e-12 * (1.0 + abs(ea) + abs(eb)):
+        raise BranchRuleError("branch rule indeterminate: degenerate local exponents")
+    return a if ea > eb else b
 
 
 def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -> QuantizationLedger:
@@ -444,7 +417,7 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     chart = r.chart
     eq = _localize_at_infinity(r)
     pair = _branch_pair(eq)
-    sel = select_physical_branch(pair, family, "infinity")
+    sel = select_physical_branch(pair, family)
     ser = _expansion(eq, sel)
     c1 = ser.coefficient(1)
     j_value = 1j * chart.measure * c1
@@ -463,7 +436,7 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     fixed_residues = []
     for z0 in r.fixed_poles:
         fpair = fixed_pole_residues(r, z0)
-        fsel = _select_at_pole(fpair, z0, chart)
+        fsel = select_physical_branch(fpair, family)
         contrib = 1j * chart.measure * fsel.leading_coefficient
         fixed_total += contrib
         fixed_residues.append((z0, fsel.leading_coefficient))
@@ -499,11 +472,9 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         entries=tuple(entries),
         solved_condition=solved,
         n=n_out,
-        per_n_weight=per_n,
         balance_residual=balance,
         infinity_branches=pair,
         selected_branch=sel.label,
-        chart=chart,
         infinity_series=ser,
         fixed_residues=tuple(fixed_residues),
     )

@@ -13,11 +13,11 @@ real numerator and denominator coefficients in the chart variable;
 ``singular_points``, V's poles in ledger order; ``moving_weight``, moving
 poles per unit of n; ``infinity_target``, the physical branch's leading
 coefficient at infinity where decay cannot pick it; the closed forms of
-``solve_ledger``, ``ledger_check`` and ``gauge_sector``; the residual's
-``sample_window``; and the oracle's ``oracle_domain`` and ``walls``
-``(position, c, f)``, c the family's own 1/x^2 coefficient at the wall and
-f vanishing linearly there. ``FAMILIES`` maps config names to classes, and
-``family_kind`` back to the name reports carry.
+``solve_ledger``, ``ledger_check`` and ``gauge_parity`` (which also gives
+the moving polynomial's power of z); the residual's ``sample_window``; the
+oracle's ``oracle_domain`` and ``walls`` ``(position, c, f)``, c the
+family's own 1/x^2 coefficient at the wall and f vanishing linearly there.
+``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
 """
 
 from __future__ import annotations
@@ -213,10 +213,10 @@ class Sextic:
         target = self.condition_value
         return "condition_matches_closed_form", target, 1e-10 * max(1.0, abs(target))
 
-    def gauge_sector(self, gauge: list, prefactors: tuple, n: int) -> str:
-        """Check 4 g4 = a; the sector is the parity of n, whose factor x lives in the moving polynomial."""
+    def gauge_parity(self, gauge: list, prefactors: tuple, n: int) -> int:
+        """Check 4 g4 = a; the parity is that of n, whose factor x lives in the moving polynomial."""
         _check_quartic(gauge, self.a)
-        return "odd" if n % 2 else "even"
+        return n % 2
 
     def potential(self, x):
         x2 = x * x
@@ -271,13 +271,13 @@ class RadialSextic(_CountedByM):
     def walls(self) -> tuple:
         return ((0.0, self.g, _identity_coordinates),)
 
-    def gauge_sector(self, gauge: list, prefactors: tuple, n: int) -> str:
-        """Check 4 g4 = a and the origin exponent 2S - 1/2."""
+    def gauge_parity(self, gauge: list, prefactors: tuple, n: int) -> int:
+        """Check 4 g4 = a and the origin exponent 2S - 1/2; the parity is 0."""
         _check_quartic(gauge, self.a)
         mu = prefactors[0][1]
         if abs(mu - self.mu) > 1e-10 * (1 + abs(mu)):
             raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
-        return "radial"
+        return 0
 
     def potential(self, x):
         x2 = x * x
@@ -320,8 +320,8 @@ class _TwoWall(_CountedByM):
     def D(self) -> float:
         return self.q1**2
 
-    def gauge_sector(self, gauge: list, prefactors: tuple, n: int) -> str:
-        return "chart"
+    def gauge_parity(self, gauge: list, prefactors: tuple, n: int) -> int:
+        return 0
 
 
 @dataclass(frozen=True)

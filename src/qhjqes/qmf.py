@@ -122,7 +122,7 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     ser = ledger.infinity_series
     principal = Polynomial([ser.coefficient(-j) for j in range(1 - ser.lo)])
     fixed = ledger.fixed_residues
-    chart = ledger.chart
+    chart = ledger.family.chart
     moving = -1j / chart.measure
 
     def evaluation(z):

@@ -25,7 +25,6 @@ from typing import Callable, Iterable, Mapping
 import numpy as np
 
 __all__ = [
-    "DEFAULT_QUADRATURE_POINTS",
     "ROOT_CLUSTER_TOL",
     "CircleContour",
     "ContourPoleError",
@@ -36,9 +35,6 @@ __all__ = [
     "poly_roots",
     "sample_finite",
 ]
-
-#: Default node count for circle quadrature; override per call if needed.
-DEFAULT_QUADRATURE_POINTS = 2048
 
 #: Roots closer than this (scaled by 1 + |z|) are merged into one root
 #: with a multiplicity.
@@ -109,33 +105,32 @@ class Polynomial:
 class LaurentSeries:
     """Finite Laurent data: exponent -> coefficient plus a reliability window.
 
-    ``lo``/``hi`` bound the exponents whose coefficients can be trusted;
-    ``None`` means unbounded on that side (an exact finite expression such as
-    a Laurent polynomial). Exponents inside the window but absent from the
-    map are exact zeros. Zero coefficients are not stored.
+    ``lo``/``hi`` bound the exponents whose coefficients can be trusted.
+    Exponents inside the window but absent from the map are exact zeros.
+    Zero coefficients are not stored.
     """
 
     coeffs: Mapping[int, complex]
-    lo: int | None = None
-    hi: int | None = None
+    lo: int
+    hi: int
 
-    def __init__(self, coeffs: Mapping[int, complex], lo: int | None = None, hi: int | None = None):
+    def __init__(self, coeffs: Mapping[int, complex], lo: int, hi: int):
         cleaned = {}
         for k, v in coeffs.items():
             v = _as_finite_complex(v, "series coefficient")
             if v != 0:
                 cleaned[int(k)] = v
-        if lo is not None and hi is not None and hi < lo:
+        if hi < lo:
             raise TruncationDepthError("insufficient truncation depth: empty window")
         for k in cleaned:
-            if (lo is not None and k < lo) or (hi is not None and k > hi):
+            if not lo <= k <= hi:
                 raise ValueError(f"stored exponent {k} outside window ({lo}, {hi})")
         object.__setattr__(self, "coeffs", cleaned)
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
     def coefficient(self, k: int) -> complex:
-        if (self.lo is not None and k < self.lo) or (self.hi is not None and k > self.hi):
+        if not self.lo <= k <= self.hi:
             raise TruncationDepthError(
                 f"exponent {k} outside the reliable window ({self.lo}, {self.hi})"
             )
@@ -223,7 +218,7 @@ def _unit_roots(n_points: int) -> np.ndarray:
 def contour_integral(
     f: Callable[[np.ndarray], np.ndarray],
     contour: CircleContour,
-    n_points: int = DEFAULT_QUADRATURE_POINTS,
+    n_points: int,
 ) -> complex:
     """Trapezoidal quadrature of the raw integral ``∮ f dz`` over the circle.
 

@@ -13,8 +13,8 @@ t = cosh x for the hyperbolic one. P is stored in v = z^k, the chart's
 reduced power: x^2 (the sextic's parity sectors and the radial family),
 sin^2 x and cosh^2 x. One formula in z evaluates every family's
 eigenfunction, and the chart's map carries it to x. The closed forms the
-gauge is checked against, the sector and the sample window are the family's
-own data.
+gauge is checked against, the parity of the moving polynomial and the sample
+window are the family's own data.
 """
 
 from __future__ import annotations
@@ -60,15 +60,15 @@ class GaugeSpec:
     ``(location, exponent)`` per fixed pole of the ledger, the exponent being
     i * measure times the selected momentum residue there.
     ``gauge_polynomial`` is G(z) with ``psi`` carrying ``exp(-G)``; it
-    integrates the principal part of the momentum at infinity. ``sector``,
-    named by the family, is ``even``/``odd`` for the sextic (the parity of
-    n), ``radial`` or ``chart`` otherwise. ``ledger`` is the quantization
-    ledger all three were read from.
+    integrates the principal part of the momentum at infinity. ``parity``,
+    decided by the family, is the moving polynomial's power of z: n % 2 for
+    the sextic, 0 otherwise. ``ledger`` is the quantization ledger all three
+    were read from.
     """
 
     prefactors: tuple[tuple[complex, float], ...]
     gauge_polynomial: Polynomial
-    sector: str
+    parity: int
     ledger: engine.QuantizationLedger
 
 
@@ -102,9 +102,9 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     Every exponent comes from a fixed-pole residue. The gauge polynomial
     integrates the principal part of the momentum at infinity,
     ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
-    variable z. The family's ``gauge_sector`` checks its closed forms
-    against them. A sextic off its solvability condition raises
-    :class:`QESConditionError`.
+    variable z. The family's ``gauge_parity`` checks its closed forms
+    against them and returns the parity. A sextic off its solvability
+    condition raises :class:`QESConditionError`.
     """
     ledger = engine.quantization_ledger(family, require_integer=False)
     if ledger.n is None:  # only a sextic; the other families raise NonQESError in the ledger
@@ -113,7 +113,7 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
             f"recursion does not truncate: condition value {ledger.solved_condition['lhs_value']:.12g} "
             f"is not 3 + 2n for a nonnegative integer n (residual {abs(nu - round(nu)):.3g})"
         )
-    ser, measure = ledger.infinity_series, ledger.chart.measure
+    ser, measure = ledger.infinity_series, family.chart.measure
     g = [0.0] + [
         _real_part(-1j * measure * ser.coefficient(1 - j) / j, "gauge coefficient")
         for j in range(1, 2 - ser.lo)
@@ -121,7 +121,7 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     prefactors = tuple(
         (loc, _real_part(1j * measure * res, "prefactor exponent")) for loc, res in ledger.fixed_residues
     )
-    return GaugeSpec(prefactors, Polynomial(g), family.gauge_sector(g, prefactors, ledger.n), ledger)
+    return GaugeSpec(prefactors, Polynomial(g), family.gauge_parity(g, prefactors, ledger.n), ledger)
 
 
 def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray:
@@ -145,15 +145,15 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
     Its eigenpairs are the algebraic energies and states; the ledger's chart
     picks the recursion and its n makes it truncate. On the identity chart
     it acts on P(x^2) with x^mu at the origin: mu is the radial family's
-    closed form 2S - 1/2 at a fixed pole there, else the parity of the
-    sextic's moving polynomial.
+    closed form 2S - 1/2 at a fixed pole there, else the gauge's parity,
+    which the sextic decides.
     """
     ledger = gauge.ledger
-    family, n, chart = ledger.family, ledger.n, ledger.chart
+    family, n, chart = ledger.family, ledger.n, ledger.family.chart
     if chart.Q.degree == 0:
         a, b = family.a, family.b
-        mu = family.mu if gauge.prefactors else n % 2
-        half = ledger.per_n_weight * n // 2
+        mu = family.mu if gauge.prefactors else gauge.parity
+        half = family.moving_weight * n // 2
         dim = half + 1
         h = np.zeros((dim, dim))
         for i in range(dim):
@@ -187,7 +187,7 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
         raise NonRealEnergyError(f"non-real algebraic energy: {w}")
     energies = w.real
     order = np.argsort(energies)
-    n_label = gauge.ledger.per_n_weight * gauge.ledger.n
+    n_label = family.moving_weight * gauge.ledger.n
 
     states = []
     for out_idx, j in enumerate(order):
@@ -214,11 +214,11 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
 def moving_polynomial(state: AlgebraicState) -> Polynomial:
     """Full polynomial factor z^parity * P(z^k) in the census variable (its zeros are the moving poles).
 
-    k is the chart's reduced power; the parity is 1 in the sextic's odd sector.
+    k is the chart's reduced power and the parity is the gauge's.
     """
-    k = state.gauge.ledger.chart.reduced_power
+    k = state.family.chart.reduced_power
     q = state.poly.coeffs
-    offset = 1 if state.gauge.sector == "odd" else 0
+    offset = state.gauge.parity
     full = [0j] * (k * (len(q) - 1) + offset + 1)
     for j, c in enumerate(q):
         full[k * j + offset] = c
@@ -240,7 +240,7 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     elementwise in one call.
     """
     gauge = state.gauge
-    coordinates = gauge.ledger.chart.coordinates
+    coordinates = state.family.chart.coordinates
     g = gauge.gauge_polynomial
     g1 = g.derivative()
     g2 = g1.derivative()
@@ -269,12 +269,12 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     return evaluate
 
 
-def schrodinger_residual(state: AlgebraicState, n_samples: int = 50) -> float:
+def schrodinger_residual(state: AlgebraicState) -> float:
     """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window.
 
-    The evaluator and the potential are each called once, on all samples.
+    The evaluator and the potential are each called once, on 50 evenly spaced samples.
     """
-    xs = np.linspace(*state.family.sample_window, n_samples)
+    xs = np.linspace(*state.family.sample_window, 50)
     psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
     worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))
     peak = float(np.max(np.abs(psi)))

@@ -85,7 +85,7 @@ def test_criterion_2_branch_selection():
     for gamma in rng.uniform(0.2, 9.0, 20):
         fam = Sextic(-1.0, 0.0, float(gamma))
         pair = infinity_branch_candidates(riccati_in_chart(fam))
-        sel = select_physical_branch(pair, fam, "infinity")
+        sel = select_physical_branch(pair, fam)
         ok = ok and abs(sel.leading_coefficient - 1j * math.sqrt(gamma)) < 1e-12
         rejected = [c for c in pair if c.label != sel.label][0]
         ok = ok and (1j * sel.leading_coefficient).real < 0  # decay
@@ -93,7 +93,7 @@ def test_criterion_2_branch_selection():
     for s_val in rng.uniform(0.8, 3.0, 20):
         fam = RadialSextic(S=float(s_val), a=1.0, b=0.0, M=0)
         pair = fixed_pole_residues(riccati_in_chart(fam), 0)
-        sel = select_physical_branch(pair, fam, 0)
+        sel = select_physical_branch(pair, fam)
         ok = ok and abs(sel.leading_coefficient - (-0.5j * (4 * s_val - 1))) < 1e-12
     _report("criterion 2: physical branches selected by the exact sign tests", ok)
 

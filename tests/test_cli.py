@@ -4,6 +4,7 @@ import inspect
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -22,6 +23,7 @@ def write_config(tmp_path, payload, name="config.json"):
 
 
 SEXTIC_N2 = {"family": {"name": "sextic", "alpha": -7.0, "beta": 0.0, "gamma": 1.0}}
+HUGE = 10**400  # a JSON integer literal that no float can hold
 
 
 # ------------------------------------------------------------ config layer
@@ -71,8 +73,10 @@ def test_missing_file_is_a_config_error():
         {"x_min": "a", "x_max": 1.0},
         {"x_min": -6.0, "x_max": 6.0, "n": 2048},
         {"x_min": "-6", "x_max": True, "n": 48},
+        {"x_min": -6, "x_max": HUGE},
     ],
-    ids=["no-ends", "reversed-ends", "non-numeric-end", "n-out-of-range", "string-and-boolean-ends"],
+    ids=["no-ends", "reversed-ends", "non-numeric-end", "n-out-of-range", "string-and-boolean-ends",
+         "end-too-large-for-a-float"],
 )
 def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, {**SEXTIC_N2, "grid": grid})
@@ -105,9 +109,13 @@ def test_non_string_output_path_is_a_config_error(tmp_path, capsys, outputs):
         {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": 2.5}},
         {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": True, "M": 2}},
         {"family": {"name": "circular", "S1": "1.0", "S2": 1.2, "q1": 1.5, "M": 2}},
+        {**SEXTIC_N2, "tolerances": {"oracle_tol": HUGE}},
+        {"family": {**SEXTIC_N2["family"], "gamma": HUGE}},
+        {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": HUGE}},
+        {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": HUGE}},
     ],
     ids=["string-tol", "nan-tol", "negative-tol", "bool-tol", "fractional-M", "fractional-n",
-         "bool-param", "string-param"],
+         "bool-param", "string-param", "huge-tol", "huge-param", "huge-n", "huge-M"],
 )
 def test_malformed_number_is_a_config_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
@@ -480,6 +488,23 @@ def test_exported_names_resolve(module):
     # a stale export is caught here, not only when the tracer happens to wrap it
     mod = importlib.import_module(f"qhjqes.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qhjqes.__path__)))
+def test_exported_names_are_defined_in_their_module(module):
+    # one home per name: the package __init__ is the only aggregator
+    mod = importlib.import_module(f"qhjqes.{module}")
+    source = inspect.getsource(mod)
+    foreign = []
+    for name in mod.__all__:
+        obj = getattr(mod, name)
+        if inspect.isclass(obj) or inspect.isfunction(obj):
+            home = obj.__module__ == mod.__name__
+        else:
+            home = re.search(rf"^{name}\s*(:[^=\n]*)?=", source, re.M) is not None
+        if not home:
+            foreign.append(name)
+    assert foreign == []
 
 
 def test_traced_verify_records_oracle_node_counts(tmp_path):

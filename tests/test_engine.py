@@ -6,12 +6,8 @@ import pytest
 
 from qhjqes import engine
 from qhjqes.engine import (
-    HYPER,
-    IDENTITY,
-    TRIG,
     BranchRuleError,
     MatchingFailure,
-    NonQESError,
     fixed_pole_residues,
     infinity_branch_candidates,
     infinity_expansion,
@@ -20,7 +16,7 @@ from qhjqes.engine import (
     riccati_in_chart,
     select_physical_branch,
 )
-from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic
+from qhjqes.families import HYPER, IDENTITY, TRIG, Circular, Hyperbolic, NonQESError, RadialSextic, Sextic
 from test_families import ReflectedCircular
 
 
@@ -165,7 +161,7 @@ def test_sextic_selects_decaying_branch():
         fam = Sextic(-1.0, 0.0, float(gamma))
         r = riccati_in_chart(fam)
         pair = infinity_branch_candidates(r)
-        sel = select_physical_branch(pair, fam, "infinity")
+        sel = select_physical_branch(pair, fam)
         assert abs(sel.leading_coefficient - 1j * math.sqrt(gamma)) < 1e-12
         rejected = [c for c in pair if c.label != sel.label][0]
         assert (1j * rejected.leading_coefficient).real > 0  # growth
@@ -178,7 +174,7 @@ def test_radial_fixed_pole_pair_and_selection():
     leads = sorted((c.leading_coefficient for c in pair), key=lambda z: z.imag)
     assert abs(leads[0] - (-1.5j)) < 1e-14
     assert abs(leads[1] - 0.5j) < 1e-14
-    sel = select_physical_branch(pair, fam, 0)
+    sel = select_physical_branch(pair, fam)
     assert abs(sel.leading_coefficient - (-1.5j)) < 1e-14
 
 
@@ -202,7 +198,7 @@ def test_circular_origin_residues_match_indicial_exponents():
     fam = Circular(S1=1.0, S2=1.3, q1=1.0, M=1)
     r = riccati_in_chart(fam)
     pair = fixed_pole_residues(r, 0)
-    sel = select_physical_branch(pair, fam, 0)
+    sel = select_physical_branch(pair, fam)
     # selected residue -i(2 S1 - 1/2); exponent lam = i*residue solves lam(lam-1) = A
     assert abs(sel.leading_coefficient - (-1j * (2 * fam.S1 - 0.5))) < 1e-12
     for cand in pair:
@@ -216,7 +212,17 @@ def test_degenerate_exponents_rejected():
     r = riccati_in_chart(fam)
     pair = fixed_pole_residues(r, 0)
     with pytest.raises(BranchRuleError, match="indeterminate"):
-        select_physical_branch(pair, fam, 0)
+        select_physical_branch(pair, fam)
+
+
+def test_branch_rule_takes_a_pair_from_one_place():
+    # the rule reads its location off the candidates, so they must agree on it
+    fam = RadialSextic(S=1.0, a=1.0, b=0.0, M=0)
+    r = riccati_in_chart(fam)
+    at_infinity, at_origin = infinity_branch_candidates(r)[0], fixed_pole_residues(r, 0)[0]
+    for mixed in ((at_infinity, at_origin), (at_origin, at_infinity)):
+        with pytest.raises(ValueError, match="candidates were produced at two locations"):
+            select_physical_branch(mixed, fam)
 
 
 # ---------------------------------------------------------------- ledgers

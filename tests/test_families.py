@@ -7,15 +7,13 @@ import numpy as np
 import pytest
 
 from qhjqes.engine import (
-    TRIG,
-    ChartSpec,
     infinity_branch_candidates,
     infinity_expansion,
     quantization_ledger,
     riccati_in_chart,
     select_physical_branch,
 )
-from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic, family_kind
+from qhjqes.families import TRIG, ChartSpec, Circular, Hyperbolic, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
 from qhjqes.series import Polynomial
 from qhjqes.spectra import algebraic_states, gauge_from_residues, recursion_matrix, schrodinger_residual
@@ -66,8 +64,8 @@ class ReflectedCircular:
     def solve_ledger(self, *args):
         return self.circular.solve_ledger(*args)
 
-    def gauge_sector(self, *args):
-        return self.circular.gauge_sector(*args)
+    def gauge_parity(self, *args):
+        return self.circular.gauge_parity(*args)
 
     @property
     def walls(self):
@@ -164,7 +162,7 @@ def test_the_rejected_circular_branch_has_no_moving_pole_count(s1, s2, q1, m_cou
     family = Circular(s1, s2, q1, m_count)
     r = riccati_in_chart(family)
     pair = infinity_branch_candidates(r)
-    chosen = select_physical_branch(pair, family, "infinity")
+    chosen = select_physical_branch(pair, family)
     rejected = next(c for c in pair if c.label != chosen.label)
     j_value = 1j * family.chart.measure * infinity_expansion(r, rejected).coefficient(1)
     ledger = quantization_ledger(family)

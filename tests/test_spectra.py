@@ -32,7 +32,7 @@ def test_sextic_gauge_pure_quartic():
     assert g.prefactors == ()
     # the odd sector's factor x lives in the moving polynomial, not in the gauge
     g_odd = gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0))
-    assert g_odd.prefactors == () and g_odd.sector == "odd"
+    assert g_odd.prefactors == () and g_odd.parity == 1
 
 
 def test_sextic_gauge_with_quadratic_part():
@@ -73,14 +73,14 @@ def test_ground_sector_matrices_are_scalar_zero():
     g1 = gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0))
     m1 = recursion_matrix(g1)
     assert m1.shape == (1, 1) and m1[0, 0] == 0.0
-    assert g1.sector == "odd"
+    assert g1.parity == 1
 
 
 def test_n2_matrix_entries():
     g = gauge_from_residues(qes_parameterize("sextic", 2, a=1.0, b=0.0))
     m = recursion_matrix(g)
     assert m.tolist() == [[0.0, -2.0], [-4.0, 0.0]]
-    assert g.sector == "even" and m.shape == (2, 2)  # the even powers x^0, x^2
+    assert g.parity == 0 and m.shape == (2, 2)  # the even powers x^0, x^2
 
 
 def test_sector_dimensions():
@@ -88,7 +88,7 @@ def test_sector_dimensions():
         g = gauge_from_residues(qes_parameterize("sextic", n, a=1.0, b=0.5))
         m = recursion_matrix(g)
         assert m.shape == (n // 2 + 1, n // 2 + 1)
-        assert g.sector == ("even" if n % 2 == 0 else "odd")
+        assert g.parity == n % 2
 
 
 def test_off_condition_family_reports_residual():
@@ -144,7 +144,7 @@ def test_parity_of_eigenfunctions():
     for n in (2, 3):
         for s in algebraic_states(qes_parameterize("sextic", n, a=1.0, b=0.0)):
             full = eigenfunction_with_derivatives(s)
-            sign = 1.0 if s.gauge.sector == "even" else -1.0
+            sign = 1.0 if s.gauge.parity == 0 else -1.0
             for x in (0.3, 1.1, 2.4):
                 psi, psi_minus = full(x)[0], full(-x)[0]
                 assert abs(psi_minus - sign * psi) < 1e-12 * max(1.0, abs(psi))
