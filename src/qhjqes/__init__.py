@@ -16,7 +16,6 @@ from .engine import (
     fixed_pole_residues,
     infinity_branch_candidates,
     infinity_expansion,
-    qes_parameterize,
     quantization_ledger,
     riccati_in_chart,
     select_physical_branch,

@@ -18,7 +18,7 @@ import math
 import sys
 
 from . import engine, oracle, spectra
-from .families import FAMILIES, family_kind
+from .families import FAMILIES, NonQESError, Sextic, family_kind
 from .qmf import (
     infinity_order_check,
     pole_reports,
@@ -84,7 +84,7 @@ def build_family(spec: dict):
             raise ConfigError(f"family {key} must be a finite number, got {v!r}")
     try:
         if name == "sextic_qes":
-            return engine.qes_parameterize("sextic", spec["n"], a=float(spec["a"]), b=float(spec["b"]))
+            return Sextic.on_condition(float(spec["a"]), float(spec["b"]), spec["n"])
         return FAMILIES[name](**{k: spec[k] if k == "M" else float(spec[k]) for k in fields})
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid family parameters: {exc}") from exc
@@ -232,7 +232,7 @@ def _algebraic_states(family, checks: list) -> tuple:
     """The algebraic states, after the checks that the recursion truncates and its energies are real."""
     try:
         states = spectra.algebraic_states(family)
-    except spectra.QESConditionError as exc:
+    except NonQESError as exc:
         raise _StageFailed("recursion_truncates", exc) from exc
     except spectra.NonRealEnergyError as exc:
         checks.append(_check("recursion_truncates", 0.0, 0.0, 1.0))
@@ -261,8 +261,7 @@ def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, l
     tol = config["_tolerances"]["oracle_tol"]
     grid = config.get("grid") or {}
     k = 2 * len(states) + 4
-    # refine needs a node per level; a smaller starting count is raised to k
-    options = {"n_start": max(k, grid.get("n", oracle.N_START))}
+    options = {"n_start": grid.get("n", oracle.N_START)}
     if grid:
         options["domain"] = (float(grid["x_min"]), float(grid["x_max"]))
     with _stage("oracle_convergence"):

@@ -41,12 +41,12 @@ from __future__ import annotations
 
 import cmath
 import functools
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
 
-from .families import FAMILIES, ChartSpec, PotentialFamily, Sextic
+from .families import ChartSpec, PotentialFamily
 from .series import LaurentSeries, Polynomial
 
 __all__ = [
@@ -59,7 +59,6 @@ __all__ = [
     "fixed_pole_residues",
     "infinity_branch_candidates",
     "infinity_expansion",
-    "qes_parameterize",
     "quantization_ledger",
     "riccati_in_chart",
     "select_physical_branch",
@@ -166,21 +165,16 @@ def _series_inverse(d: np.ndarray, n: int) -> np.ndarray:
 
 
 def _laurent_rational(num: Polynomial, den: Polynomial, shift: int, hi: int) -> dict[int, complex]:
-    """Laurent coefficients of ``w**shift * num(w)/den(w)`` about w = 0, through order ``hi``."""
+    """Laurent coefficients of ``w**shift * num(w)/den(w)`` about w = 0, through order ``hi >= shift``.
+
+    Needs den(0) != 0, which holds for a denominator reversed about its own degree.
+    """
     if num.is_zero:
         return {}
-    dc = list(den.coeffs)
-    k = 0
-    while dc[0] == 0:
-        dc.pop(0)
-        k += 1
-    base = shift - k
-    n_terms = hi - base + 1
-    if n_terms <= 0:
-        return {}
-    invd = _series_inverse(np.array(dc, dtype=complex), n_terms)
+    n_terms = hi - shift + 1
+    invd = _series_inverse(np.array(den.coeffs, dtype=complex), n_terms)
     prod = np.convolve(np.array(num.coeffs, dtype=complex), invd)[:n_terms]
-    return {base + j: complex(prod[j]) for j in range(len(prod)) if prod[j] != 0}
+    return {shift + j: complex(prod[j]) for j in range(len(prod)) if prod[j] != 0}
 
 
 def _reversed_poly(p: Polynomial, degree: int) -> Polynomial:
@@ -412,6 +406,9 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     ``solve_ledger`` reads the balance as its closed form: for the sextic it
     constrains (alpha, beta, gamma); for the other three it returns M = n
     identically.
+
+    No command passes ``require_integer=False``; it stays as the tests'
+    reference for the condition value of a sextic off its condition.
     """
     r = riccati_in_chart(family)
     chart = r.chart
@@ -479,30 +476,3 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
         fixed_residues=tuple(fixed_residues),
     )
 
-
-def qes_parameterize(template: str, n: int, **params) -> PotentialFamily:
-    """Construct a family instance that satisfies its QES condition exactly.
-
-    ``template`` is a family's config name. The sextic takes a > 0 and b,
-    giving gamma = a^2, beta = 2ab, alpha = b^2 - a(3 + 2n); every other
-    family takes its fields but M, and M = n. Every parameter is required
-    except b, which defaults to 0; an unknown or missing one raises
-    ValueError.
-    """
-    if template not in FAMILIES:
-        raise ValueError(f"unknown family template: {template!r}")
-    if isinstance(n, bool) or not isinstance(n, int) or n < 0:
-        raise ValueError(f"n must be a nonnegative integer, got {n!r}")
-    cls = FAMILIES[template]
-    names = ("a", "b") if cls is Sextic else tuple(f.name for f in fields(cls) if f.name != "M")
-    unknown = sorted(set(params) - set(names))
-    missing = sorted(set(names) - set(params) - {"b"})
-    if unknown or missing:
-        raise ValueError(f"{template} template: unknown parameters {unknown}, missing parameters {missing}")
-    v = {name: float(params.get(name, 0.0)) for name in names}
-    if cls is not Sextic:
-        return cls(**v, M=n)
-    a, b = v["a"], v["b"]
-    if a <= 0:
-        raise ValueError("sextic parameterization requires a > 0")
-    return Sextic(alpha=b * b - a * (3.0 + 2.0 * n), beta=2.0 * a * b, gamma=a * a)

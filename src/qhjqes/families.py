@@ -18,6 +18,10 @@ the moving polynomial's power of z); the residual's ``sample_window``; the
 oracle's ``oracle_domain`` and ``walls`` ``(position, c, f)``, c the
 family's own 1/x^2 coefficient at the wall and f vanishing linearly there.
 ``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
+
+No other module knows the sextic's solvability condition: ``Sextic.on_condition``
+builds a sextic on it, and ``Sextic.solve_ledger`` refuses one off it with
+:class:`NonQESError`, the one refusal every command records.
 """
 
 from __future__ import annotations
@@ -175,6 +179,15 @@ class Sextic:
         if not self.gamma > 0:
             raise ValueError("gamma must be positive")
 
+    @classmethod
+    def on_condition(cls, a: float, b: float, n: int) -> "Sextic":
+        """The sextic on its condition at count n: gamma = a^2, beta = 2ab, alpha = b^2 - a(3 + 2n), a > 0."""
+        if isinstance(n, bool) or not isinstance(n, int) or n < 0:
+            raise ValueError(f"n must be a nonnegative integer, got {n!r}")
+        if a <= 0:
+            raise ValueError("sextic parameterization requires a > 0")
+        return cls(alpha=b * b - a * (3.0 + 2.0 * n), beta=2.0 * a * b, gamma=a * a)
+
     @property
     def a(self) -> float:
         """Leading gauge coefficient, gamma = a**2 with a > 0."""
@@ -197,13 +210,15 @@ class Sextic:
     def solve_ledger(self, j_value: float, n_value: float, n: int | None, require_integer: bool) -> dict:
         """The balance as the closed form 2 J + 3 = 3 + 2n, J the large-contour value.
 
-        The parameters do not fix n, so a non-integer n raises only when
-        ``require_integer`` asks for one.
+        The parameters do not fix n, so a count off the nonnegative integers
+        raises only when ``require_integer`` asks for one, with its distance
+        from the nearest of them as the residual.
         """
         lhs = 2.0 * j_value + 3.0
         if require_integer and n is None:
             raise NonQESError(
-                f"non-QES parameterization: condition value {lhs:.12g} is not 3 + 2n for a nonnegative integer n"
+                f"non-QES parameterization: condition value {lhs:.12g} is not 3 + 2n for a nonnegative integer n "
+                f"(residual {abs(n_value - max(0, round(n_value))):.3g}), so the recursion does not truncate"
             )
         return {"lhs_value": lhs, "rhs_form": "3+2n", "n_value": n_value}
 

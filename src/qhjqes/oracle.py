@@ -61,11 +61,7 @@ N_MAX = 1024
 
 
 class OracleConvergenceError(RuntimeError):
-    """Node refinement hit its ceiling; carries the best spectrum found."""
-
-    def __init__(self, message, best=None):
-        super().__init__(message)
-        self.best = best
+    """Node refinement hit its ceiling, or the domain does not hold the family."""
 
 
 @dataclass(frozen=True)
@@ -255,32 +251,29 @@ def refine(
     node counts is below ``tol``. Each estimate is the larger of that change
     and the level's shift on the truncation check's grown domain, solved at
     the same node density, plus the eigensolver's rounding. A percent-scale
-    truncation shift raises.
+    truncation shift raises. The first solve has ``max(n_start, k)`` nodes.
     """
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
-    if k > n_start:
-        raise ValueError(f"{k} levels need at least {k} nodes; n_start is {n_start}")
     if domain is None:
         if not hasattr(family, "oracle_domain"):
             raise ValueError("a domain is required for a bare potential callable")
         domain = family.oracle_domain
 
-    grid = Grid(domain[0], domain[1], n_start)
+    grid = Grid(domain[0], domain[1], max(n_start, k))
     energies, _ = _solve(family, grid, k)
-    best = None
+    change = None
     while math.ceil(1.5 * grid.n_interior) <= n_max:
         grid = Grid(domain[0], domain[1], math.ceil(1.5 * grid.n_interior))
         finer, rounding = _solve(family, grid, k)
         change = np.abs(finer - energies)
-        best = (finer, change, grid)
         energies = finer
         if float(np.max(change)) < tol:
             break
     else:
-        last = f" (last change {float(np.max(best[1])):.3g})" if best is not None else ""
+        last = f" (last change {float(np.max(change)):.3g})" if change is not None else ""
         raise OracleConvergenceError(
-            f"no convergence below {tol:g} with up to {n_max} nodes{last}", best=best
+            f"no convergence below {tol:g} with up to {n_max} nodes{last}"
         )
 
     shift = np.zeros(k)
@@ -292,8 +285,7 @@ def refine(
         if float(np.max(shift)) > gross:
             raise OracleConvergenceError(
                 f"domain truncation error {float(np.max(shift)):.3g} is gross; "
-                "the domain does not hold this family",
-                best=(energies, shift, grid),
+                "the domain does not hold this family"
             )
     return OracleSpectrum(
         energies=tuple(float(e) for e in energies),

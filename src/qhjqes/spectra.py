@@ -32,7 +32,6 @@ __all__ = [
     "AlgebraicState",
     "GaugeSpec",
     "NonRealEnergyError",
-    "QESConditionError",
     "algebraic_states",
     "eigenfunction_with_derivatives",
     "gauge_from_residues",
@@ -42,10 +41,6 @@ __all__ = [
 ]
 
 _REAL_TOL = 1e-10
-
-
-class QESConditionError(ValueError):
-    """The coefficient recursion does not truncate for these parameters."""
 
 
 class NonRealEnergyError(ArithmeticError):
@@ -103,16 +98,11 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     integrates the principal part of the momentum at infinity,
     ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
     variable z. The family's ``gauge_parity`` checks its closed forms
-    against them and returns the parity. A sextic off its solvability
-    condition raises :class:`QESConditionError`.
+    against them and returns the parity. A family off its solvability
+    condition, whose recursion does not truncate, raises the ledger's
+    ``families.NonQESError``.
     """
-    ledger = engine.quantization_ledger(family, require_integer=False)
-    if ledger.n is None:  # only a sextic; the other families raise NonQESError in the ledger
-        nu = ledger.solved_condition["n_value"]
-        raise QESConditionError(
-            f"recursion does not truncate: condition value {ledger.solved_condition['lhs_value']:.12g} "
-            f"is not 3 + 2n for a nonnegative integer n (residual {abs(nu - round(nu)):.3g})"
-        )
+    ledger = engine.quantization_ledger(family)
     ser, measure = ledger.infinity_series, family.chart.measure
     g = [0.0] + [
         _real_part(-1j * measure * ser.coefficient(1 - j) / j, "gauge coefficient")
@@ -176,7 +166,7 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
     """All algebraic eigenpairs of the instance, ascending in energy.
 
-    Raises :class:`QESConditionError` when the recursion does not truncate
+    Raises ``families.NonQESError`` when the recursion does not truncate
     and :class:`NonRealEnergyError` when an energy or an eigenvector comes
     out complex.
     """

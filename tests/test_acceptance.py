@@ -13,7 +13,6 @@ from qhjqes.cli import main as cli_main
 from qhjqes.engine import (
     fixed_pole_residues,
     infinity_branch_candidates,
-    qes_parameterize,
     quantization_ledger,
     riccati_in_chart,
     select_physical_branch,
@@ -102,7 +101,7 @@ def test_criterion_3_algebraic_spectrum_vs_oracle():
     worst = 0.0
     for b in (0.0, 1.0):
         for n in range(5):
-            fam = qes_parameterize("sextic", n, a=1.0, b=b)
+            fam = Sextic.on_condition(1.0, b, n)
             states = algebraic_states(fam)
             k = 2 * len(states) + 6
             grid = Grid(-6.0, 6.0, 128)
@@ -115,9 +114,9 @@ def test_criterion_3_algebraic_spectrum_vs_oracle():
     # anchors: n = 0, 1 have E = 0; n = 2, b = 0 has E = +-2*sqrt(2)
     anchors = True
     for n in (0, 1):
-        e = algebraic_states(qes_parameterize("sextic", n, a=1.0, b=0.0))[0].energy
+        e = algebraic_states(Sextic.on_condition(1.0, 0.0, n))[0].energy
         anchors = anchors and abs(e) < 1e-12
-    pair = [s.energy for s in algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))]
+    pair = [s.energy for s in algebraic_states(Sextic.on_condition(1.0, 0.0, 2))]
     anchors = anchors and abs(pair[0] + 2.8284271247461903) < 1e-12
     anchors = anchors and abs(pair[1] - 2.8284271247461903) < 1e-12
 
@@ -139,7 +138,7 @@ def test_criterion_3_algebraic_spectrum_vs_oracle():
 def _all_states_up_to(n_max: int):
     for b in (0.0, 1.0):
         for n in range(n_max + 1):
-            for state in algebraic_states(qes_parameterize("sextic", n, a=1.0, b=b)):
+            for state in algebraic_states(Sextic.on_condition(1.0, b, n)):
                 yield state
 
 
@@ -174,12 +173,12 @@ def test_criterion_6_infinity_pole_order():
     ok = True
     worst_exp, worst_coeff = 0.0, 0.0
     for a_val in (1.0, 2.0):
-        for state in algebraic_states(qes_parameterize("sextic", 0, a=a_val, b=0.0)):
+        for state in algebraic_states(Sextic.on_condition(a_val, 0.0, 0)):
             fit = infinity_order_check(qmf(state))
             target = 1j * a_val
             worst_exp = max(worst_exp, abs(fit["exponent"] - 3.0))
             worst_coeff = max(worst_coeff, abs(fit["coefficient"] - target) / abs(target))
-    for state in algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=1.0)):
+    for state in algebraic_states(Sextic.on_condition(1.0, 1.0, 2)):
         fit = infinity_order_check(qmf(state))
         worst_exp = max(worst_exp, abs(fit["exponent"] - 3.0))
         worst_coeff = max(worst_coeff, abs(fit["coefficient"] - 1j))

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import importlib.util
 import inspect
 import json
@@ -338,6 +339,26 @@ def test_verify_perturbed_family_fails_with_truncation(tmp_path, capsys):
     assert "truncate" in report["checks"][0]["measured"]
 
 
+@pytest.mark.parametrize("alpha, residual", [(-1.0, "1"), (-7.1, "0.05")], ids=["count-below-zero", "count-2.05"])
+def test_off_condition_sextic_gives_one_refusal_everywhere(tmp_path, capsys, alpha, residual):
+    # condition value -alpha: n = -1 lies below the nonnegative integers, n = 2.05 between two of them
+    cfg = write_config(tmp_path, {"family": {"name": "sextic", "alpha": alpha, "beta": 0.0, "gamma": 1.0}})
+    texts = set()
+    for command, check in [
+        ("derive", "qes_condition"),
+        ("verify", "recursion_truncates"),
+        ("spectrum", "recursion_truncates"),
+        ("poles", "recursion_truncates"),
+    ]:
+        assert main([command, "--config", cfg]) == 2
+        report = json.loads(capsys.readouterr().out)
+        assert [c["name"] for c in report["checks"] if not c["pass"]] == [check]
+        texts.add(report["checks"][-1]["measured"])
+    assert len(texts) == 1
+    (text,) = texts
+    assert f"(residual {residual}), so the recursion does not truncate" in text
+
+
 def test_verify_radial_example(tmp_path, capsys):
     cfg = write_config(
         tmp_path,
@@ -505,6 +526,19 @@ def test_exported_names_are_defined_in_their_module(module):
         if not home:
             foreign.append(name)
     assert foreign == []
+
+
+@pytest.mark.parametrize("module", ["engine", "oracle", "qmf", "series", "spectra"])
+def test_only_families_and_cli_name_a_family_class(module):
+    # the pipeline reads a family's data; a module that names a concrete family could branch on it
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"qhjqes.{module}")))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "families":
+            named |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "families":
+            named.add(node.attr)
+    assert named & {"Sextic", "RadialSextic", "Circular", "Hyperbolic", "FAMILIES", "family_kind"} == set()
 
 
 def test_traced_verify_records_oracle_node_counts(tmp_path):

@@ -11,7 +11,6 @@ from qhjqes.engine import (
     fixed_pole_residues,
     infinity_branch_candidates,
     infinity_expansion,
-    qes_parameterize,
     quantization_ledger,
     riccati_in_chart,
     select_physical_branch,
@@ -282,9 +281,7 @@ def test_ledger_balances_on_solvable_sextic_draws():
     rng = np.random.default_rng(23)
     for _ in range(25):
         n = int(rng.integers(0, 7))
-        fam = qes_parameterize(
-            "sextic", n, a=float(rng.uniform(0.3, 3.0)), b=float(rng.uniform(-2.0, 2.0))
-        )
+        fam = Sextic.on_condition(float(rng.uniform(0.3, 3.0)), float(rng.uniform(-2.0, 2.0)), n)
         led = quantization_ledger(fam)
         assert led.n == n
         assert led.balance_residual < 1e-10
@@ -426,36 +423,26 @@ def test_scale_invariance_of_condition_value():
 
 
 def test_parameterize_sextic_examples():
-    fam = qes_parameterize("sextic", 0, a=1.0, b=0.0)
+    fam = Sextic.on_condition(1.0, 0.0, 0)
     assert (fam.alpha, fam.beta, fam.gamma) == (-3.0, 0.0, 1.0)
-    fam2 = qes_parameterize("sextic", 2, a=1.0, b=0.0)
+    fam2 = Sextic.on_condition(1.0, 0.0, 2)
     assert fam2.alpha == -7.0
 
 
 def test_parameterize_round_trips_through_ledger():
-    fam = qes_parameterize("radial_sextic", 4, S=1.2, a=0.7, b=-0.3)
+    fam = RadialSextic(S=1.2, a=0.7, b=-0.3, M=4)
     assert fam.M == 4
     assert quantization_ledger(fam).n == 4
-    circ = qes_parameterize("circular", 3, S1=1.0, S2=1.0, q1=0.9)
+    circ = Circular(S1=1.0, S2=1.0, q1=0.9, M=3)
     assert quantization_ledger(circ).n == 3
 
 
 def test_parameterize_rejects_bad_input():
     with pytest.raises(ValueError):
-        qes_parameterize("sextic", -1, a=1.0, b=0.0)
+        Sextic.on_condition(1.0, 0.0, -1)
     with pytest.raises(ValueError):
-        qes_parameterize("sextic", 1, a=-1.0, b=0.0)
-    with pytest.raises(ValueError):
-        qes_parameterize("unknown", 1)
-    with pytest.raises(ValueError, match="typo"):
-        qes_parameterize("circular", 2, S1=1, S2=1.2, q1=1, typo=3.0)
-    with pytest.raises(ValueError, match="typo"):
-        qes_parameterize("sextic", 2, a=1.0, typo=3.0)
-    with pytest.raises(ValueError, match="'S'"):
-        qes_parameterize("radial_sextic", 2, a=1.0, b=0.0)
-    with pytest.raises(ValueError, match="'q1'"):
-        qes_parameterize("hyperbolic", 2, S1=1.0, S2=1.2)
+        Sextic.on_condition(-1.0, 0.0, 1)
     with pytest.raises(ValueError, match="n must be"):
-        qes_parameterize("circular", True, S1=1.0, S2=1.2, q1=1.0)
+        Sextic.on_condition(1.0, 0.0, True)
     with pytest.raises(ValueError, match="n must be"):
-        qes_parameterize("sextic", 2.0, a=1.0)
+        Sextic.on_condition(1.0, 0.0, 2.0)

@@ -1,4 +1,6 @@
 
+import re
+
 import numpy as np
 import pytest
 from numpy.polynomial import legendre
@@ -171,17 +173,18 @@ def test_refine_rejects_uncertifiable_tolerance():
         refine(harmonic, k=1, tol=1e-9, domain=(-5.0, 5.0))
 
 
-def test_refine_needs_a_node_per_level():
-    with pytest.raises(ValueError):
-        refine(harmonic, k=20, tol=1e-6, domain=(-10.0, 10.0), n_start=16)
+def test_refine_starts_at_a_node_per_level():
+    # 20 levels from a 16-node start: the first solve takes 20 nodes
+    spec = refine(harmonic, k=20, tol=1e-6, domain=(-10.0, 10.0), n_start=16)
+    assert len(spec.energies) == 20
 
 
-def test_refine_reports_nonconvergence_with_best():
+def test_refine_reports_nonconvergence_with_last_change():
     # 16 and 24 nodes leave errors of 1e-2..3 on these levels; 36 is past n_max
     with pytest.raises(OracleConvergenceError) as info:
         refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0), n_start=16, n_max=30)
-    energies, change, grid = info.value.best
-    assert grid.n_interior == 24 and float(np.max(change)) > 1e-3
+    last = re.search(r"last change ([0-9.e+-]+)\)", str(info.value))
+    assert last and float(last.group(1)) > 1e-3
 
 
 def test_exponential_convergence_rate():

@@ -5,8 +5,7 @@ import numpy as np
 import pytest
 
 from qhjqes import engine
-from qhjqes.engine import qes_parameterize
-from qhjqes.families import Circular, Hyperbolic, RadialSextic, family_kind
+from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic, family_kind
 from qhjqes.qmf import (
     DegenerateZeroError,
     NoSeparatingContourError,
@@ -27,7 +26,7 @@ qmf_module = importlib.import_module("qhjqes.qmf")
 
 
 def _sextic_states(n, b=0.0):
-    return algebraic_states(qes_parameterize("sextic", n, a=1.0, b=b))
+    return algebraic_states(Sextic.on_condition(1.0, b, n))
 
 
 # ----------------------------------------------------------- the evaluator
@@ -96,8 +95,8 @@ _CHARTS = {
 @pytest.mark.parametrize(
     "family",
     [
-        qes_parameterize("sextic", 2, a=1.0, b=0.5),
-        qes_parameterize("sextic", 3, a=1.5, b=-0.7),
+        Sextic.on_condition(1.0, 0.5, 2),
+        Sextic.on_condition(1.5, -0.7, 3),
         RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
         Circular(S1=1.0, S2=1.2, q1=-1.5, M=3),
         Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
@@ -120,7 +119,7 @@ def test_momentum_is_the_log_derivative_read_from_the_ledger(family):
 def test_one_ledger_per_algebraic_states(monkeypatch):
     real_ledger, calls = engine.quantization_ledger, []
     monkeypatch.setattr(engine, "quantization_ledger", lambda *a, **k: calls.append(a) or real_ledger(*a, **k))
-    for family in (qes_parameterize("sextic", 3, a=1.0, b=0.5), Circular(S1=1.0, S2=1.2, q1=1.5, M=2)):
+    for family in (Sextic.on_condition(1.0, 0.5, 3), Circular(S1=1.0, S2=1.2, q1=1.5, M=2)):
         calls.clear()
         algebraic_states(family)
         assert len(calls) == 1
@@ -341,7 +340,7 @@ def test_infinity_order_ground_state():
 
 
 def test_infinity_order_scales_with_gamma():
-    state = algebraic_states(qes_parameterize("sextic", 0, a=2.0, b=0.0))[0]
+    state = algebraic_states(Sextic.on_condition(2.0, 0.0, 0))[0]
     fit = infinity_order_check(qmf(state))
     assert abs(fit["coefficient"] - 2j) < 2e-3 * 2.0
 
@@ -369,8 +368,8 @@ def test_pipeline_cloud():
     from qhjqes.spectra import schrodinger_residual
 
     cloud = [
-        qes_parameterize("sextic", 7, a=0.4, b=-1.1),
-        qes_parameterize("sextic", 8, a=3.0, b=0.9),
+        Sextic.on_condition(0.4, -1.1, 7),
+        Sextic.on_condition(3.0, 0.9, 8),
         RadialSextic(S=0.78, a=1.3, b=0.4, M=3),
         RadialSextic(S=2.4, a=0.5, b=-0.9, M=4),
         Circular(S1=0.55, S2=1.8, q1=-0.7, M=3),
@@ -394,7 +393,7 @@ def test_pipeline_cloud():
 # same however the zeros are classified and counted.
 _PINNED_CENSUS = [
     (
-        qes_parameterize("sextic", 3, a=1.5, b=-0.7), 0,
+        Sextic.on_condition(1.5, -0.7, 3), 0,
         'CensusReport(n_real=1, n_complex=2, total=3, quantization_value=0.9999999999999963, '
         'global_count=3.0000000000000124, zeros=(-0.8908019533263034j, 0j, 0.8908019533263034j))',
         '(PoleReport(location=-0.8908019533263034j, multiplicity=1, '

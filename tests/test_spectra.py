@@ -2,14 +2,12 @@
 import numpy as np
 import pytest
 
-from qhjqes.engine import qes_parameterize
-from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic, family_kind
+from qhjqes.families import Circular, Hyperbolic, NonQESError, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
 from qhjqes.series import poly_roots
 from qhjqes import spectra
 from qhjqes.spectra import (
     NonRealEnergyError,
-    QESConditionError,
     algebraic_states,
     eigenfunction_with_derivatives,
     gauge_from_residues,
@@ -26,17 +24,17 @@ QUARTER_ROOT_HALF = 0.8408964152537145  # 2**(-1/4)
 
 
 def test_sextic_gauge_pure_quartic():
-    fam = qes_parameterize("sextic", 0, a=1.0, b=0.0)
+    fam = Sextic.on_condition(1.0, 0.0, 0)
     g = gauge_from_residues(fam)
     assert g.gauge_polynomial.coeffs == (0j, 0j, 0j, 0j, 0.25 + 0j)
     assert g.prefactors == ()
     # the odd sector's factor x lives in the moving polynomial, not in the gauge
-    g_odd = gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0))
+    g_odd = gauge_from_residues(Sextic.on_condition(1.0, 0.0, 1))
     assert g_odd.prefactors == () and g_odd.parity == 1
 
 
 def test_sextic_gauge_with_quadratic_part():
-    fam = qes_parameterize("sextic", 3, a=1.5, b=-0.7)
+    fam = Sextic.on_condition(1.5, -0.7, 3)
     g = gauge_from_residues(fam)
     coeffs = g.gauge_polynomial.coeffs
     assert abs(coeffs[4] - 1.5 / 4) < 1e-12
@@ -68,16 +66,16 @@ def test_chart_gauges():
 
 
 def test_ground_sector_matrices_are_scalar_zero():
-    m0 = recursion_matrix(gauge_from_residues(qes_parameterize("sextic", 0, a=1.0, b=0.0)))
+    m0 = recursion_matrix(gauge_from_residues(Sextic.on_condition(1.0, 0.0, 0)))
     assert m0.shape == (1, 1) and m0[0, 0] == 0.0
-    g1 = gauge_from_residues(qes_parameterize("sextic", 1, a=1.0, b=0.0))
+    g1 = gauge_from_residues(Sextic.on_condition(1.0, 0.0, 1))
     m1 = recursion_matrix(g1)
     assert m1.shape == (1, 1) and m1[0, 0] == 0.0
     assert g1.parity == 1
 
 
 def test_n2_matrix_entries():
-    g = gauge_from_residues(qes_parameterize("sextic", 2, a=1.0, b=0.0))
+    g = gauge_from_residues(Sextic.on_condition(1.0, 0.0, 2))
     m = recursion_matrix(g)
     assert m.tolist() == [[0.0, -2.0], [-4.0, 0.0]]
     assert g.parity == 0 and m.shape == (2, 2)  # the even powers x^0, x^2
@@ -85,14 +83,14 @@ def test_n2_matrix_entries():
 
 def test_sector_dimensions():
     for n in range(7):
-        g = gauge_from_residues(qes_parameterize("sextic", n, a=1.0, b=0.5))
+        g = gauge_from_residues(Sextic.on_condition(1.0, 0.5, n))
         m = recursion_matrix(g)
         assert m.shape == (n // 2 + 1, n // 2 + 1)
         assert g.parity == n % 2
 
 
 def test_off_condition_family_reports_residual():
-    with pytest.raises(QESConditionError, match="residual 0.05"):
+    with pytest.raises(NonQESError, match="residual 0.05"):
         recursion_matrix(gauge_from_residues(Sextic(-6.9, 0.0, 1.0)))
 
 
@@ -101,13 +99,13 @@ def test_off_condition_family_reports_residual():
 
 def test_scalar_spectrum():
     # the n = 0 recursion matrix is the scalar 0
-    states = algebraic_states(qes_parameterize("sextic", 0, a=1.0, b=0.0))
+    states = algebraic_states(Sextic.on_condition(1.0, 0.0, 0))
     assert [s.energy for s in states] == [0.0]
 
 
 def test_two_level_spectrum_is_plus_minus_2root2():
     # the n = 2 recursion matrix is [[0, -2], [-4, 0]]
-    e = [s.energy for s in algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))]
+    e = [s.energy for s in algebraic_states(Sextic.on_condition(1.0, 0.0, 2))]
     assert abs(e[0] + TWO_ROOT_TWO) < 1e-12
     assert abs(e[1] - TWO_ROOT_TWO) < 1e-12
 
@@ -116,11 +114,11 @@ def test_complex_matrix_rejected(monkeypatch):
     m = np.array([[0.0, 1.0], [-1.0, 0.0]])
     monkeypatch.setattr(spectra, "recursion_matrix", lambda gauge: m)
     with pytest.raises(NonRealEnergyError):
-        algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))
+        algebraic_states(Sextic.on_condition(1.0, 0.0, 2))
 
 
 def test_n2_state_polynomials():
-    states = algebraic_states(qes_parameterize("sextic", 2, a=1.0, b=0.0))
+    states = algebraic_states(Sextic.on_condition(1.0, 0.0, 2))
     low, high = states
     assert abs(low.energy + TWO_ROOT_TWO) < 1e-12
     roots_low = [r for r, _ in poly_roots(moving_polynomial(low))]
@@ -134,7 +132,7 @@ def test_n2_state_polynomials():
 def test_degree_law():
     for n in range(6):
         for b in (0.0, 1.0):
-            states = algebraic_states(qes_parameterize("sextic", n, a=1.0, b=b))
+            states = algebraic_states(Sextic.on_condition(1.0, b, n))
             assert len(states) == n // 2 + 1
             for s in states:
                 assert moving_polynomial(s).degree == n == s.n_label
@@ -142,7 +140,7 @@ def test_degree_law():
 
 def test_parity_of_eigenfunctions():
     for n in (2, 3):
-        for s in algebraic_states(qes_parameterize("sextic", n, a=1.0, b=0.0)):
+        for s in algebraic_states(Sextic.on_condition(1.0, 0.0, n)):
             full = eigenfunction_with_derivatives(s)
             sign = 1.0 if s.gauge.parity == 0 else -1.0
             for x in (0.3, 1.1, 2.4):
@@ -151,13 +149,13 @@ def test_parity_of_eigenfunctions():
 
 
 def test_ground_state_value_at_origin():
-    s = algebraic_states(qes_parameterize("sextic", 0, a=1.0, b=0.0))[0]
+    s = algebraic_states(Sextic.on_condition(1.0, 0.0, 0))[0]
     assert abs(eigenfunction_with_derivatives(s)(0.0)[0] - 1.0) < 1e-14
 
 
 def test_eigen_identity_residuals_all_families():
     cases = [
-        qes_parameterize("sextic", 3, a=1.0, b=0.5),
+        Sextic.on_condition(1.0, 0.5, 3),
         RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
         Circular(S1=1.0, S2=1.2, q1=1.5, M=2),
         Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
@@ -168,8 +166,8 @@ def test_eigen_identity_residuals_all_families():
 
 
 _ARRAY_CASES = [
-    qes_parameterize("sextic", 4, a=1.0, b=0.5),
-    qes_parameterize("sextic", 5, a=1.5, b=-0.7),
+    Sextic.on_condition(1.0, 0.5, 4),
+    Sextic.on_condition(1.5, -0.7, 5),
     RadialSextic(S=1.25, a=1.0, b=0.5, M=3),
     Circular(S1=1.0, S2=1.2, q1=1.0, M=3),
     Circular(S1=1.0, S2=1.2, q1=-2.0, M=3),
@@ -216,11 +214,11 @@ def test_evaluator_matches_the_closed_forms_of_the_parameters(family):
 # must leave them as they are.
 _PINNED_MOVING = [
     (
-        qes_parameterize("sextic", 4, a=1.0, b=0.5),
+        Sextic.on_condition(1.0, 0.5, 4),
         "((0.3127638023652873+0j), 0j, (-1.670423808624175+0j), 0j, (1+0j))",
     ),
     (
-        qes_parameterize("sextic", 5, a=1.5, b=-0.7),
+        Sextic.on_condition(1.5, -0.7, 5),
         "(0j, (1.5096754599688988+0j), 0j, (-2.7645640019440747+0j), 0j, (1+0j))",
     ),
     (
