@@ -405,9 +405,10 @@ def cmd_verify(config: dict, results: dict, checks: list) -> None:
         )
         checks.append(_check(f"{tag}_global_count", census.global_count, s.n_label, tols["contour_tol"]))
         checks.append(_check(f"{tag}_residues", worst, 0.0, tols["residue_tol"]))
-        if fit is not None:
-            checks.append(_check(f"{tag}_infinity_exponent", fit["exponent"], 3.0, 0.01))
-            target = 1j * family.a
+        if fit is not None:  # the leading term of the ledger's infinity series, c_lo z^(-lo)
+            ser = s.gauge.ledger.infinity_series
+            checks.append(_check(f"{tag}_infinity_exponent", fit["exponent"], -float(ser.lo), 0.01))
+            target = ser.coefficient(ser.lo)
             checks.append(
                 _check(f"{tag}_infinity_coefficient", fit["coefficient"], target, 1e-3 * abs(target))
             )

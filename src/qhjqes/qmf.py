@@ -111,12 +111,12 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     ``p(z) = sum_{k=lo}^{0} c_k z^(-k) + sum_i res_i / (z - z_i) + (-i/measure) P'(z)/P(z)``,
     the principal part of the infinity series, the selected fixed-pole
     residues, and one pole of residue -i/measure at each zero of P. The
-    census variable z and the measure are the ledger's chart. A degenerate
-    zero raises ``DegenerateZeroError``.
+    census variable z and the measure are the ledger's chart. P and P' come
+    from one Horner pass over P's own coefficients, so P' carries no rounded
+    k c_k. A degenerate zero raises ``DegenerateZeroError``.
     """
     ledger = state.gauge.ledger
     pol = moving_polynomial(state)
-    dpol = pol.derivative()
     zeros = tuple(poly_roots(pol)) if pol.degree else ()
     real, cplx = _classified_zeros(zeros)
     ser = ledger.infinity_series
@@ -126,7 +126,13 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     moving = -1j / chart.measure
 
     def evaluation(z):
-        val = principal(z) + moving * (dpol(z) / pol(z))
+        p = d = 0j
+        for c in reversed(pol.coeffs):  # in place: d = d z + p, p = p z + c
+            d *= z
+            d += p
+            p *= z
+            p += c
+        val = principal(z) + moving * (d / p)
         for loc, res in fixed:
             val = val + res / (z - loc)
         return val
@@ -295,16 +301,21 @@ def pole_reports(e: QmfEvaluator) -> tuple[PoleReport, ...]:
 
 
 def infinity_order_check(e: QmfEvaluator) -> dict:
-    """Fit the growth of p along a ray with 10 <= |z| <= 100.
+    """Fit the growth of p along a ray with r0 <= |z| <= 10 r0.
 
     Only meaningful for the polynomial (sextic-type) families, whose momentum
-    grows like a finite power; the fitted exponent must be 3 and the
-    coefficient i*sqrt(gamma). A bad fit means the growth is not a finite
-    power and raises.
+    grows like the leading term c_lo z^(-lo) of the ledger's infinity series;
+    the fitted exponent must be -lo and the coefficient c_lo. The ray starts
+    where that term outgrows the rest of the principal part, at
+    r0 = 10 max(1, max_k |c_k / c_lo|^(1 / (k - lo))) over lo < k <= 0. A bad
+    fit means the growth is not a finite power and raises.
     """
     if e.census_variable != "x":
         raise ValueError("infinity order check applies to the polynomial families")
-    radii = np.geomspace(10.0, 100.0, 24)
+    ser = e.state.gauge.ledger.infinity_series
+    lead = ser.coefficient(ser.lo)
+    r0 = 10.0 * max([1.0] + [abs(ser.coefficient(k) / lead) ** (1.0 / (k - ser.lo)) for k in range(ser.lo + 1, 1)])
+    radii = np.geomspace(r0, 10.0 * r0, 24)
     direction = np.exp(0.37j)
     vals = e.evaluation(radii * direction)
     logs_r, logs_p = np.log(radii), np.log(np.abs(vals))
@@ -312,6 +323,6 @@ def infinity_order_check(e: QmfEvaluator) -> dict:
     fit_residual = float(np.max(np.abs(logs_p - (slope * logs_r + intercept))))
     if fit_residual > 0.5:
         raise ArithmeticError(f"unexpected growth: power-law fit residual {fit_residual:.3g}")
-    z_big = radii[-1] * direction  # |z| = 100, the last node of the ray
-    coefficient = vals[-1] / z_big**3
+    z_big = radii[-1] * direction  # |z| = 10 r0, the last node of the ray
+    coefficient = vals[-1] / z_big ** (-ser.lo)
     return {"exponent": float(slope), "coefficient": complex(coefficient)}

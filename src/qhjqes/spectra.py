@@ -1,31 +1,27 @@
 """Algebraic (polynomial x gauge) sector of a solvable family instance.
 
-When the solvability condition holds, substituting
-``psi = (prefactors) * P * exp(-G)`` into the eigenproblem closes a finite
-recursion on the coefficients of P. The finite matrix of that recursion is
-built here; its eigenpairs are the algebraic energies and states, and the
-closed-form eigenfunctions can be evaluated (with analytic derivatives)
-anywhere in the complex plane.
-
-The gauge (prefactors and G) lives in the ledger's chart variable z: x for
-the polynomial families, t = sin^2 x for the trigonometric family and
-t = cosh x for the hyperbolic one. P is stored in v = z^k, the chart's
-reduced power: x^2 (the sextic's parity sectors and the radial family),
-sin^2 x and cosh^2 x. One formula in z evaluates every family's
-eigenfunction, and the chart's map carries it to x. The closed forms the
-gauge is checked against, the parity of the moving polynomial and the sample
-window are the family's own data.
+The gauge, prefactors and G, is read from the ledger in its chart variable z
+(x, t = sin^2 x or t = cosh x), and P is stored in v = z^k, the chart's
+reduced power (x^2, sin^2 x or cosh^2 x). Conjugated by the gauge, H maps
+polynomials in v to polynomials in v and closes on those of the ledger's
+degree. Its finite matrix, derived from the chart, the potential in the
+chart and the gauge alone, has the algebraic energies and states as
+eigenpairs. One formula in z evaluates every family's eigenfunction with
+analytic derivatives, and the chart's map carries it to x. The parity of the
+moving polynomial and the sample window are the family's own data.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from . import engine
-from .families import PotentialFamily
+from .families import NonQESError, PotentialFamily
 from .series import Polynomial
 
 __all__ = [
@@ -40,7 +36,7 @@ __all__ = [
     "schrodinger_residual",
 ]
 
-_REAL_TOL = 1e-10
+_ROUNDING = 1e-10  # relative size of a number that exact arithmetic would make zero
 
 
 class NonRealEnergyError(ArithmeticError):
@@ -56,9 +52,8 @@ class GaugeSpec:
     i * measure times the selected momentum residue there.
     ``gauge_polynomial`` is G(z) with ``psi`` carrying ``exp(-G)``; it
     integrates the principal part of the momentum at infinity. ``parity``,
-    decided by the family, is the moving polynomial's power of z: n % 2 for
-    the sextic, 0 otherwise. ``ledger`` is the quantization ledger all three
-    were read from.
+    decided by the family, is the moving polynomial's power of z. ``ledger``
+    is the quantization ledger all three were read from.
     """
 
     prefactors: tuple[tuple[complex, float], ...]
@@ -114,53 +109,62 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     return GaugeSpec(prefactors, Polynomial(g), family.gauge_parity(g, prefactors, ledger.n), ledger)
 
 
-def _chart_matrix(mu0: float, mu1: float, q1: float, m_count: int) -> np.ndarray:
-    """Recursion matrix for the t = sin^2 x machine (also reused negated)."""
-    g = -q1 / 2.0
-    s0 = -4.0 * (mu0 + mu1) ** 2 + (8.0 * mu0 + 2.0) * g
-    dim = m_count + 1
-    h = np.zeros((dim, dim))
-    for k in range(dim):
-        h[k, k] = 4.0 * k * (k - 1) - (8.0 * g - 8.0 * mu0 - 8.0 * mu1 - 4.0) * k - s0
-        if k + 1 < dim:
-            h[k, k + 1] = -(k + 1) * (4.0 * k + 8.0 * mu0 + 2.0)
-        if k - 1 >= 0:
-            h[k, k - 1] = -4.0 * q1 * (k - 1 - m_count)
-    return h
+def _mul(*factors) -> np.ndarray:
+    return functools.reduce(np.convolve, factors) if factors else np.ones(1)
+
+
+def _der(p: np.ndarray) -> np.ndarray:
+    return p[1:] * np.arange(1, len(p)) if len(p) > 1 else 0 * p
+
+
+def _sum(*terms: np.ndarray) -> np.ndarray:
+    return np.array([sum(c) for c in itertools.zip_longest(*terms, fillvalue=0.0)])
+
+
+def _quotient(terms: tuple, divisor: np.ndarray) -> np.ndarray:
+    """sum(terms) / divisor, all ascending; a remainder beyond the terms' rounding raises ``ArithmeticError``."""
+    quotient, rest = np.polynomial.polynomial.polydiv(_sum(*terms), divisor)
+    if np.max(np.abs(rest)) > _ROUNDING * max(np.max(np.abs(t)) for t in terms):
+        raise ArithmeticError("the gauge's exponents miss an indicial equation: the conjugated operator has poles")
+    return quotient
 
 
 def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
-    """Dense real matrix of the finite coefficient recursion on (c_0, c_1, ...).
+    """Dense real matrix of H on the coefficients (c_0, c_1, ...) of P(v), v = z^k.
 
-    Its eigenpairs are the algebraic energies and states; the ledger's chart
-    picks the recursion and its n makes it truncate. On the identity chart
-    it acts on P(x^2) with x^mu at the origin: mu is the radial family's
-    closed form 2S - 1/2 at a fixed pole there, else the gauge's parity,
-    which the sextic decides.
+    With psi = F P(v), F = exp(-G) prod_i (z - z_i)^e_i (z^parity one more
+    factor at 0) and L = F'/F, H = -Q d^2/dz^2 - (Q'/2) d/dz + V becomes
+    a2 P_vv + a1 P_v + a0 P: a2 = -Q v'^2, a1 = -(2 Q L + Q'/2) v' - Q v'',
+    a0 = V - Q (L^2 + L') - Q' L / 2 (Turbiner, Commun. Math. Phys. 118, 467
+    (1988)), built exactly over D = prod_i (z - z_i) and V's denominator. A
+    remainder raises ``ArithmeticError``: an exponent misses its indicial
+    equation. Their 7 numbers in v, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v +
+    C1, a0 = A0 v + C0, fill the matrix on v^0 .. v^top, top = (moving_weight
+    n - parity) / k. Unless the entry from v^top to v^(top + 1) vanishes, the
+    ledger's n does not truncate: ``families.NonQESError``. The gauge is
+    real, its poles being the family's real singular points.
     """
-    ledger = gauge.ledger
-    family, n, chart = ledger.family, ledger.n, ledger.family.chart
-    if chart.Q.degree == 0:
-        a, b = family.a, family.b
-        mu = family.mu if gauge.prefactors else gauge.parity
-        half = family.moving_weight * n // 2
-        dim = half + 1
-        h = np.zeros((dim, dim))
-        for i in range(dim):
-            k = 2 * i
-            h[i, i] = b * (2 * k + 2 * mu + 1)
-            if i + 1 < dim:
-                h[i, i + 1] = -(k + 2) * (k + 1 + 2 * mu)
-            if i - 1 >= 0:
-                h[i, i - 1] = 2.0 * a * (k - 2 - 2 * half)
-        return h
-
-    (_, mu0), (_, mu1) = gauge.prefactors[:2]
-    if chart.Q(0) == 0:  # Q = 4t(1 - t): the t = sin^2 x recursion
-        return _chart_matrix(mu0, mu1, family.q1, n)
-    # Q = t^2 - 1: the recursion acts on P(s), s = t^2, which is quadratic at
-    # t = 0, and is the trigonometric one negated
-    return -_chart_matrix(mu0 / 2.0, mu1, family.q1, n)
+    family, k = gauge.ledger.family, gauge.ledger.family.chart.reduced_power
+    factors = gauge.prefactors + (((0.0, gauge.parity),) if gauge.parity else ())
+    lin = [np.array([-loc.real, 1.0]) for loc, _ in factors]
+    d, q = _mul(*lin), np.real(family.chart.Q.coeffs)
+    # N = D L = -G' D + sum_i e_i D / (z - z_i)
+    g1 = _der(np.real(gauge.gauge_polynomial.coeffs))
+    n_l = _sum(-_mul(g1, d), *(e * _mul(*lin[:i], *lin[i + 1 :]) for i, (_, e) in enumerate(factors)))
+    v1 = k * np.eye(k)[-1]  # v' = k z^(k - 1)
+    num, den = (np.array(c, dtype=float) for c in family.potential_in_chart)
+    a2 = -_mul(q, v1, v1)
+    a1 = _quotient((-_mul(_sum(2 * _mul(q, n_l), _mul(_der(q), d) / 2), v1), -_mul(q, _der(v1), d)), d)
+    # D^2 (Q (L^2 + L') + Q' L / 2) = Q (N^2 + D N' - D' N) + Q' N D / 2
+    w = _sum(_mul(q, _sum(_mul(n_l, n_l), _mul(d, _der(n_l)), -_mul(_der(d), n_l))), _mul(_der(q), n_l, d) / 2)
+    a0 = _quotient((_mul(num, d, d), -_mul(den, w)), _mul(den, d, d))
+    (_, B2, A2), (C1, B1, A1), (C0, A0, _) = (np.append(a[::k], np.zeros(3))[:3] for a in (a2, a1, a0))
+    top = (family.moving_weight * gauge.ledger.n - gauge.parity) // k
+    if abs(top * A1 + A0) > _ROUNDING * ((top + 1) * abs(A1) + abs(A0)):
+        raise NonQESError(f"the recursion does not truncate: v^{top} maps to v^{top + 1} by {top * A1 + A0:.3g}")
+    j = np.arange(top + 1.0)
+    sup, sub = j[1:] * (j[1:] - 1) * B2 + j[1:] * C1, j[:-1] * A1 + A0  # v^j to v^(j - 1), v^(j + 1)
+    return np.diag(j * (j - 1) * A2 + j * B1 + C0) + np.diag(sup, 1) + np.diag(sub, -1)
 
 
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
@@ -173,7 +177,7 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
     gauge = gauge_from_residues(family)
     w, vecs = np.linalg.eig(recursion_matrix(gauge))
     scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w.imag)) > _REAL_TOL * scale:
+    if np.max(np.abs(w.imag)) > _ROUNDING * scale:
         raise NonRealEnergyError(f"non-real algebraic energy: {w}")
     energies = w.real
     order = np.argsort(energies)
@@ -202,16 +206,10 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
 
 
 def moving_polynomial(state: AlgebraicState) -> Polynomial:
-    """Full polynomial factor z^parity * P(z^k) in the census variable (its zeros are the moving poles).
-
-    k is the chart's reduced power and the parity is the gauge's.
-    """
-    k = state.family.chart.reduced_power
-    q = state.poly.coeffs
-    offset = state.gauge.parity
-    full = [0j] * (k * (len(q) - 1) + offset + 1)
-    for j, c in enumerate(q):
-        full[k * j + offset] = c
+    """Full polynomial factor z^parity P(z^k) in the census variable; its zeros are the moving poles."""
+    k, offset = state.family.chart.reduced_power, state.gauge.parity
+    full = np.zeros(k * state.poly.degree + offset + 1, dtype=complex)
+    full[offset::k] = state.poly.coeffs
     return Polynomial(full)
 
 

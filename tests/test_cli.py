@@ -1,5 +1,6 @@
 import argparse
 import ast
+import dataclasses
 import importlib.util
 import inspect
 import json
@@ -13,6 +14,7 @@ import pytest
 
 import qhjqes
 from qhjqes.cli import canonical_json, main
+from qhjqes.families import FAMILIES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -376,6 +378,27 @@ def test_verify_radial_example(tmp_path, capsys):
 @pytest.mark.parametrize(
     "family",
     [
+        {"name": "sextic_qes", "a": 1.0, "b": 4.0, "n": 1},
+        {"name": "sextic_qes", "a": 1.0, "b": -4.0, "n": 1},
+        {"name": "sextic_qes", "a": 0.5, "b": 2.0, "n": 1},
+        {"name": "sextic_qes", "a": 2.0, "b": 8.0, "n": 1},
+        {"name": "sextic_qes", "a": 0.05, "b": 1.0, "n": 2},
+        {"name": "radial_sextic", "S": 1.1, "a": 0.05, "b": 1.0, "M": 2},
+    ],
+    ids=["b4", "b-4", "a0.5-b2", "a2-b8", "a0.05-b1", "radial-a0.05-b1"],
+)
+def test_infinity_fit_starts_where_the_leading_term_dominates(tmp_path, capsys, family):
+    # p ~ i(a z^3 + b z): with |b/a| >= 4 a ray at 10 <= |z| <= 100 is not yet asymptotic
+    cfg = write_config(tmp_path, {"family": family})
+    assert main(["verify", "--config", cfg]) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    fits = [c for c in checks if "_infinity_" in c["name"]]
+    assert fits and all(c["pass"] for c in fits)
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
         {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2},
         {"name": "hyperbolic", "S1": 1.0, "S2": 0.9, "q1": 1.0, "M": 2},
         {"name": "sextic_qes", "a": 1.0, "b": 0.0, "n": 12},
@@ -539,6 +562,32 @@ def test_only_families_and_cli_name_a_family_class(module):
         elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "families":
             named.add(node.attr)
     assert named & {"Sextic", "RadialSextic", "Circular", "Hyperbolic", "FAMILIES", "family_kind"} == set()
+
+
+# What the pipeline may read of a family: the data every family provides.
+_PROTOCOL = {
+    "chart", "singular_points", "moving_weight", "infinity_target", "potential_in_chart", "solve_ledger",
+    "ledger_check", "gauge_parity", "sample_window", "oracle_domain", "walls", "potential",
+}
+
+
+def _family_parameters() -> set:
+    """Fields and properties of the family classes that are not in the protocol."""
+    names = set()
+    for cls in FAMILIES.values():
+        names |= {f.name for f in dataclasses.fields(cls)}
+        names |= {name for klass in cls.__mro__ for name, v in vars(klass).items() if isinstance(v, property)}
+    return names - _PROTOCOL
+
+
+@pytest.mark.parametrize("module", ["engine", "oracle", "qmf", "series", "spectra", "cli"])
+def test_no_module_outside_families_reads_a_family_parameter(module):
+    # a module that reads alpha, a, q1 or M knows which family it has; it must read the protocol's data
+    tree = ast.parse(inspect.getsource(importlib.import_module(f"qhjqes.{module}")))
+    parameters = _family_parameters()
+    assert {"a", "mu", "q1", "M"} <= parameters
+    read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in parameters}
+    assert read == set()
 
 
 def test_traced_verify_records_oracle_node_counts(tmp_path):

@@ -120,7 +120,7 @@ def test_energy_stays_out_of_ledger_coefficients():
         (RadialSextic(S=1.25, a=1.0, b=0.5, M=2), 2),
         (Circular(S1=1.1, S2=0.9, q1=1.4, M=1), 1),
         (Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1), 2),
-        (ReflectedCircular(1.1, 0.9, 1.4, 1), 1),
+        (ReflectedCircular(Circular(1.1, 0.9, 1.4, 1)), 1),
     ],
     ids=["readme_sextic", "sextic", "radial_sextic", "circular", "hyperbolic", "reflected_circular"],
 )

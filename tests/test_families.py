@@ -40,22 +40,17 @@ class ReflectedCircular:
     V(x) = A/cos^2 x + B/sin^2 x + C cos^2 x - D cos^4 x is Circular's V in
     t, with the same Q = 4t(1 - t) and measure. Only the chart's map, V(x)
     and the oracle's walls are its own; the library does not know the class.
+    Its one field is the Circular instance whose data it shares, so it has
+    no parameter of its own that the library could read.
     """
 
-    S1: float
-    S2: float
-    q1: float
-    M: int
+    circular: Circular
 
     chart = ChartSpec("t", TRIG.measure, TRIG.Q, TRIG.reduced_power, _cos2_coordinates)
     singular_points = Circular.singular_points
     moving_weight = Circular.moving_weight
     sample_window = Circular.sample_window
     oracle_domain = Circular.oracle_domain
-
-    @property
-    def circular(self) -> Circular:
-        return Circular(self.S1, self.S2, self.q1, self.M)
 
     infinity_target = property(lambda self: self.circular.infinity_target)
     potential_in_chart = property(lambda self: self.circular.potential_in_chart)
@@ -88,7 +83,7 @@ _FAMILIES = [
     Circular(S1=0.62, S2=1.7, q1=-2.3, M=6),
     Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1),
     Hyperbolic(S1=0.7, S2=1.6, q1=0.4, M=4),
-    ReflectedCircular(S1=1.0, S2=1.3, q1=-1.5, M=3),
+    ReflectedCircular(Circular(S1=1.0, S2=1.3, q1=-1.5, M=3)),
 ]
 _IDS = [f"{type(f).__name__}-{i}" for i, f in enumerate(_FAMILIES)]
 
@@ -107,7 +102,7 @@ def test_potential_in_chart_is_the_potential(family):
 @pytest.mark.parametrize("m_count,q1", [(0, 1.2), (1, -0.7), (2, 2.5), (3, -1.5), (4, 0.9)])
 def test_a_family_defined_as_data_runs_through_the_pipeline(m_count, q1):
     s1, s2 = 1.0, 1.3
-    family = ReflectedCircular(s1, s2, q1, m_count)
+    family = ReflectedCircular(Circular(s1, s2, q1, m_count))
     with pytest.raises(TypeError):
         family_kind(family)  # the library cannot be dispatching on the class
     ledger = quantization_ledger(family)
@@ -126,7 +121,7 @@ def test_a_family_defined_as_data_runs_through_the_pipeline(m_count, q1):
 
 
 def test_a_family_defined_as_data_meets_the_oracle():
-    family = ReflectedCircular(S1=1.0, S2=1.3, q1=-1.5, M=2)
+    family = ReflectedCircular(Circular(S1=1.0, S2=1.3, q1=-1.5, M=2))
     states = algebraic_states(family)
     spec = refine(family, k=2 * len(states) + 4, tol=5e-5)
     for s in states:
@@ -150,6 +145,18 @@ def test_q1_duality_of_the_circular_family():
         energies = _spectrum(family)
         dual = _spectrum(Circular(s2, s1, -q1, m_count)) + family.C - family.D
         assert np.max(np.abs(energies - dual)) <= 1e-13 * np.max(np.abs(energies)), (s1, s2, q1, m_count)
+
+
+def test_hyperbolic_spectrum_is_the_circular_one_negated():
+    # x -> pi/2 + ix maps H_circular to -H_hyperbolic at the same (S1, S2, q1, M); nothing negates by hand
+    rng = np.random.default_rng(43)
+    for _ in range(100):
+        m_count = int(rng.integers(0, 11))
+        s1, s2 = (float(s) for s in rng.uniform(0.55, 2.5, 2))
+        q1 = float(rng.uniform(0.1, 4.0))
+        circular = _spectrum(Circular(s1, s2, q1, m_count))
+        hyperbolic = _spectrum(Hyperbolic(s1, s2, q1, m_count))
+        assert np.max(np.abs(hyperbolic + circular[::-1])) <= 1e-13 * np.max(np.abs(circular)), (s1, s2, q1, m_count)
 
 
 @pytest.mark.parametrize(

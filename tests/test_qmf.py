@@ -397,51 +397,52 @@ _PINNED_CENSUS = [
         'CensusReport(n_real=1, n_complex=2, total=3, quantization_value=0.9999999999999963, '
         'global_count=3.0000000000000124, zeros=(-0.8908019533263034j, 0j, 0.8908019533263034j))',
         '(PoleReport(location=-0.8908019533263034j, multiplicity=1, '
-        "measured_residue=(5.204170427930421e-18-1j), kind='moving', axis='complex'), "
-        "PoleReport(location=0j, multiplicity=1, measured_residue=-1j, kind='moving', axis='real'), "
-        "PoleReport(location=0.8908019533263034j, multiplicity=1, measured_residue=-1j, kind='moving', "
-        "axis='complex'))",
+        "measured_residue=(3.469446951953614e-18-1j), kind='moving', axis='complex'), "
+        'PoleReport(location=0j, multiplicity=1, measured_residue=(8.673617379884035e-19-1j), '
+        "kind='moving', axis='real'), PoleReport(location=0.8908019533263034j, multiplicity=1, "
+        "measured_residue=(1.734723475976807e-18-1j), kind='moving', axis='complex'))",
     ),
     (
         RadialSextic(S=1.25, a=1.0, b=0.5, M=2), 1,
         'CensusReport(n_real=2, n_complex=2, total=4, quantization_value=2.0000000000000138, '
-        'global_count=4.000000000000015, zeros=((-1.263399454869676+0j), -1.4757558455539257j, '
+        'global_count=4.00000000000001, zeros=((-1.263399454869676+0j), -1.4757558455539257j, '
         '1.4757558455539257j, (1.263399454869676+0j)))',
         '(PoleReport(location=(-1.263399454869676+0j), multiplicity=1, '
         "measured_residue=(-1.734723475976807e-18-1j), kind='moving', axis='real'), "
         'PoleReport(location=-1.4757558455539257j, multiplicity=1, '
-        "measured_residue=(3.469446951953614e-18-1j), kind='moving', axis='complex'), "
-        "PoleReport(location=1.4757558455539257j, multiplicity=1, measured_residue=-1j, kind='moving', "
-        "axis='complex'), PoleReport(location=(1.263399454869676+0j), multiplicity=1, "
-        "measured_residue=(5.204170427930421e-18-1j), kind='moving', axis='real'), PoleReport(location=0j, "
-        "multiplicity=1, measured_residue=(-1.734723475976807e-18-2j), kind='fixed', axis='real'))",
+        "measured_residue=(1.734723475976807e-18-1j), kind='moving', axis='complex'), "
+        'PoleReport(location=1.4757558455539257j, multiplicity=1, measured_residue=-1j, '
+        "kind='moving', axis='complex'), PoleReport(location=(1.263399454869676+0j), multiplicity=1, "
+        "measured_residue=(5.204170427930421e-18-1j), kind='moving', axis='real'), "
+        'PoleReport(location=0j, multiplicity=1, measured_residue=(-1.734723475976807e-18-2j), '
+        "kind='fixed', axis='real'))",
     ),
     (
         Circular(S1=1.0, S2=1.2, q1=-1.5, M=3), 0,
         'CensusReport(n_real=3, n_complex=0, total=3, quantization_value=3.0, '
-        'global_count=2.999999999999999, zeros=((-6.936851136178023+0j), (-3.37166908356238+0j), '
-        '(-1.1949493603181798+0j)))',
-        '(PoleReport(location=(-6.936851136178023+0j), multiplicity=1, '
-        "measured_residue=(1.1275702593849248e-17-2j), kind='moving', axis='real'), "
-        'PoleReport(location=(-3.37166908356238+0j), multiplicity=1, '
-        "measured_residue=(4.163336342344337e-17-1.9999999999999998j), kind='moving', axis='real'), "
-        'PoleReport(location=(-1.1949493603181798+0j), multiplicity=1, '
-        "measured_residue=(-6.938893903907228e-18-2j), kind='moving', axis='real'), "
+        'global_count=2.999999999999999, zeros=((-6.936851136178018+0j), (-3.3716690835623755+0j), '
+        '(-1.1949493603181804+0j)))',
+        '(PoleReport(location=(-6.936851136178018+0j), multiplicity=1, '
+        "measured_residue=(-8.673617379884035e-18-2j), kind='moving', axis='real'), "
+        'PoleReport(location=(-3.3716690835623755+0j), multiplicity=1, '
+        "measured_residue=(-3.2959746043559335e-17-1.9999999999999993j), kind='moving', "
+        "axis='real'), PoleReport(location=(-1.1949493603181804+0j), multiplicity=1, "
+        "measured_residue=(2.0816681711721685e-17-2j), kind='moving', axis='real'), "
         'PoleReport(location=0j, multiplicity=1, measured_residue=(-1.3877787807814457e-17-1.5j), '
-        "kind='fixed', axis='real'), PoleReport(location=(1+0j), multiplicity=1, measured_residue=-1.9j, "
-        "kind='fixed', axis='real'))",
+        "kind='fixed', axis='real'), PoleReport(location=(1+0j), multiplicity=1, "
+        "measured_residue=(-2.7755575615628914e-17-1.9j), kind='fixed', axis='real'))",
     ),
     (
         Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2), 0,
-        'CensusReport(n_real=4, n_complex=0, total=4, quantization_value=4.000000000000002, '
+        'CensusReport(n_real=4, n_complex=0, total=4, quantization_value=4.000000000000003, '
         'global_count=4.000000000000001, zeros=((-0.7993886662966713+0j), (-0.4711637400165076+0j), '
         '(0.4711637400165077+0j), (0.7993886662966713+0j)))',
         '(PoleReport(location=(-0.7993886662966713+0j), multiplicity=1, '
-        "measured_residue=(2.0816681711721685e-17-1j), kind='moving', axis='real'), "
-        'PoleReport(location=(-0.4711637400165076+0j), multiplicity=1, measured_residue=-1j, '
-        "kind='moving', axis='real'), PoleReport(location=(0.4711637400165077+0j), multiplicity=1, "
-        "measured_residue=(-6.938893903907228e-18-0.9999999999999999j), kind='moving', axis='real'), "
-        'PoleReport(location=(0.7993886662966713+0j), multiplicity=1, '
+        "measured_residue=(1.3877787807814457e-17-1j), kind='moving', axis='real'), "
+        'PoleReport(location=(-0.4711637400165076+0j), multiplicity=1, '
+        "measured_residue=(6.938893903907228e-18-1j), kind='moving', axis='real'), "
+        'PoleReport(location=(0.4711637400165077+0j), multiplicity=1, measured_residue=-1j, '
+        "kind='moving', axis='real'), PoleReport(location=(0.7993886662966713+0j), multiplicity=1, "
         "measured_residue=(1.3877787807814457e-17-1j), kind='moving', axis='real'), "
         'PoleReport(location=0j, multiplicity=1, measured_residue=(-1.0408340855860843e-17-1.5j), '
         "kind='fixed', axis='real'), PoleReport(location=(1+0j), multiplicity=1, "

@@ -1,4 +1,6 @@
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -219,7 +221,7 @@ _PINNED_MOVING = [
     ),
     (
         Sextic.on_condition(1.5, -0.7, 5),
-        "(0j, (1.5096754599688988+0j), 0j, (-2.7645640019440747+0j), 0j, (1+0j))",
+        "(0j, (1.509675459968898+0j), 0j, (-2.7645640019440734+0j), 0j, (1+0j))",
     ),
     (
         RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
@@ -227,7 +229,7 @@ _PINNED_MOVING = [
     ),
     (
         Circular(S1=1.0, S2=1.2, q1=-2.0, M=2),
-        "((0.23851408379342268+0j), (-1.064954541690621+0j), (1+0j))",
+        "((0.23851408379342237+0j), (-1.0649545416906199+0j), (1+0j))",
     ),
     (
         Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
@@ -241,6 +243,80 @@ _PINNED_MOVING = [
 )
 def test_moving_polynomial_is_pinned(family, coeffs):
     assert repr(moving_polynomial(algebraic_states(family)[-1]).coeffs) == coeffs
+
+
+def _paper_matrix(family) -> np.ndarray:
+    """The paper's closed-form recursions from the family's parameters: the reference for the derived matrix."""
+    kind = family_kind(family)
+    if kind in ("sextic", "radial_sextic"):
+        a, b = family.a, family.b
+        if kind == "sextic":
+            n = round((family.condition_value - 3.0) / 2.0)
+            mu, half = n % 2, n // 2
+        else:
+            mu, half = family.mu, family.M
+        h = np.zeros((half + 1, half + 1))
+        for i in range(half + 1):
+            k = 2 * i
+            h[i, i] = b * (2 * k + 2 * mu + 1)
+            if i < half:
+                h[i, i + 1] = -(k + 2) * (k + 1 + 2 * mu)
+            if i > 0:
+                h[i, i - 1] = 2.0 * a * (k - 2 - 2 * half)
+        return h
+    # the t = sin^2 x recursion; the hyperbolic one is its negative at the same parameters
+    mu0, mu1, q1, m = family.S1 - 0.25, family.S2 - 0.25, family.q1, family.M
+    g = -q1 / 2.0
+    s0 = -4.0 * (mu0 + mu1) ** 2 + (8.0 * mu0 + 2.0) * g
+    h = np.zeros((m + 1, m + 1))
+    for k in range(m + 1):
+        h[k, k] = 4.0 * k * (k - 1) - (8.0 * g - 8.0 * mu0 - 8.0 * mu1 - 4.0) * k - s0
+        if k < m:
+            h[k, k + 1] = -(k + 1) * (4.0 * k + 8.0 * mu0 + 2.0)
+        if k > 0:
+            h[k, k - 1] = -4.0 * q1 * (k - 1 - m)
+    return h if kind == "circular" else -h
+
+
+def _families_up_to_12():
+    for size in range(13):
+        yield Sextic.on_condition(1.3, -0.6, size)
+        yield Sextic.on_condition(0.55, 0.9, size)
+        yield RadialSextic(S=1.7, a=0.8, b=-0.4, M=size)
+        yield Circular(S1=0.7, S2=1.45, q1=1.9, M=size)
+        yield Circular(S1=1.6, S2=0.65, q1=-0.45, M=size)
+        yield Hyperbolic(S1=1.2, S2=0.8, q1=0.6, M=size)
+
+
+def test_derived_matrix_is_the_papers_recursion():
+    for family in _families_up_to_12():
+        derived, paper = recursion_matrix(gauge_from_residues(family)), _paper_matrix(family)
+        assert derived.shape == paper.shape, family
+        assert np.max(np.abs(derived - paper)) <= 1e-14 * np.max(np.abs(paper)), family
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=3),
+        Circular(S1=1.0, S2=1.2, q1=-1.5, M=3),
+        Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=3),
+    ],
+    ids=["radial", "circular", "hyperbolic"],
+)
+def test_exponent_off_the_indicial_equation_is_refused(family):
+    g = gauge_from_residues(family)
+    (loc, e), *rest = g.prefactors
+    with pytest.raises(ArithmeticError, match="indicial"):
+        recursion_matrix(dataclasses.replace(g, prefactors=((loc, e + 0.1), *rest)))
+
+
+@pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
+def test_count_that_does_not_truncate_is_refused(family):
+    # two more moving poles keep the sextic's parity; the sector then reaches one power of v further
+    g = gauge_from_residues(family)
+    with pytest.raises(NonQESError, match="does not truncate"):
+        recursion_matrix(dataclasses.replace(g, ledger=dataclasses.replace(g.ledger, n=g.ledger.n + 2)))
 
 
 def _residual_by_loop(state, n_samples=50):
