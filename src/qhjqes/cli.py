@@ -12,6 +12,7 @@ named after the stage, so every run with a valid config writes a report.
 from __future__ import annotations
 
 import argparse
+import cmath
 import contextlib
 import dataclasses
 import math
@@ -91,7 +92,7 @@ def build_family(spec: dict):
 
 
 def _check_grid(grid) -> None:
-    """The oracle's domain: finite ends with x_max > x_min, and an optional integer starting node count."""
+    """The oracle's domain: finite ends with x_max > x_min, and an optional starting node count that refines once."""
     _require_keys(grid, ("x_min", "x_max", "n"), "grid", ("x_min", "x_max"))
     lo, hi = grid["x_min"], grid["x_max"]
     if type(lo) not in (int, float) or type(hi) not in (int, float):
@@ -99,8 +100,8 @@ def _check_grid(grid) -> None:
     if not (_is_finite_number(lo) and _is_finite_number(hi) and hi > lo):
         raise ConfigError(f"grid needs finite ends with x_max > x_min, got {lo!r}..{hi!r}")
     n = grid.get("n", oracle.N_START)
-    if type(n) is not int or not oracle.N_MIN <= n <= oracle.N_MAX:
-        raise ConfigError(f"grid n must be an integer in {oracle.N_MIN}..{oracle.N_MAX}, got {n!r}")
+    if type(n) is not int or not oracle.N_MIN <= n <= oracle.N_START_MAX:
+        raise ConfigError(f"grid n must be an integer in {oracle.N_MIN}..{oracle.N_START_MAX}, got {n!r}")
 
 
 def load_config(path: str) -> dict:
@@ -190,6 +191,8 @@ def make_report(command: str, config: dict, results: dict, checks: list) -> dict
 
 
 def _check(name: str, measured, expected, tolerance: float) -> dict:
+    if not cmath.isfinite(measured):  # a report holds finite numbers only
+        return _failed_check(name, f"non-finite measured value {measured!r}")
     if isinstance(measured, complex) or isinstance(expected, complex):
         err = abs(complex(measured) - complex(expected))
     else:

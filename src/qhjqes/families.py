@@ -13,11 +13,13 @@ real numerator and denominator coefficients in the chart variable;
 ``singular_points``, V's poles in ledger order; ``moving_weight``, moving
 poles per unit of n; ``infinity_target``, the physical branch's leading
 coefficient at infinity where decay cannot pick it; the closed forms of
-``solve_ledger``, ``ledger_check`` and ``gauge_parity`` (which also gives
-the moving polynomial's power of z); the residual's ``sample_window``; the
+``solve_ledger`` and ``ledger_check``; the residual's ``sample_window``; the
 oracle's ``oracle_domain`` and ``walls`` ``(position, c, f)``, c the
 family's own 1/x^2 coefficient at the wall and f vanishing linearly there.
 ``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
+No family carries a closed form of its gauge: ``spectra.recursion_matrix``
+conjugates the potential in the chart by the ledger's gauge and refuses
+every term outside the tridiagonal band, which checks the gauge exactly.
 
 No other module knows the sextic's solvability condition: ``Sextic.on_condition``
 builds a sextic on it, and ``Sextic.solve_ledger`` refuses one off it with
@@ -135,12 +137,6 @@ def _check_count(m) -> None:
         raise ValueError("M must be a nonnegative integer")
 
 
-def _check_quartic(gauge: list, a: float) -> None:
-    """The closed form 4 g4 = a of the identity-chart families' gauge x^4 term."""
-    if abs(4 * gauge[4] - a) > 1e-12 * (1 + a):
-        raise ArithmeticError("gauge does not reproduce the selected infinity branch")
-
-
 class _CountedByM:
     """A family whose parameters fix the moving-pole count: the ledger must return n = M."""
 
@@ -228,11 +224,6 @@ class Sextic:
         target = self.condition_value
         return "condition_matches_closed_form", target, 1e-10 * max(1.0, abs(target))
 
-    def gauge_parity(self, gauge: list, prefactors: tuple, n: int) -> int:
-        """Check 4 g4 = a; the parity is that of n, whose factor x lives in the moving polynomial."""
-        _check_quartic(gauge, self.a)
-        return n % 2
-
     def potential(self, x):
         x2 = x * x
         return x2 * (self.alpha + x2 * (self.beta + x2 * self.gamma))
@@ -274,25 +265,12 @@ class RadialSextic(_CountedByM):
         return self.b * self.b - 4.0 * self.a * (self.S + 0.5 + self.M)
 
     @property
-    def mu(self) -> float:
-        """Indicial exponent at the origin, psi ~ x^mu with mu = 2S - 1/2."""
-        return 2.0 * self.S - 0.5
-
-    @property
     def potential_in_chart(self) -> tuple[tuple, tuple]:
         return (self.g, 0, 0, 0, self.c2, 0, 2.0 * self.a * self.b, 0, self.a * self.a), (0, 0, 1)
 
     @property
     def walls(self) -> tuple:
         return ((0.0, self.g, _identity_coordinates),)
-
-    def gauge_parity(self, gauge: list, prefactors: tuple, n: int) -> int:
-        """Check 4 g4 = a and the origin exponent 2S - 1/2; the parity is 0."""
-        _check_quartic(gauge, self.a)
-        mu = prefactors[0][1]
-        if abs(mu - self.mu) > 1e-10 * (1 + abs(mu)):
-            raise ArithmeticError("origin exponent disagrees with 2S - 1/2")
-        return 0
 
     def potential(self, x):
         x2 = x * x
@@ -334,9 +312,6 @@ class _TwoWall(_CountedByM):
     @property
     def D(self) -> float:
         return self.q1**2
-
-    def gauge_parity(self, gauge: list, prefactors: tuple, n: int) -> int:
-        return 0
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ __all__ = [
     "N_MAX",
     "N_MIN",
     "N_START",
+    "N_START_MAX",
     "OracleConvergenceError",
     "OracleSpectrum",
     "discretize",
@@ -58,6 +59,8 @@ __all__ = [
 N_MIN = 8
 N_START = 48
 N_MAX = 1024
+# The largest start from which one refinement, to ceil(1.5 N) nodes, stays within N_MAX.
+N_START_MAX = 2 * N_MAX // 3
 
 
 class OracleConvergenceError(RuntimeError):

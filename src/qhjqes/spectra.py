@@ -7,8 +7,8 @@ polynomials in v to polynomials in v and closes on those of the ledger's
 degree. Its finite matrix, derived from the chart, the potential in the
 chart and the gauge alone, has the algebraic energies and states as
 eigenpairs. One formula in z evaluates every family's eigenfunction with
-analytic derivatives, and the chart's map carries it to x. The parity of the
-moving polynomial and the sample window are the family's own data.
+analytic derivatives, and the chart's map carries it to x over the
+family's sample window.
 """
 
 from __future__ import annotations
@@ -52,8 +52,8 @@ class GaugeSpec:
     i * measure times the selected momentum residue there.
     ``gauge_polynomial`` is G(z) with ``psi`` carrying ``exp(-G)``; it
     integrates the principal part of the momentum at infinity. ``parity``,
-    decided by the family, is the moving polynomial's power of z. ``ledger``
-    is the quantization ledger all three were read from.
+    the moving polynomial's power of z, is n_label mod k, as n_label = parity +
+    k deg P. ``ledger`` is the quantization ledger all three were read from.
     """
 
     prefactors: tuple[tuple[complex, float], ...]
@@ -92,9 +92,8 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     Every exponent comes from a fixed-pole residue. The gauge polynomial
     integrates the principal part of the momentum at infinity,
     ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
-    variable z. The family's ``gauge_parity`` checks its closed forms
-    against them and returns the parity. A family off its solvability
-    condition, whose recursion does not truncate, raises the ledger's
+    variable z. ``recursion_matrix`` checks them against the potential. A
+    family off its solvability condition raises the ledger's
     ``families.NonQESError``.
     """
     ledger = engine.quantization_ledger(family)
@@ -106,7 +105,7 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     prefactors = tuple(
         (loc, _real_part(1j * measure * res, "prefactor exponent")) for loc, res in ledger.fixed_residues
     )
-    return GaugeSpec(prefactors, Polynomial(g), family.gauge_parity(g, prefactors, ledger.n), ledger)
+    return GaugeSpec(prefactors, Polynomial(g), family.moving_weight * ledger.n % family.chart.reduced_power, ledger)
 
 
 def _mul(*factors) -> np.ndarray:
@@ -121,12 +120,19 @@ def _sum(*terms: np.ndarray) -> np.ndarray:
     return np.array([sum(c) for c in itertools.zip_longest(*terms, fillvalue=0.0)])
 
 
-def _quotient(terms: tuple, divisor: np.ndarray) -> np.ndarray:
-    """sum(terms) / divisor, all ascending; a remainder beyond the terms' rounding raises ``ArithmeticError``."""
+def _band(name: str, terms: tuple, divisor: np.ndarray, k: int, lo: int, hi: int) -> np.ndarray:
+    """v^0 .. v^hi of sum(terms) / divisor, v = z^k; a remainder or a term off v^lo .. v^hi raises."""
+    rounding = _ROUNDING * max(np.max(np.abs(t)) for t in terms)
     quotient, rest = np.polynomial.polynomial.polydiv(_sum(*terms), divisor)
-    if np.max(np.abs(rest)) > _ROUNDING * max(np.max(np.abs(t)) for t in terms):
+    if np.max(np.abs(rest)) > rounding:
         raise ArithmeticError("the gauge's exponents miss an indicial equation: the conjugated operator has poles")
-    return quotient
+    coeffs = np.append(quotient, np.zeros(k * (hi + 1)))
+    outside = coeffs.copy()
+    outside[k * lo : k * (hi + 1) : k] = 0.0
+    j = int(np.argmax(np.abs(outside)))
+    if abs(outside[j]) > rounding:
+        raise ArithmeticError(f"the gauge does not fit the potential: {name} has a z^{j} term outside its band")
+    return coeffs[: k * (hi + 1) : k]
 
 
 def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
@@ -138,11 +144,13 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
     a0 = V - Q (L^2 + L') - Q' L / 2 (Turbiner, Commun. Math. Phys. 118, 467
     (1988)), built exactly over D = prod_i (z - z_i) and V's denominator. A
     remainder raises ``ArithmeticError``: an exponent misses its indicial
-    equation. Their 7 numbers in v, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v +
-    C1, a0 = A0 v + C0, fill the matrix on v^0 .. v^top, top = (moving_weight
-    n - parity) / k. Unless the entry from v^top to v^(top + 1) vanishes, the
-    ledger's n does not truncate: ``families.NonQESError``. The gauge is
-    real, its poles being the family's real singular points.
+    equation. Their band, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v + C1 and
+    a0 = A0 v + C0, fills the matrix on v^0 .. v^top, top = n_label // k.
+    Any other term (an odd power of z when k = 2, or v off the band) raises
+    ``ArithmeticError`` too: the gauge does not fit the potential. Unless
+    the entry from v^top to v^(top + 1) then vanishes, the ledger's n does
+    not truncate: ``families.NonQESError``. The gauge is real, its poles
+    being the family's real singular points.
     """
     family, k = gauge.ledger.family, gauge.ledger.family.chart.reduced_power
     factors = gauge.prefactors + (((0.0, gauge.parity),) if gauge.parity else ())
@@ -153,13 +161,13 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
     n_l = _sum(-_mul(g1, d), *(e * _mul(*lin[:i], *lin[i + 1 :]) for i, (_, e) in enumerate(factors)))
     v1 = k * np.eye(k)[-1]  # v' = k z^(k - 1)
     num, den = (np.array(c, dtype=float) for c in family.potential_in_chart)
-    a2 = -_mul(q, v1, v1)
-    a1 = _quotient((-_mul(_sum(2 * _mul(q, n_l), _mul(_der(q), d) / 2), v1), -_mul(q, _der(v1), d)), d)
+    _, B2, A2 = _band("a2", (-_mul(q, v1, v1),), np.ones(1), k, 1, 2)
+    a1 = (-_mul(_sum(2 * _mul(q, n_l), _mul(_der(q), d) / 2), v1), -_mul(q, _der(v1), d))
+    C1, B1, A1 = _band("a1", a1, d, k, 0, 2)
     # D^2 (Q (L^2 + L') + Q' L / 2) = Q (N^2 + D N' - D' N) + Q' N D / 2
     w = _sum(_mul(q, _sum(_mul(n_l, n_l), _mul(d, _der(n_l)), -_mul(_der(d), n_l))), _mul(_der(q), n_l, d) / 2)
-    a0 = _quotient((_mul(num, d, d), -_mul(den, w)), _mul(den, d, d))
-    (_, B2, A2), (C1, B1, A1), (C0, A0, _) = (np.append(a[::k], np.zeros(3))[:3] for a in (a2, a1, a0))
-    top = (family.moving_weight * gauge.ledger.n - gauge.parity) // k
+    C0, A0 = _band("a0", (_mul(num, d, d), -_mul(den, w)), _mul(den, d, d), k, 0, 1)
+    top = family.moving_weight * gauge.ledger.n // k
     if abs(top * A1 + A0) > _ROUNDING * ((top + 1) * abs(A1) + abs(A0)):
         raise NonQESError(f"the recursion does not truncate: v^{top} maps to v^{top + 1} by {top * A1 + A0:.3g}")
     j = np.arange(top + 1.0)
@@ -260,10 +268,12 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
 def schrodinger_residual(state: AlgebraicState) -> float:
     """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window.
 
-    The evaluator and the potential are each called once, on 50 evenly spaced samples.
+    The evaluator and the potential are each called once, on 50 evenly spaced
+    samples; where psi overflows, the residual is NaN.
     """
     xs = np.linspace(*state.family.sample_window, 50)
-    psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
-    worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))
-    peak = float(np.max(np.abs(psi)))
-    return worst / peak if peak > 0 else worst
+    with np.errstate(all="ignore"):
+        psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
+        worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))
+        peak = float(np.max(np.abs(psi)))
+        return worst / peak if peak > 0 else worst

@@ -116,9 +116,10 @@ def test_non_string_output_path_is_a_config_error(tmp_path, capsys, outputs):
         {"family": {**SEXTIC_N2["family"], "gamma": HUGE}},
         {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": HUGE}},
         {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": HUGE}},
+        {**SEXTIC_N2, "grid": {"x_min": -6.0, "x_max": 6.0, "n": 683}},
     ],
     ids=["string-tol", "nan-tol", "negative-tol", "bool-tol", "fractional-M", "fractional-n",
-         "bool-param", "string-param", "huge-tol", "huge-param", "huge-n", "huge-M"],
+         "bool-param", "string-param", "huge-tol", "huge-param", "huge-n", "huge-M", "grid-n-refines-past-max"],
 )
 def test_malformed_number_is_a_config_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
@@ -399,6 +400,24 @@ def test_infinity_fit_starts_where_the_leading_term_dominates(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "family",
     [
+        {"name": "sextic_qes", "a": 1.0, "b": -100.0, "n": 0},
+        {"name": "radial_sextic", "S": 1.1, "a": 1.0, "b": -200.0, "M": 1},
+    ],
+    ids=["sextic-b-100", "radial-b-200"],
+)
+def test_non_finite_residual_is_a_failed_check(tmp_path, capsys, family):
+    # psi = exp(-G) P overflows at the sample window's end, so the residual is NaN; the report records it
+    cfg = write_config(tmp_path, {"family": family})
+    assert main(["verify", "--config", cfg]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["first_failure"] == "state_0_eigen_identity_residual"
+    (check,) = [c for c in report["checks"] if c["name"] == "state_0_eigen_identity_residual"]
+    assert check["measured"] == "non-finite measured value nan"
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
         {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2},
         {"name": "hyperbolic", "S1": 1.0, "S2": 0.9, "q1": 1.0, "M": 2},
         {"name": "sextic_qes", "a": 1.0, "b": 0.0, "n": 12},
@@ -567,7 +586,7 @@ def test_only_families_and_cli_name_a_family_class(module):
 # What the pipeline may read of a family: the data every family provides.
 _PROTOCOL = {
     "chart", "singular_points", "moving_weight", "infinity_target", "potential_in_chart", "solve_ledger",
-    "ledger_check", "gauge_parity", "sample_window", "oracle_domain", "walls", "potential",
+    "ledger_check", "sample_window", "oracle_domain", "walls", "potential",
 }
 
 
@@ -585,7 +604,7 @@ def test_no_module_outside_families_reads_a_family_parameter(module):
     # a module that reads alpha, a, q1 or M knows which family it has; it must read the protocol's data
     tree = ast.parse(inspect.getsource(importlib.import_module(f"qhjqes.{module}")))
     parameters = _family_parameters()
-    assert {"a", "mu", "q1", "M"} <= parameters
+    assert {"a", "S", "q1", "M"} <= parameters
     read = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute) and node.attr in parameters}
     assert read == set()
 

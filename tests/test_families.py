@@ -59,9 +59,6 @@ class ReflectedCircular:
     def solve_ledger(self, *args):
         return self.circular.solve_ledger(*args)
 
-    def gauge_parity(self, *args):
-        return self.circular.gauge_parity(*args)
-
     @property
     def walls(self):
         # x = 0 is t = 1, where B sits; x = pi/2 is t = 0, where A sits

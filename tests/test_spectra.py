@@ -6,7 +6,7 @@ import pytest
 
 from qhjqes.families import Circular, Hyperbolic, NonQESError, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
-from qhjqes.series import poly_roots
+from qhjqes.series import Polynomial, poly_roots
 from qhjqes import spectra
 from qhjqes.spectra import (
     NonRealEnergyError,
@@ -254,7 +254,7 @@ def _paper_matrix(family) -> np.ndarray:
             n = round((family.condition_value - 3.0) / 2.0)
             mu, half = n % 2, n // 2
         else:
-            mu, half = family.mu, family.M
+            mu, half = 2.0 * family.S - 0.5, family.M
         h = np.zeros((half + 1, half + 1))
         for i in range(half + 1):
             k = 2 * i
@@ -309,6 +309,27 @@ def test_exponent_off_the_indicial_equation_is_refused(family):
     (loc, e), *rest = g.prefactors
     with pytest.raises(ArithmeticError, match="indicial"):
         recursion_matrix(dataclasses.replace(g, prefactors=((loc, e + 0.1), *rest)))
+
+
+_SEXTIC, _RADIAL = Sextic.on_condition(1.5, -0.7, 5), RadialSextic(S=1.25, a=1.0, b=0.5, M=3)
+_CIRCULAR, _HYPERBOLIC = Circular(S1=1.0, S2=1.2, q1=-1.5, M=3), Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=3)
+
+
+@pytest.mark.parametrize(
+    "family,power",
+    [(_SEXTIC, 4), (_SEXTIC, 2), (_RADIAL, 4), (_RADIAL, 2), (_CIRCULAR, 1), (_CIRCULAR, 2), (_HYPERBOLIC, 2),
+     (_HYPERBOLIC, 1)],
+    ids=["sextic-leading", "sextic-subleading", "radial-leading", "radial-subleading", "circular-leading",
+         "circular-quadratic", "hyperbolic-leading", "hyperbolic-linear"],
+)
+def test_gauge_off_the_potential_is_refused(family, power):
+    # G's z^power coefficient scaled by 1 + 1e-6, or set to 1e-6 of the leading one where it is zero;
+    # circular G = g1 t has no term below its leading one that enters the operator, so it gains a t^2 one
+    g = gauge_from_residues(family)
+    coeffs = list(g.gauge_polynomial.coeffs) + [0j] * (power + 1 - len(g.gauge_polynomial.coeffs))
+    coeffs[power] = coeffs[power] * (1 + 1e-6) if coeffs[power] else 1e-6 * g.gauge_polynomial.coeffs[-1]
+    with pytest.raises(ArithmeticError, match="outside its band"):
+        recursion_matrix(dataclasses.replace(g, gauge_polynomial=Polynomial(coeffs)))
 
 
 @pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
