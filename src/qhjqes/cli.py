@@ -1,10 +1,16 @@
 """Command-line orchestration: derive, spectrum, poles, verify.
 
-Configs and reports are JSON. Reports are deterministic: keys are sorted and
-every float is printed with 17 significant digits, so identical configs give
-byte-identical reports. Each command builds its checks in stages; a library
+Configs and reports are JSON. A report (schema "3") is one line of JSON with
+sorted keys, each float written as its shortest round-trip repr and each
+complex number as {"im", "re"}, so identical configs give byte-identical
+reports and every value parses back bit for bit; ``python -m json.tool``
+prints one indented. Each command builds its checks in stages; a library
 error inside a stage stops the command and is recorded as a failed check
-named after the stage, so every run with a valid config writes a report.
+named after the stage (``state_<i>_census`` for state i's momentum census), so
+every run with a valid config writes a report. A check has one name in every
+command that reports it: ``poles`` and ``verify`` share the census battery
+(``state_<i>_degree_law``, ``_quantization``, ``_global_count``,
+``_residues``), but only ``verify`` checks a state's Schrödinger residual.
 ``results.first_failure`` names the first failed check. Exit codes: 0 pass,
 1 usage, config or output error, 2 verification failure.
 """
@@ -15,6 +21,7 @@ import argparse
 import cmath
 import contextlib
 import dataclasses
+import json
 import math
 import sys
 
@@ -30,7 +37,7 @@ from .qmf import (
 
 __all__ = ["main"]
 
-_SCHEMA_VERSION = "2"
+_SCHEMA_VERSION = "3"
 
 _FIELDS = {name: tuple(f.name for f in dataclasses.fields(cls)) for name, cls in FAMILIES.items()}
 _FIELDS["sextic_qes"] = ("a", "b", "n")
@@ -105,8 +112,6 @@ def _check_grid(grid) -> None:
 
 
 def load_config(path: str) -> dict:
-    import json
-
     try:
         with open(path, "r", encoding="utf-8") as fh:
             cfg = json.load(fh)
@@ -138,45 +143,7 @@ def load_config(path: str) -> dict:
 
 
 # ----------------------------------------------------------------------
-# Deterministic report serialization.
-
-
-def _fmt_float(x: float) -> str:
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError("non-finite number in report")
-    return format(x, ".17g")
-
-
-def canonical_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj):
-            items.append(f'{pad}  "{k}": {canonical_json(obj[k], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        items = [f"{pad}  {canonical_json(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, int):
-        return str(obj)
-    if isinstance(obj, float):
-        return _fmt_float(obj)
-    if isinstance(obj, complex):
-        return canonical_json({"im": obj.imag, "re": obj.real}, indent)
-    if obj is None:
-        return "null"
-    if isinstance(obj, str):
-        import json
-
-        return json.dumps(obj)
-    raise TypeError(f"cannot serialize {type(obj)} in a report")
+# Reports and checks.
 
 
 def make_report(command: str, config: dict, results: dict, checks: list) -> dict:
@@ -252,6 +219,27 @@ def _ledger_checks(ledger: engine.QuantizationLedger, checks: list) -> None:
     name, target, tolerance = ledger.family.ledger_check
     checks.append(_check("ledger_balance", ledger.balance_residual, 0.0, 1e-10))
     checks.append(_check(name, ledger.solved_condition["lhs_value"], target, tolerance))
+
+
+def _census_checks(state: spectra.AlgebraicState, tols: dict, checks: list) -> tuple:
+    """A state's census checks, one battery for ``poles`` and ``verify``.
+
+    One stage builds the momentum evaluator, takes the zero census and
+    measures one residue per moving zero. Then come the degree law, the two
+    contour counts and the worst moving-residue error. Returns the evaluator,
+    the census and the residues, in the order of ``moving_zeros``.
+    """
+    tag = f"state_{state.index}"
+    with _stage(f"{tag}_census"):
+        ev = build_qmf(state)
+        census = zero_census(ev)
+        residues = [residue_at_zero(ev, z) for z in ev.moving_zeros]
+    worst = max((abs(r - ev.moving_residue) for r in residues), default=0.0)
+    checks.append(_check(f"{tag}_degree_law", census.total, state.n_label, 0.0))
+    checks.append(_check(f"{tag}_quantization", census.quantization_value, census.n_real, tols["contour_tol"]))
+    checks.append(_check(f"{tag}_global_count", census.global_count, state.n_label, tols["contour_tol"]))
+    checks.append(_check(f"{tag}_residues", worst, 0.0, tols["residue_tol"]))
+    return ev, census, residues
 
 
 def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, list]:
@@ -330,25 +318,15 @@ def cmd_spectrum(config: dict, results: dict, checks: list, sanity: bool = False
 
 
 def cmd_poles(config: dict, results: dict, checks: list, level: int) -> None:
-    tols = config["_tolerances"]
     family = config["_family"]
     states = _algebraic_states(family, checks)
     if not 0 <= level < len(states):
         raise ConfigError(f"level {level} out of range (0..{len(states) - 1})")
     state = states[level]
     results.update({"level": level, "energy": state.energy})
-    with _stage("census"):
-        ev = build_qmf(state)
-        census = zero_census(ev)
-        reports = pole_reports(ev)
-
-    checks.append(_check("counting_real_plus_complex", census.total, state.n_label, 0.0))
-    checks.append(
-        _check("quantization_equals_real_count", census.quantization_value, census.n_real, tols["contour_tol"])
-    )
-    checks.append(_check("global_count_equals_n", census.global_count, state.n_label, tols["contour_tol"]))
-    for i, rep in enumerate(r for r in reports if r.kind == "moving"):
-        checks.append(_check(f"moving_residue_{i}", rep.measured_residue, ev.moving_residue, tols["residue_tol"]))
+    ev, census, residues = _census_checks(state, config["_tolerances"], checks)
+    with _stage(f"state_{level}_census"):
+        reports = pole_reports(ev, residues)
     results["census"] = {
         "n_real": census.n_real,
         "n_complex": census.n_complex,
@@ -357,30 +335,15 @@ def cmd_poles(config: dict, results: dict, checks: list, level: int) -> None:
         "global_count": census.global_count,
     }
     results["poles"] = [
-        {
-            "location": r.location,
-            "multiplicity": r.multiplicity,
-            "residue": r.measured_residue,
-            "kind": r.kind,
-            "axis": r.axis,
-        }
+        {"location": r.location, "residue": r.measured_residue, "kind": r.kind, "axis": r.axis}
         for r in reports
     ]
     csv_path = _output_path(config, "csv")
     if csv_path:
         lines = ["re_z,im_z,kind,re_residue,im_residue"]
         for r in reports:
-            lines.append(
-                ",".join(
-                    [
-                        _fmt_float(r.location.real),
-                        _fmt_float(r.location.imag),
-                        r.kind,
-                        _fmt_float(r.measured_residue.real),
-                        _fmt_float(r.measured_residue.imag),
-                    ]
-                )
-            )
+            z, res = r.location, r.measured_residue
+            lines.append(f"{z.real},{z.imag},{r.kind},{res.real},{res.imag}")
         _write_text(csv_path, "\n".join(lines) + "\n")
 
 
@@ -397,18 +360,10 @@ def cmd_verify(config: dict, results: dict, checks: list) -> None:
         checks.append(
             _check(f"{tag}_eigen_identity_residual", spectra.schrodinger_residual(s), 0.0, 1e-8)
         )
-        with _stage(f"{tag}_census"):
-            ev = build_qmf(s)
-            census = zero_census(ev)
-            worst = max((abs(residue_at_zero(ev, z) - ev.moving_residue) for z in census.zeros), default=0.0)
-            fit = infinity_order_check(ev) if ev.census_variable == "x" else None
-        checks.append(_check(f"{tag}_degree_law", census.total, s.n_label, 0.0))
-        checks.append(
-            _check(f"{tag}_quantization", census.quantization_value, census.n_real, tols["contour_tol"])
-        )
-        checks.append(_check(f"{tag}_global_count", census.global_count, s.n_label, tols["contour_tol"]))
-        checks.append(_check(f"{tag}_residues", worst, 0.0, tols["residue_tol"]))
-        if fit is not None:  # the leading term of the ledger's infinity series, c_lo z^(-lo)
+        ev, _, _ = _census_checks(s, tols, checks)
+        if ev.census_variable == "x":  # the leading term of the ledger's infinity series, c_lo z^(-lo)
+            with _stage(f"{tag}_census"):
+                fit = infinity_order_check(ev)
             ser = s.gauge.ledger.infinity_series
             checks.append(_check(f"{tag}_infinity_exponent", fit["exponent"], -float(ser.lo), 0.01))
             target = ser.coefficient(ser.lo)
@@ -449,8 +404,15 @@ def _write_text(path: str, text: str) -> None:
         raise OutputError(f"{path}: {exc.strerror or exc}") from exc
 
 
+def _complex_as_pair(obj) -> dict:
+    if isinstance(obj, complex):
+        return {"im": obj.imag, "re": obj.real}
+    raise TypeError(f"cannot serialize {type(obj)} in a report")
+
+
 def _emit(report: dict, out_path: str | None) -> None:
-    text = canonical_json(report) + "\n"
+    # One line: json's C encoder; indent= would switch it to the pure-Python one.
+    text = json.dumps(report, sort_keys=True, allow_nan=False, default=_complex_as_pair) + "\n"
     if out_path:
         _write_text(out_path, text)
     else:

@@ -62,10 +62,10 @@ class QmfEvaluator:
     ``evaluation`` maps a point of the census plane to p (or the reduced
     chart momentum q), elementwise when given an ndarray of points; its
     moving-pole part is P'/P from the coefficients of the moving polynomial.
-    ``moving_zeros`` holds its zeros with multiplicities, sorted as
-    ``poly_roots`` returns them, solved and split into ``real_zeros`` and
-    ``complex_zeros`` once when the evaluator is built; they place contours
-    and name poles but never enter ``evaluation``.
+    ``moving_zeros`` holds its zeros, all simple, sorted as ``poly_roots``
+    returns them, solved and split into ``real_zeros`` and ``complex_zeros``
+    once when the evaluator is built; they place contours and name poles but
+    never enter ``evaluation``.
     ``moving_residue`` is the exact residue every simple moving pole must
     carry; ``measure`` converts chart residues to quantization units, so
     measure * moving_residue = -i always.
@@ -74,7 +74,7 @@ class QmfEvaluator:
     state: AlgebraicState
     evaluation: Callable[[complex | np.ndarray], complex | np.ndarray]
     census_variable: str
-    moving_zeros: tuple[tuple[complex, int], ...]
+    moving_zeros: tuple[complex, ...]
     real_zeros: tuple[complex, ...]
     complex_zeros: tuple[complex, ...]
     fixed_singularities: tuple[tuple[complex, complex], ...]  # (location, residue)
@@ -88,7 +88,6 @@ class QmfEvaluator:
 @dataclass(frozen=True)
 class PoleReport:
     location: complex
-    multiplicity: int
     measured_residue: complex
     kind: str  # "fixed" | "moving"
     axis: str  # "real" | "complex"
@@ -117,8 +116,7 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     """
     ledger = state.gauge.ledger
     pol = moving_polynomial(state)
-    zeros = tuple(poly_roots(pol)) if pol.degree else ()
-    real, cplx = _classified_zeros(zeros)
+    zeros, real, cplx = _classified_zeros(poly_roots(pol) if pol.degree else ())
     ser = ledger.infinity_series
     principal = Polynomial([ser.coefficient(-j) for j in range(1 - ser.lo)])
     fixed = ledger.fixed_residues
@@ -140,9 +138,10 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     return QmfEvaluator(state, evaluation, chart.variable, zeros, real, cplx, fixed, chart.measure, moving)
 
 
-def _classified_zeros(zeros: tuple[tuple[complex, int], ...]):
+def _classified_zeros(roots: list[tuple[complex, int]]):
+    """The zeros, the real ones and the complex ones; a zero of multiplicity above 1 raises."""
     real, cplx = [], []
-    for z, mult in zeros:
+    for z, mult in roots:
         if mult > 1:
             raise DegenerateZeroError(f"degenerate zero at {z} (multiplicity {mult})")
         threshold = _REAL_AXIS_TOL * (1.0 + abs(z))
@@ -155,7 +154,7 @@ def _classified_zeros(zeros: tuple[tuple[complex, int], ...]):
             real.append(z)
         else:
             cplx.append(z)
-    return tuple(real), tuple(cplx)
+    return tuple(z for z, _ in roots), tuple(real), tuple(cplx)
 
 
 @functools.lru_cache(maxsize=8)
@@ -205,7 +204,7 @@ def _stadium_integral(f, x_lo: float, x_hi: float, h: float) -> complex:
 def residue_at_zero(e: QmfEvaluator, z0: complex) -> complex:
     """(1/2 pi i) times the small-circle integral of the momentum around z0."""
     z0 = complex(z0)
-    others = [z for z, _ in e.moving_zeros if abs(z - z0) > 1e-12]
+    others = [z for z in e.moving_zeros if abs(z - z0) > 1e-12]
     others += [loc for loc, _ in e.fixed_singularities if abs(loc - z0) > 1e-12]
     radius = 0.1
     if others:
@@ -263,7 +262,7 @@ def global_pole_count(e: QmfEvaluator) -> float:
     The exact fixed-pole contributions are subtracted from the raw momentum
     integral; what is left, in quantization units, counts the moving poles.
     """
-    extent = [abs(z) for z, _ in e.moving_zeros] + [abs(loc) for loc, _ in e.fixed_singularities]
+    extent = [abs(z) for z in e.moving_zeros] + [abs(loc) for loc, _ in e.fixed_singularities]
     radius = 2.0 * (1.0 + (max(extent) if extent else 0.0))
     raw = contour_integral(e.evaluation, CircleContour(0j, radius), 4096)
     fixed = sum(res for _, res in e.fixed_singularities)
@@ -281,22 +280,18 @@ def zero_census(e: QmfEvaluator) -> CensusReport:
         total=len(e.moving_zeros),
         quantization_value=quantization_check(e),
         global_count=global_pole_count(e),
-        zeros=tuple(z for z, _ in e.moving_zeros),
+        zeros=e.moving_zeros,
     )
 
 
-def pole_reports(e: QmfEvaluator) -> tuple[PoleReport, ...]:
-    """Measured residues of every moving pole and every fixed pole."""
-    reports = []
-    for z, mult in e.moving_zeros:
-        axis = "real" if z in e.real_zeros else "complex"
-        reports.append(
-            PoleReport(z, mult, residue_at_zero(e, z), "moving", axis)
-        )
-    for loc, _ in e.fixed_singularities:
-        reports.append(
-            PoleReport(loc, 1, residue_at_zero(e, loc), "fixed", "real")
-        )
+def pole_reports(e: QmfEvaluator, moving_residues: list[complex]) -> tuple[PoleReport, ...]:
+    """Every moving pole with its residue as the caller measured it, one per
+    zero of ``moving_zeros``, then every fixed pole with its residue measured here."""
+    reports = [
+        PoleReport(z, res, "moving", "real" if z in e.real_zeros else "complex")
+        for z, res in zip(e.moving_zeros, moving_residues, strict=True)
+    ]
+    reports += [PoleReport(loc, residue_at_zero(e, loc), "fixed", "real") for loc, _ in e.fixed_singularities]
     return tuple(reports)
 
 

@@ -13,7 +13,8 @@ import sys
 import pytest
 
 import qhjqes
-from qhjqes.cli import canonical_json, main
+from qhjqes import spectra
+from qhjqes.cli import build_family, main
 from qhjqes.families import FAMILIES
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -135,7 +136,7 @@ def test_derive_sextic_n2(tmp_path, capsys):
     cfg = write_config(tmp_path, SEXTIC_N2)
     assert main(["derive", "--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
     assert report["results"]["n"] == 2
     assert abs(report["results"]["solved_condition"]["lhs_value"] - 7.0) < 1e-12
     assert all(c["pass"] for c in report["checks"])
@@ -498,6 +499,51 @@ def test_library_error_still_emits_report(tmp_path, capsys, command):
     assert "leading recursion coefficient vanished" in err
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2},
+        {"name": "radial_sextic", "S": 1.25, "a": 1.0, "b": 0.5, "M": 2},
+    ],
+    ids=lambda f: f["name"],
+)
+def test_poles_and_verify_emit_the_same_census_checks(tmp_path, capsys, family):
+    # one battery builds a state's census checks for both commands, under one set of names
+    cfg = write_config(tmp_path, {"family": family})
+    assert main(["verify", "--config", cfg]) == 0
+    verify_checks = json.loads(capsys.readouterr().out)["checks"]
+    for level in range(family["M"] + 1):
+        assert main(["poles", "--config", cfg, "--level", str(level)]) == 0
+        poles_checks = json.loads(capsys.readouterr().out)["checks"]
+        census = [c for c in poles_checks if c["name"].startswith(f"state_{level}_")]
+        names = [f"state_{level}_{fact}" for fact in ("degree_law", "quantization", "global_count", "residues")]
+        assert [c["name"] for c in census] == names
+        assert census == [c for c in verify_checks if c["name"] in names]
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["poles", "--level", "1"]], ids=["verify", "poles"])
+def test_each_residue_is_measured_once(tmp_path, monkeypatch, argv):
+    # poles measures its level's moving residues in the census battery and only the fixed ones in pole_reports
+    family = {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}
+    states = spectra.algebraic_states(build_family(family))
+    if argv[0] == "verify":
+        expected = sum(s.n_label for s in states)
+    else:
+        expected = states[1].n_label + len(states[1].gauge.ledger.fixed_residues)
+    qmf_module, cli_module = (importlib.import_module(f"qhjqes.{m}") for m in ("qmf", "cli"))
+    real_residue, calls = qmf_module.residue_at_zero, []
+
+    def counting(e, z0):
+        calls.append(z0)
+        return real_residue(e, z0)
+
+    monkeypatch.setattr(qmf_module, "residue_at_zero", counting)
+    monkeypatch.setattr(cli_module, "residue_at_zero", counting)
+    cfg = write_config(tmp_path, {"family": family})
+    assert main(argv + ["--config", cfg, "--out", str(tmp_path / "report.json")]) == 0
+    assert len(calls) == expected
+
+
 @pytest.mark.parametrize("argv,states", [(["verify"], 3), (["poles", "--level", "1"], 1)], ids=["verify", "poles"])
 def test_one_root_solve_per_state(tmp_path, monkeypatch, argv, states):
     # the package re-exports the function qmf under the submodule's name
@@ -534,6 +580,35 @@ def _load_tracing():
     tracing = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracing)
     return tracing
+
+
+def _load_perfbench(monkeypatch, name):
+    """A benchmark module loaded from its file, importable by its name for the rest of the test."""
+    spec = importlib.util.spec_from_file_location(name, os.path.join(REPO, "perfbench", f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize(
+    "family",
+    [SEXTIC_N2["family"], {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}],
+    ids=lambda f: f["name"],
+)
+def test_benchmark_judges_every_report(tmp_path, monkeypatch, family):
+    # a schema change that drops a key the benchmark reads fails here, not as Unevaluable in a benchmark run
+    _load_perfbench(monkeypatch, "workloads")  # outcomes imports it by name
+    outcomes = _load_perfbench(monkeypatch, "outcomes")
+    report, csv = tmp_path / "report.json", tmp_path / "poles.csv"
+    cfg = write_config(tmp_path, {"family": family, "outputs": {"report": str(report), "csv": str(csv)}})
+    for command in ("derive", "verify", "poles"):
+        inst = {"command": command, "family": family, "level": 1}
+        argv = [command, "--config", cfg] + (["--level", "1"] if command == "poles" else [])
+        code = main(argv)
+        csv_text = csv.read_text() if command == "poles" else None
+        outcome = outcomes.judge(inst, code, "", report.read_text(), csv_text)
+        assert (outcome.status, outcome.reason) == ("ok", ""), command
 
 
 def test_traced_names_resolve_to_functions():
@@ -639,15 +714,24 @@ def test_cli_import_loads_no_scipy():
 # ------------------------------------------------------------ serialization
 
 
-def test_canonical_json_formatting():
-    text = canonical_json({"b": 1.5, "a": [True, None, 2], "z": 1j})
-    assert text.index('"a"') < text.index('"b"') < text.index('"z"')
-    assert "1.5" in text and "true" in text and "null" in text
+def test_report_is_one_line_of_sorted_json(tmp_path, capsys):
+    # shortest round-trip floats: re-encoding the parsed report gives back its bytes
+    cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}})
+    assert main(["poles", "--config", cfg, "--level", "1"]) == 0
+    text = capsys.readouterr().out
+    report = json.loads(text)
+    assert text == json.dumps(report, sort_keys=True) + "\n"
+    assert set(report["results"]["poles"][0]["residue"]) == {"im", "re"}
 
 
-def test_canonical_json_rejects_non_finite():
-    with pytest.raises(ValueError):
-        canonical_json({"x": float("inf")})
+def test_non_finite_report_value_exits_2_with_no_report(tmp_path, capsys, monkeypatch):
+    # a report holds finite numbers only; the writer refuses any other and writes nothing
+    monkeypatch.setattr(importlib.import_module("qhjqes.cli"), "family_kind", lambda family: float("inf"))
+    out = tmp_path / "report.json"
+    assert main(["derive", "--config", write_config(tmp_path, SEXTIC_N2), "--out", str(out)]) == 2
+    stdout, err = capsys.readouterr()
+    assert stdout == "" and not out.exists()
+    assert err.startswith("verification failure: ")
 
 
 def test_console_entry_point(tmp_path):
