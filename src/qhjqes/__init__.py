@@ -45,7 +45,6 @@ from .spectra import (
     GaugeSpec,
     algebraic_states,
     gauge_from_residues,
-    moving_polynomial,
     recursion_matrix,
     schrodinger_residual,
 )

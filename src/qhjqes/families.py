@@ -70,8 +70,8 @@ class ChartSpec:
     * trig, t = sin^2 x, Q = 4t(1-t), p = sqrt(t(1-t)) q, so p dx = q dt / 2;
     * hyper, t = cosh x, Q = t^2 - 1, p = sqrt(t^2-1) q, so p dx = q dt.
 
-    A state's polynomial P is stored in v = z^k with k = ``reduced_power``
-    (v = x^2, sin^2 x or cosh^2 x). ``coordinates`` maps x, one point or an
+    A state's polynomial P lives in v = z^k, with k = ``reduced_power`` 1
+    or 2 (v = x^2, sin^2 x or cosh^2 x). ``coordinates`` maps x, one point or an
     ndarray, to (z, dz/dx, d^2z/dx^2); it stays out of the repr, whose
     function address would differ from process to process. Charts compare
     and hash by identity, so the engine's per-chart cache is cheap.

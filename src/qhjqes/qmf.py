@@ -18,6 +18,7 @@ hyperbolic ones, where the momentum is single valued.
 
 from __future__ import annotations
 
+import cmath
 import functools
 import math
 import warnings
@@ -27,7 +28,7 @@ from typing import Callable
 import numpy as np
 
 from .series import CircleContour, Polynomial, contour_integral, poly_roots, sample_finite
-from .spectra import AlgebraicState, moving_polynomial
+from .spectra import AlgebraicState
 
 __all__ = [
     "CensusReport",
@@ -61,11 +62,11 @@ class QmfEvaluator:
 
     ``evaluation`` maps a point of the census plane to p (or the reduced
     chart momentum q), elementwise when given an ndarray of points; its
-    moving-pole part is P'/P from the coefficients of the moving polynomial.
-    ``moving_zeros`` holds its zeros, all simple, sorted as ``poly_roots``
-    returns them, solved and split into ``real_zeros`` and ``complex_zeros``
-    once when the evaluator is built; they place contours and name poles but
-    never enter ``evaluation``.
+    moving-pole part is P'/P from the coefficients of the state's P.
+    ``moving_zeros`` holds its zeros, all simple, sorted by (re, im), solved
+    and split into ``real_zeros`` and ``complex_zeros`` once when the
+    evaluator is built; they place contours and name poles but never enter
+    ``evaluation``.
     ``moving_residue`` is the exact residue every simple moving pole must
     carry; ``measure`` converts chart residues to quantization units, so
     measure * moving_residue = -i always.
@@ -109,41 +110,50 @@ def qmf(state: AlgebraicState) -> QmfEvaluator:
     One formula for every family, read from the state's ledger:
     ``p(z) = sum_{k=lo}^{0} c_k z^(-k) + sum_i res_i / (z - z_i) + (-i/measure) P'(z)/P(z)``,
     the principal part of the infinity series, the selected fixed-pole
-    residues, and one pole of residue -i/measure at each zero of P. The
-    census variable z and the measure are the ledger's chart. P and P' come
-    from one Horner pass over P's own coefficients, so P' carries no rounded
-    k c_k. A degenerate zero raises ``DegenerateZeroError``.
+    residues, and one pole of residue -i/measure at each zero of z^parity
+    P(z^k - origin). The census variable z and the measure are the ledger's
+    chart. One Horner pass over P's own coefficients at u = z^k - origin
+    gives P and dP/du. A degenerate zero raises ``DegenerateZeroError``.
     """
     ledger = state.gauge.ledger
-    pol = moving_polynomial(state)
-    zeros, real, cplx = _classified_zeros(poly_roots(pol) if pol.degree else ())
+    zeros, real, cplx = _classified_zeros(state)
     ser = ledger.infinity_series
     principal = Polynomial([ser.coefficient(-j) for j in range(1 - ser.lo)])
     fixed = ledger.fixed_residues
     chart = ledger.family.chart
     moving = -1j / chart.measure
+    poles = fixed + ((0j, moving),) * state.gauge.parity  # z^parity's zero is a moving pole at 0
+    coeffs, origin, two = state.poly.coeffs, state.origin, chart.reduced_power == 2
 
     def evaluation(z):
+        u = (z * z if two else z) - origin
         p = d = 0j
-        for c in reversed(pol.coeffs):  # in place: d = d z + p, p = p z + c
-            d *= z
+        for c in reversed(coeffs):  # in place: d = d u + p, p = p u + c
+            d *= u
             d += p
-            p *= z
+            p *= u
             p += c
-        val = principal(z) + moving * (d / p)
-        for loc, res in fixed:
-            val = val + res / (z - loc)
-        return val
+        d /= p  # in place too: fewer node-sized temporaries for the allocator to return and fault back in
+        d *= 2 * moving * z if two else moving  # dv/dz = 2z or 1
+        d += principal(z)
+        for loc, res in poles:
+            d += res / (z - loc)
+        return d
 
     return QmfEvaluator(state, evaluation, chart.variable, zeros, real, cplx, fixed, chart.measure, moving)
 
 
-def _classified_zeros(roots: list[tuple[complex, int]]):
-    """The zeros, the real ones and the complex ones; a zero of multiplicity above 1 raises."""
+def _classified_zeros(state: AlgebraicState):
+    """Zeros of z^parity P(z^k - origin) by (re, im), the real ones and the complex ones; a repeated zero raises."""
+    zeros, k = [0j] * state.gauge.parity, state.family.chart.reduced_power
+    for u, mult in poly_roots(state.poly) if state.poly.degree else ():
+        r = u + state.origin if k == 1 else cmath.sqrt(u + state.origin)
+        zeros += ([r] if k == 1 else [r, -r + 0j]) * mult
+    zeros.sort(key=lambda z: (z.real, z.imag))
     real, cplx = [], []
-    for z, mult in roots:
-        if mult > 1:
-            raise DegenerateZeroError(f"degenerate zero at {z} (multiplicity {mult})")
+    for z, after in zip(zeros, zeros[1:] + [None]):
+        if z == after:
+            raise DegenerateZeroError(f"degenerate zero at {z}")
         threshold = _REAL_AXIS_TOL * (1.0 + abs(z))
         if 0.1 * threshold < abs(z.imag) < 10.0 * threshold:
             warnings.warn(
@@ -154,7 +164,7 @@ def _classified_zeros(roots: list[tuple[complex, int]]):
             real.append(z)
         else:
             cplx.append(z)
-    return tuple(z for z, _ in roots), tuple(real), tuple(cplx)
+    return tuple(zeros), tuple(real), tuple(cplx)
 
 
 @functools.lru_cache(maxsize=8)

@@ -140,13 +140,13 @@ class LaurentSeries:
 def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
     """All roots with multiplicities: companion-matrix eigenvalues plus one Newton step.
 
-    Roots at 0 are stripped exactly. The others are the eigenvalues of the
-    companion matrix (``np.polynomial.polynomial.polyroots``), which are
-    backward stable (Edelman & Murakami, Math. Comp. 64 (1995)); a real p is
-    passed as real coefficients, so its real roots have an imaginary part of
-    exactly 0 and its complex roots come as exact conjugate pairs. One Newton
-    step on the monic polynomial then refines each root (a step that is not
-    finite is skipped). Roots closer than ``ROOT_CLUSTER_TOL`` (scaled by
+    The roots are the eigenvalues of the companion matrix
+    (``np.polynomial.polynomial.polyroots``), which are backward stable
+    (Edelman & Murakami, Math. Comp. 64 (1995)); a real p is passed as real
+    coefficients, so its real roots have an imaginary part of exactly 0 and
+    its complex roots come as exact conjugate pairs. One Newton step on the
+    monic polynomial then refines each root (a step that is not finite is
+    skipped). Roots closer than ``ROOT_CLUSTER_TOL`` (scaled by
     1 + |z|) are merged into a single root with a multiplicity. Output is
     sorted lexicographically by ``(re, im)`` and every simple root satisfies
     the backward error bound ``|p(r)| <= 1e-10 * max(sum |c_k r^k|, sum |c_k|)``.
@@ -157,8 +157,7 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
         raise ValueError("polynomial of degree >= 1 required")
 
     c = np.array(p.coeffs)
-    mult_at_zero = int(np.flatnonzero(c)[0])
-    c = c[mult_at_zero:] / c[-1]
+    c = c / c[-1]
     if not c.imag.any():
         c = c.real
     z = np.polynomial.polynomial.polyroots(c)
@@ -176,12 +175,7 @@ def poly_roots(p: Polynomial) -> list[tuple[complex, int]]:
         else:
             clusters.append([r])
 
-    result: list[tuple[complex, int]] = []
-    if mult_at_zero:
-        result.append((0j, mult_at_zero))
-    for cl in clusters:
-        center = complex(sum(cl) / len(cl))
-        result.append((center, len(cl)))
+    result = [(complex(sum(cl) / len(cl)), len(cl)) for cl in clusters]
 
     scale = sum(abs(co) for co in p.coeffs)
     for r, m in result:

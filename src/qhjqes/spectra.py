@@ -1,13 +1,13 @@
 """Algebraic (polynomial x gauge) sector of a solvable family instance.
 
 The gauge, prefactors and G, is read from the ledger in its chart variable z
-(x, t = sin^2 x or t = cosh x), and P is stored in v = z^k, the chart's
-reduced power (x^2, sin^2 x or cosh^2 x). Conjugated by the gauge, H maps
+(x, t = sin^2 x or t = cosh x), and P lives in v = z^k, the chart's reduced
+power (x^2, sin^2 x or cosh^2 x). Conjugated by the gauge, H maps
 polynomials in v to polynomials in v and closes on those of the ledger's
-degree. Its finite matrix, derived from the chart, the potential in the
-chart and the gauge alone, has the algebraic energies and states as
-eigenpairs. One formula in z evaluates every family's eigenfunction with
-analytic derivatives, and the chart's map carries it to x over the
+degree. Its recursion, derived from the chart, the potential in the chart
+and the gauge alone, is a real symmetric eigenproblem for P in u = v - v0,
+v0 a zero of a2. One formula in z evaluates every family's eigenfunction
+with analytic derivatives, and the chart's map carries it to x over the
 family's sample window.
 """
 
@@ -31,7 +31,6 @@ __all__ = [
     "algebraic_states",
     "eigenfunction_with_derivatives",
     "gauge_from_residues",
-    "moving_polynomial",
     "recursion_matrix",
     "schrodinger_residual",
 ]
@@ -40,7 +39,7 @@ _ROUNDING = 1e-10  # relative size of a number that exact arithmetic would make 
 
 
 class NonRealEnergyError(ArithmeticError):
-    """An algebraic energy came out complex beyond tolerance."""
+    """Neither zero of a2 gives the recursion positive off-diagonal products: no real symmetric form."""
 
 
 @dataclass(frozen=True)
@@ -66,15 +65,16 @@ class GaugeSpec:
 class AlgebraicState:
     """One closed-form eigenpair of a solvable family instance.
 
-    ``poly`` is monic in the reduced variable; ``n_label`` is the degree of
-    the full polynomial factor in the census variable (x for the polynomial
-    families, the chart variable for the others), i.e. the total number of
-    moving poles of the momentum function.
+    ``poly`` is P, monic in u = z^k - ``origin``, the zero of a2 about which
+    the recursion was symmetrized; ``n_label`` = parity + k deg P counts the
+    zeros of z^parity P(u) in the census variable z (x for the polynomial
+    families, the chart variable for the others): the moving poles.
     """
 
     family: PotentialFamily
     energy: float
     poly: Polynomial
+    origin: float
     gauge: GaugeSpec
     n_label: int
     index: int
@@ -135,23 +135,8 @@ def _band(name: str, terms: tuple, divisor: np.ndarray, k: int, lo: int, hi: int
     return coeffs[: k * (hi + 1) : k]
 
 
-def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
-    """Dense real matrix of H on the coefficients (c_0, c_1, ...) of P(v), v = z^k.
-
-    With psi = F P(v), F = exp(-G) prod_i (z - z_i)^e_i (z^parity one more
-    factor at 0) and L = F'/F, H = -Q d^2/dz^2 - (Q'/2) d/dz + V becomes
-    a2 P_vv + a1 P_v + a0 P: a2 = -Q v'^2, a1 = -(2 Q L + Q'/2) v' - Q v'',
-    a0 = V - Q (L^2 + L') - Q' L / 2 (Turbiner, Commun. Math. Phys. 118, 467
-    (1988)), built exactly over D = prod_i (z - z_i) and V's denominator. A
-    remainder raises ``ArithmeticError``: an exponent misses its indicial
-    equation. Their band, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v + C1 and
-    a0 = A0 v + C0, fills the matrix on v^0 .. v^top, top = n_label // k.
-    Any other term (an odd power of z when k = 2, or v off the band) raises
-    ``ArithmeticError`` too: the gauge does not fit the potential. Unless
-    the entry from v^top to v^(top + 1) then vanishes, the ledger's n does
-    not truncate: ``families.NonQESError``. The gauge is real, its poles
-    being the family's real singular points.
-    """
+def _band_numbers(gauge: GaugeSpec) -> tuple:
+    """(A2, B2, A1, B1, C1, A0, C0, top) of the recursion in v, after its refusals; see ``recursion_matrix``."""
     family, k = gauge.ledger.family, gauge.ledger.family.chart.reduced_power
     factors = gauge.prefactors + (((0.0, gauge.parity),) if gauge.parity else ())
     lin = [np.array([-loc.real, 1.0]) for loc, _ in factors]
@@ -170,6 +155,27 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
     top = family.moving_weight * gauge.ledger.n // k
     if abs(top * A1 + A0) > _ROUNDING * ((top + 1) * abs(A1) + abs(A0)):
         raise NonQESError(f"the recursion does not truncate: v^{top} maps to v^{top + 1} by {top * A1 + A0:.3g}")
+    return A2, B2, A1, B1, C1, A0, C0, top
+
+
+def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
+    """Dense real matrix of H on the coefficients (c_0, c_1, ...) of P(v), v = z^k.
+
+    With psi = F P(v), F = exp(-G) prod_i (z - z_i)^e_i (z^parity one more
+    factor at 0) and L = F'/F, H = -Q d^2/dz^2 - (Q'/2) d/dz + V becomes
+    a2 P_vv + a1 P_v + a0 P: a2 = -Q v'^2, a1 = -(2 Q L + Q'/2) v' - Q v'',
+    a0 = V - Q (L^2 + L') - Q' L / 2 (Turbiner, Commun. Math. Phys. 118, 467
+    (1988)), built exactly over D = prod_i (z - z_i) and V's denominator. A
+    remainder raises ``ArithmeticError``: an exponent misses its indicial
+    equation. Their band, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v + C1 and
+    a0 = A0 v + C0, fills the matrix on v^0 .. v^top, top = n_label // k.
+    Any other term (an odd power of z when k = 2, or v off the band) raises
+    ``ArithmeticError`` too: the gauge does not fit the potential. Unless
+    the entry from v^top to v^(top + 1) then vanishes, the ledger's n does
+    not truncate: ``families.NonQESError``. The gauge is real, its poles
+    being the family's real singular points.
+    """
+    A2, B2, A1, B1, C1, A0, C0, top = _band_numbers(gauge)
     j = np.arange(top + 1.0)
     sup, sub = j[1:] * (j[1:] - 1) * B2 + j[1:] * C1, j[:-1] * A1 + A0  # v^j to v^(j - 1), v^(j + 1)
     return np.diag(j * (j - 1) * A2 + j * B1 + C0) + np.diag(sup, 1) + np.diag(sub, -1)
@@ -178,54 +184,38 @@ def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
     """All algebraic eigenpairs of the instance, ascending in energy.
 
-    Raises ``families.NonQESError`` when the recursion does not truncate
-    and :class:`NonRealEnergyError` when an energy or an eigenvector comes
-    out complex.
+    ``recursion_matrix``'s band moves exactly to u = v - v0, v0 the zero of
+    a2 at which every off-diagonal product is positive; scaled in logs, it
+    is a symmetric J, and ``np.linalg.eigh(J)`` gives P monic in u. Raises
+    ``families.NonQESError`` when the recursion does not truncate and
+    :class:`NonRealEnergyError` when neither zero gives positive products.
     """
     gauge = gauge_from_residues(family)
-    w, vecs = np.linalg.eig(recursion_matrix(gauge))
-    scale = max(1.0, float(np.max(np.abs(w))))
-    if np.max(np.abs(w.imag)) > _ROUNDING * scale:
-        raise NonRealEnergyError(f"non-real algebraic energy: {w}")
-    energies = w.real
-    order = np.argsort(energies)
+    A2, B2, A1, B1, C1, A0, C0, top = _band_numbers(gauge)
+    j, sub = np.arange(top + 1.0), np.arange(top) * A1 + A0  # u^j to u^(j + 1), as in v
+    for v0 in (0.0, -B2 / A2) if A2 else (0.0,):  # a2 = A2 v^2 + B2 v
+        sup = j[1:] * ((j[1:] - 1) * (2 * A2 * v0 + B2) + (A1 * v0 + B1) * v0 + C1)  # u^j to u^(j - 1)
+        if np.all(sup * sub > 0):
+            break
+    else:
+        raise NonRealEnergyError("the recursion has no real symmetric form: an off-diagonal product is not positive")
+    diag = j * ((j - 1) * A2 + 2 * A1 * v0 + B1) + A0 * v0 + C0
+    energies, vecs = np.linalg.eigh(np.diag(diag) + np.diag(np.sqrt(sup * sub), -1), UPLO="L")
+    # T = S J S^-1 with S_j / S_(j - 1) = sub / sqrt(sup sub), so P's coefficients are S y
+    log_s = np.concatenate(([0.0], np.cumsum(0.5 * np.log(sub / sup))))
+    coeffs = vecs * (np.exp(log_s - log_s[-1]) * np.concatenate(([1.0], np.cumprod(np.sign(sub)))))[:, None]
     n_label = family.moving_weight * gauge.ledger.n
-
-    states = []
-    for out_idx, j in enumerate(order):
-        vec = vecs[:, j]
-        top = vec[-1]
-        if abs(top) < 1e-13:
-            raise ArithmeticError("leading recursion coefficient vanished; cannot normalize")
-        vec = vec / top
-        if np.max(np.abs(vec.imag)) > 1e-8 * np.max(np.abs(vec)):
-            raise NonRealEnergyError("eigenvector of the recursion is not real")
-        states.append(
-            AlgebraicState(
-                family=family,
-                energy=float(energies[j]),
-                poly=Polynomial([float(c) for c in vec.real]),
-                gauge=gauge,
-                n_label=n_label,
-                index=out_idx,
-            )
-        )
-    return tuple(states)
-
-
-def moving_polynomial(state: AlgebraicState) -> Polynomial:
-    """Full polynomial factor z^parity P(z^k) in the census variable; its zeros are the moving poles."""
-    k, offset = state.family.chart.reduced_power, state.gauge.parity
-    full = np.zeros(k * state.poly.degree + offset + 1, dtype=complex)
-    full[offset::k] = state.poly.coeffs
-    return Polynomial(full)
+    return tuple(
+        AlgebraicState(family, float(e), Polynomial(c / c[-1]), float(v0), gauge, n_label, i)
+        for i, (e, c) in enumerate(zip(energies, coeffs.T))
+    )
 
 
 def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex | np.ndarray], tuple]:
     """Closed-form evaluator x -> (psi, psi', psi'') in the physical variable.
 
     In the chart variable z, ``psi = F M`` with ``F = exp(-G) prod_k
-    (sigma_k (z - z_k))^e_k`` from the gauge and M the moving polynomial;
+    (sigma_k (z - z_k))^e_k`` from the gauge and M = z^parity P(z^k - origin);
     sigma_k = -1 where the physical interval lies below z_k, so the base is
     positive there. With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``,
     ``psi_z = F (L M + M')`` and ``psi_zz = F ((L^2 + L') M + 2 L M' + M'')``;
@@ -240,9 +230,10 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     g = gauge.gauge_polynomial
     g1 = g.derivative()
     g2 = g1.derivative()
-    m = moving_polynomial(state)
-    m1 = m.derivative()
-    m2 = m1.derivative()
+    p = state.poly
+    p1 = p.derivative()
+    p2 = p1.derivative()
+    two, origin, parity = state.family.chart.reduced_power == 2, state.origin, state.gauge.parity
     lo, hi = state.family.sample_window
     inside = coordinates(0.5 * (lo + hi))[0].real  # a point of the physical interval, in z
     factors = [(loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in gauge.prefactors]
@@ -257,7 +248,12 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
             f = f * (sigma * d) ** e
             log_d = log_d + e / d
             log_d2 = log_d2 - e / (d * d)
-        mz, m1z, m2z = m(z), m1(z), m2(z)
+        u = (z * z if two else z) - origin
+        mz, m1z, m2z = p(u), p1(u), p2(u)
+        if two:  # v = z^2: M' = 2z P', M'' = 4z^2 P'' + 2 P'
+            m1z, m2z = 2 * z * m1z, 4 * z * z * m2z + 2 * m1z
+        if parity:
+            mz, m1z, m2z = z * mz, mz + z * m1z, 2 * m1z + z * m2z
         psi_z = f * (log_d * mz + m1z)
         psi_zz = f * ((log_d * log_d + log_d2) * mz + 2 * log_d * m1z + m2z)
         return f * mz, psi_z * dz, psi_zz * dz * dz + psi_z * d2z

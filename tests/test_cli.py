@@ -485,18 +485,37 @@ def test_grid_n_below_the_level_count_is_raised(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().out)["results"]["first_failure"] is None
 
 
-@pytest.mark.parametrize("command", ["verify", "poles"])
-def test_library_error_still_emits_report(tmp_path, capsys, command):
-    # the recursion's leading coefficient vanishes for this instance
-    cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.1, "S2": 1.3, "q1": 1.0, "M": 16}})
-    assert main([command, "--config", cfg]) == 2
+@pytest.mark.parametrize("argv", [["verify"], ["poles", "--level", "20"]], ids=["verify", "poles"])
+def test_library_error_still_emits_report(tmp_path, capsys, argv):
+    # the top states' stadium integrals pick up imaginary parts of 1e-4 to 1e-3 for this instance
+    cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.1, "S2": 1.3, "q1": 1.0, "M": 20}})
+    assert main(argv + ["--config", cfg]) == 2
     out, err = capsys.readouterr()
     report = json.loads(out)
-    assert report["results"]["first_failure"] == "algebraic_states"
     failed = [c for c in report["checks"] if not c["pass"]]
-    assert [c["name"] for c in failed] == ["algebraic_states"]
-    assert "leading recursion coefficient vanished" in failed[0]["measured"]
-    assert "leading recursion coefficient vanished" in err
+    assert report["results"]["first_failure"] == failed[0]["name"]
+    assert re.fullmatch(r"state_\d+_census", failed[-1]["name"])
+    for text in (failed[-1]["measured"], report["results"]["error"], err):
+        assert "quantization integral is not real" in text
+    if argv[0] == "poles":
+        assert [c["name"] for c in failed] == ["state_20_census"]
+
+
+# The poles-large op of seed 6, op 4: the non-symmetric eigensolver's top vector component vanished
+# here ("leading recursion coefficient vanished"); the symmetric form solves it.
+_CIRCULAR_M12 = {"name": "circular", "S1": 1.154927594323222, "S2": 1.3222843977695171,
+                 "q1": -0.6668365686130799, "M": 12}
+
+
+def test_poles_passes_on_a_formerly_unnormalizable_recursion(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"family": _CIRCULAR_M12})
+    assert main(["poles", "--config", cfg, "--level", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["results"]["first_failure"] is None
+    assert [c["name"] for c in report["checks"]] == ["recursion_truncates", "algebraic_energies_real"] + [
+        f"state_0_{fact}" for fact in ("degree_law", "quantization", "global_count", "residues")
+    ]
+    assert all(c["pass"] for c in report["checks"])
 
 
 @pytest.mark.parametrize(
@@ -592,19 +611,23 @@ def _load_perfbench(monkeypatch, name):
 
 
 @pytest.mark.parametrize(
-    "family",
-    [SEXTIC_N2["family"], {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}],
-    ids=lambda f: f["name"],
+    "family,commands,level",
+    [
+        (SEXTIC_N2["family"], ("derive", "verify", "poles"), 1),
+        ({"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}, ("derive", "verify", "poles"), 1),
+        (_CIRCULAR_M12, ("derive", "poles"), 0),  # its verify fails the residual on the top levels
+    ],
+    ids=["sextic", "circular", "circular-M12"],
 )
-def test_benchmark_judges_every_report(tmp_path, monkeypatch, family):
+def test_benchmark_judges_every_report(tmp_path, monkeypatch, family, commands, level):
     # a schema change that drops a key the benchmark reads fails here, not as Unevaluable in a benchmark run
     _load_perfbench(monkeypatch, "workloads")  # outcomes imports it by name
     outcomes = _load_perfbench(monkeypatch, "outcomes")
     report, csv = tmp_path / "report.json", tmp_path / "poles.csv"
     cfg = write_config(tmp_path, {"family": family, "outputs": {"report": str(report), "csv": str(csv)}})
-    for command in ("derive", "verify", "poles"):
-        inst = {"command": command, "family": family, "level": 1}
-        argv = [command, "--config", cfg] + (["--level", "1"] if command == "poles" else [])
+    for command in commands:
+        inst = {"command": command, "family": family, "level": level}
+        argv = [command, "--config", cfg] + (["--level", str(level)] if command == "poles" else [])
         code = main(argv)
         csv_text = csv.read_text() if command == "poles" else None
         outcome = outcomes.judge(inst, code, "", report.read_text(), csv_text)

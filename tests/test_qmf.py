@@ -1,5 +1,6 @@
 
 import importlib
+import math
 
 import numpy as np
 import pytest
@@ -148,12 +149,34 @@ def test_census_of_nodeless_state():
     assert abs(c.global_count) < 1e-10
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        Sextic.on_condition(1.5, -0.7, 7),
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=4),
+        Hyperbolic(S1=1.1, S2=1.3, q1=1.0, M=4),
+    ],
+    ids=["sextic-odd", "radial", "hyperbolic"],
+)
+def test_zeros_on_the_squared_charts_come_in_exact_pairs(family):
+    # on v = z^2 each root of P gives the pair +-sqrt(v), so the census has z and -z bit for bit
+    for state in algebraic_states(family):
+        zeros = qmf(state).moving_zeros
+        assert len(zeros) == state.n_label
+        assert sorted(zeros, key=lambda z: (z.real, z.imag)) == list(zeros)
+        assert set(zeros) == {-z + 0j for z in zeros}
+        # a zero on an axis prints as "x+0j" or "yj", never with a signed zero
+        assert all(math.copysign(1.0, z.imag) == 1.0 for z in zeros if z.imag == 0.0)
+        assert all(math.copysign(1.0, z.real) == 1.0 for z in zeros if z.real == 0.0)
+
+
 def test_degenerate_zero_rejected():
     state = _sextic_states(4)[0]
     broken = type(state)(
         family=state.family,
         energy=state.energy,
         poly=Polynomial([1.0, 2.0, 1.0]),  # (u + 1)^2
+        origin=state.origin,
         gauge=state.gauge,
         n_label=state.n_label,
         index=0,
@@ -263,6 +286,7 @@ def _squeezed_state():
         family=state.family,
         energy=state.energy,
         poly=poly,
+        origin=state.origin,
         gauge=state.gauge,
         n_label=state.n_label,
         index=0,
@@ -400,59 +424,53 @@ _PINNED_CENSUS = [
     (
         Sextic.on_condition(1.5, -0.7, 3), 0,
         'CensusReport(n_real=1, n_complex=2, total=3, quantization_value=0.9999999999999963, '
-        'global_count=3.0000000000000124, zeros=(-0.8908019533263034j, 0j, 0.8908019533263034j))',
-        '(PoleReport(location=-0.8908019533263034j, '
-        "measured_residue=(3.469446951953614e-18-1j), kind='moving', axis='complex'), "
-        'PoleReport(location=0j, measured_residue=(8.673617379884035e-19-1j), '
-        "kind='moving', axis='real'), PoleReport(location=0.8908019533263034j, "
-        "measured_residue=(1.734723475976807e-18-1j), kind='moving', axis='complex'))",
+        'global_count=3.000000000000009, zeros=(-0.8908019533263033j, 0j, 0.8908019533263033j))',
+        '(PoleReport(location=-0.8908019533263033j, measured_residue=(-5.204170427930421e-18-1j), '
+        "kind='moving', axis='complex'), PoleReport(location=0j, measured_residue=-1j, kind='moving', "
+        "axis='real'), PoleReport(location=0.8908019533263033j, "
+        "measured_residue=(-1.0408340855860843e-17-1j), kind='moving', axis='complex'))",
     ),
     (
         RadialSextic(S=1.25, a=1.0, b=0.5, M=2), 1,
         'CensusReport(n_real=2, n_complex=2, total=4, quantization_value=2.0000000000000138, '
-        'global_count=4.00000000000001, zeros=((-1.263399454869676+0j), -1.4757558455539257j, '
-        '1.4757558455539257j, (1.263399454869676+0j)))',
-        '(PoleReport(location=(-1.263399454869676+0j), '
-        "measured_residue=(-1.734723475976807e-18-1j), kind='moving', axis='real'), "
-        'PoleReport(location=-1.4757558455539257j, '
-        "measured_residue=(1.734723475976807e-18-1j), kind='moving', axis='complex'), "
-        'PoleReport(location=1.4757558455539257j, measured_residue=-1j, '
-        "kind='moving', axis='complex'), PoleReport(location=(1.263399454869676+0j), "
-        "measured_residue=(5.204170427930421e-18-1j), kind='moving', axis='real'), "
-        'PoleReport(location=0j, measured_residue=(-1.734723475976807e-18-2j), '
-        "kind='fixed', axis='real'))",
+        'global_count=4.000000000000015, zeros=((-1.2633994548696759+0j), -1.475755845553926j, '
+        '1.475755845553926j, (1.2633994548696759+0j)))',
+        '(PoleReport(location=(-1.2633994548696759+0j), measured_residue=(-5.204170427930421e-18-1j), '
+        "kind='moving', axis='real'), PoleReport(location=-1.475755845553926j, "
+        "measured_residue=-0.9999999999999999j, kind='moving', axis='complex'), "
+        'PoleReport(location=1.475755845553926j, '
+        "measured_residue=(1.0408340855860843e-17-0.9999999999999999j), kind='moving', axis='complex'), "
+        'PoleReport(location=(1.2633994548696759+0j), measured_residue=(-3.469446951953614e-18-1j), '
+        "kind='moving', axis='real'), PoleReport(location=0j, "
+        "measured_residue=(-1.5178830414797062e-18-2j), kind='fixed', axis='real'))",
     ),
     (
         Circular(S1=1.0, S2=1.2, q1=-1.5, M=3), 0,
         'CensusReport(n_real=3, n_complex=0, total=3, quantization_value=3.0, '
-        'global_count=2.999999999999999, zeros=((-6.936851136178018+0j), (-3.3716690835623755+0j), '
-        '(-1.1949493603181804+0j)))',
-        '(PoleReport(location=(-6.936851136178018+0j), '
-        "measured_residue=(-8.673617379884035e-18-2j), kind='moving', axis='real'), "
-        'PoleReport(location=(-3.3716690835623755+0j), '
-        "measured_residue=(-3.2959746043559335e-17-1.9999999999999993j), kind='moving', "
-        "axis='real'), PoleReport(location=(-1.1949493603181804+0j), "
-        "measured_residue=(2.0816681711721685e-17-2j), kind='moving', axis='real'), "
-        'PoleReport(location=0j, measured_residue=(-1.3877787807814457e-17-1.5j), '
-        "kind='fixed', axis='real'), PoleReport(location=(1+0j), "
-        "measured_residue=(-2.7755575615628914e-17-1.9j), kind='fixed', axis='real'))",
+        'global_count=2.999999999999999, zeros=((-6.936851136178005+0j), (-3.371669083562378+0j), '
+        '(-1.19494936031818+0j)))',
+        '(PoleReport(location=(-6.936851136178005+0j), measured_residue=(-1.3877787807814457e-17-2j), '
+        "kind='moving', axis='real'), PoleReport(location=(-3.371669083562378+0j), "
+        "measured_residue=(-1.3010426069826053e-16-2j), kind='moving', axis='real'), "
+        'PoleReport(location=(-1.19494936031818+0j), measured_residue=(-3.469446951953614e-18-2j), '
+        "kind='moving', axis='real'), PoleReport(location=0j, "
+        "measured_residue=(-1.3877787807814457e-17-1.5j), kind='fixed', axis='real'), "
+        "PoleReport(location=(1+0j), measured_residue=-1.9j, kind='fixed', axis='real'))",
     ),
     (
         Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2), 0,
         'CensusReport(n_real=4, n_complex=0, total=4, quantization_value=4.000000000000003, '
-        'global_count=4.000000000000001, zeros=((-0.7993886662966713+0j), (-0.4711637400165076+0j), '
-        '(0.4711637400165077+0j), (0.7993886662966713+0j)))',
-        '(PoleReport(location=(-0.7993886662966713+0j), '
+        'global_count=4.000000000000002, zeros=((-0.7993886662966725+0j), (-0.47116374001650674+0j), '
+        '(0.47116374001650674+0j), (0.7993886662966725+0j)))',
+        '(PoleReport(location=(-0.7993886662966725+0j), measured_residue=(6.938893903907228e-18-1j), '
+        "kind='moving', axis='real'), PoleReport(location=(-0.47116374001650674+0j), "
         "measured_residue=(1.3877787807814457e-17-1j), kind='moving', axis='real'), "
-        'PoleReport(location=(-0.4711637400165076+0j), '
-        "measured_residue=(6.938893903907228e-18-1j), kind='moving', axis='real'), "
-        'PoleReport(location=(0.4711637400165077+0j), measured_residue=-1j, '
-        "kind='moving', axis='real'), PoleReport(location=(0.7993886662966713+0j), "
-        "measured_residue=(1.3877787807814457e-17-1j), kind='moving', axis='real'), "
-        'PoleReport(location=0j, measured_residue=(-1.0408340855860843e-17-1.5j), '
-        "kind='fixed', axis='real'), PoleReport(location=(1+0j), "
-        "measured_residue=(-5.551115123125783e-17-1j), kind='fixed', axis='real'), "
-        "PoleReport(location=(-1+0j), measured_residue=-1j, kind='fixed', axis='real'))",
+        'PoleReport(location=(0.47116374001650674+0j), measured_residue=(-6.938893903907228e-18-1j), '
+        "kind='moving', axis='real'), PoleReport(location=(0.7993886662966725+0j), "
+        "measured_residue=(-1.3877787807814457e-17-1j), kind='moving', axis='real'), "
+        "PoleReport(location=0j, measured_residue=-1.5j, kind='fixed', axis='real'), "
+        "PoleReport(location=(1+0j), measured_residue=(5.551115123125783e-17-1j), kind='fixed', "
+        "axis='real'), PoleReport(location=(-1+0j), measured_residue=-1j, kind='fixed', axis='real'))",
     ),
 ]
 

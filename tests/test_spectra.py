@@ -6,14 +6,14 @@ import pytest
 
 from qhjqes.families import Circular, Hyperbolic, NonQESError, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
-from qhjqes.series import Polynomial, poly_roots
+from qhjqes.qmf import qmf
+from qhjqes.series import Polynomial
 from qhjqes import spectra
 from qhjqes.spectra import (
     NonRealEnergyError,
     algebraic_states,
     eigenfunction_with_derivatives,
     gauge_from_residues,
-    moving_polynomial,
     recursion_matrix,
     schrodinger_residual,
 )
@@ -113,9 +113,11 @@ def test_two_level_spectrum_is_plus_minus_2root2():
 
 
 def test_complex_matrix_rejected(monkeypatch):
-    m = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    monkeypatch.setattr(spectra, "recursion_matrix", lambda gauge: m)
-    with pytest.raises(NonRealEnergyError):
+    # a2 = 4 v^2 - 4 v vanishes at v = 0 and v = 1; about both, the one off-diagonal product is -1,
+    # so the recursion [[0, -1], [1, 0]] has energies +-i and no real symmetric form
+    bands = (4.0, -4.0, 0.0, 0.0, -1.0, 1.0, 0.0, 1)
+    monkeypatch.setattr(spectra, "_band_numbers", lambda gauge: bands)
+    with pytest.raises(NonRealEnergyError, match="no real symmetric form"):
         algebraic_states(Sextic.on_condition(1.0, 0.0, 2))
 
 
@@ -123,10 +125,10 @@ def test_n2_state_polynomials():
     states = algebraic_states(Sextic.on_condition(1.0, 0.0, 2))
     low, high = states
     assert abs(low.energy + TWO_ROOT_TWO) < 1e-12
-    roots_low = [r for r, _ in poly_roots(moving_polynomial(low))]
+    roots_low = qmf(low).moving_zeros
     assert all(abs(abs(r.imag) - QUARTER_ROOT_HALF) < 1e-10 for r in roots_low)
     assert all(abs(r.real) < 1e-10 for r in roots_low)
-    roots_high = [r for r, _ in poly_roots(moving_polynomial(high))]
+    roots_high = qmf(high).moving_zeros
     assert all(abs(abs(r.real) - QUARTER_ROOT_HALF) < 1e-10 for r in roots_high)
     assert all(abs(r.imag) < 1e-10 for r in roots_high)
 
@@ -137,7 +139,7 @@ def test_degree_law():
             states = algebraic_states(Sextic.on_condition(1.0, b, n))
             assert len(states) == n // 2 + 1
             for s in states:
-                assert moving_polynomial(s).degree == n == s.n_label
+                assert s.gauge.parity + 2 * s.poly.degree == n == s.n_label == len(qmf(s).moving_zeros)
 
 
 def test_parity_of_eigenfunctions():
@@ -189,9 +191,13 @@ def test_evaluator_on_an_array_matches_scalar_calls(family):
                 assert abs(on_array[k][i] - value) <= 1e-13 * abs(value), (s.index, z, k)
 
 
-def _closed_form_psi(family, poly, x):
-    """psi on real x written from the family's parameters alone; poly is P in the reduced variable."""
+def _closed_form_psi(family, state, x):
+    """psi on real x written from the family's parameters alone; P is evaluated at v - origin."""
     kind = family_kind(family)
+
+    def poly(v):
+        return state.poly(v - state.origin)
+
     if kind in ("sextic", "radial_sextic"):
         power = round((family.condition_value - 3.0) / 2.0) % 2 if kind == "sextic" else 2 * family.S - 0.5
         return x**power * np.exp(-family.a * x**4 / 4 - family.b * x**2 / 2) * poly(x * x)
@@ -206,35 +212,23 @@ def _closed_form_psi(family, poly, x):
 def test_evaluator_matches_the_closed_forms_of_the_parameters(family):
     xs = np.linspace(*family.sample_window, 50)
     for s in algebraic_states(family):
-        expected = _closed_form_psi(family, s.poly, xs)
+        expected = _closed_form_psi(family, s, xs)
         psi = eigenfunction_with_derivatives(s)(xs)[0]
         assert np.max(np.abs(psi - expected)) <= 1e-13 * np.max(np.abs(expected)), s.index
 
 
-# Literal coefficients of each family's top state: the census and the pole
-# reports read these bits, so a change of the eigenfunction's representation
-# must leave them as they are.
+# Literal coefficients and origin of each family's top state: the census and
+# the pole reports read these bits, so a change of the eigenfunction's
+# representation must leave them as they are.
 _PINNED_MOVING = [
-    (
-        Sextic.on_condition(1.0, 0.5, 4),
-        "((0.3127638023652873+0j), 0j, (-1.670423808624175+0j), 0j, (1+0j))",
-    ),
-    (
-        Sextic.on_condition(1.5, -0.7, 5),
-        "(0j, (1.509675459968898+0j), 0j, (-2.7645640019440734+0j), 0j, (1+0j))",
-    ),
-    (
-        RadialSextic(S=1.25, a=1.0, b=0.5, M=2),
-        "((1.8812070696598875+0j), 0j, (-3.040123727053404+0j), 0j, (1+0j))",
-    ),
+    (Sextic.on_condition(1.0, 0.5, 4), "(((0.3127638023652865+0j), (-1.6704238086241725+0j), (1+0j)), 0.0)"),
+    (Sextic.on_condition(1.5, -0.7, 5), "(((1.5096754599688984+0j), (-2.764564001944073+0j), (1+0j)), 0.0)"),
+    (RadialSextic(S=1.25, a=1.0, b=0.5, M=2), "(((1.8812070696598853+0j), (-3.040123727053403+0j), (1+0j)), 0.0)"),
     (
         Circular(S1=1.0, S2=1.2, q1=-2.0, M=2),
-        "((0.23851408379342237+0j), (-1.0649545416906199+0j), (1+0j))",
+        "(((0.23851408379342298+0j), (-1.0649545416906212+0j), (1+0j)), 0.0)",
     ),
-    (
-        Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
-        "((31.96150323680496+0j), 0j, (-12.23442729202213+0j), 0j, (1+0j))",
-    ),
+    (Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2), "(((20.727075944782847+0j), (-10.23442729202213+0j), (1+0j)), 1.0)"),
 ]
 
 
@@ -242,7 +236,8 @@ _PINNED_MOVING = [
     "family,coeffs", _PINNED_MOVING, ids=["sextic-even", "sextic-odd", "radial", "circular-q1-neg", "hyperbolic"]
 )
 def test_moving_polynomial_is_pinned(family, coeffs):
-    assert repr(moving_polynomial(algebraic_states(family)[-1]).coeffs) == coeffs
+    state = algebraic_states(family)[-1]
+    assert repr((state.poly.coeffs, state.origin)) == coeffs
 
 
 def _paper_matrix(family) -> np.ndarray:
@@ -357,6 +352,32 @@ def test_residual_on_arrays_matches_the_loop(family):
     for s in algebraic_states(family):
         # both are divided by max |psi|, so this bound is relative to the wavefunction's scale
         assert abs(schrodinger_residual(s) - _residual_by_loop(s)) <= 1e-12
+
+
+# The n/M = 8..20 table of the planned verify-large workload: S1 = 1.1, S2 = 1.3; radial S = 1.1, a = 1, b = 0.5.
+def _large_table(size):
+    return [
+        Sextic.on_condition(1.0, 0.5, size),
+        RadialSextic(S=1.1, a=1.0, b=0.5, M=size),
+        Circular(S1=1.1, S2=1.3, q1=1.0, M=size),
+        Circular(S1=1.1, S2=1.3, q1=-2.0, M=size),
+        Hyperbolic(S1=1.1, S2=1.3, q1=1.0, M=size),
+    ]
+
+
+@pytest.mark.parametrize("size", [8, 12, 16, 20])
+def test_large_sizes_give_every_state(size):
+    for family in _large_table(size):
+        states = algebraic_states(family)
+        assert len(states) == (size // 2 + 1 if family_kind(family) == "sextic" else size + 1)
+        assert all(s2.energy > s1.energy for s1, s2 in zip(states, states[1:]))
+
+
+@pytest.mark.parametrize("size", [16, 20])
+def test_hyperbolic_spectrum_is_the_circular_one_negated(size):
+    circular = np.array([s.energy for s in algebraic_states(Circular(S1=1.1, S2=1.3, q1=1.0, M=size))])
+    hyperbolic = np.array([s.energy for s in algebraic_states(Hyperbolic(S1=1.1, S2=1.3, q1=1.0, M=size))])
+    assert np.max(np.abs(hyperbolic + circular[::-1])) <= 1e-13 * np.max(np.abs(circular))
 
 
 def test_radial_recursion_energy_count():
