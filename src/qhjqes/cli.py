@@ -245,18 +245,17 @@ def _census_checks(state: spectra.AlgebraicState, tols: dict, checks: list) -> t
 def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, list]:
     """The oracle's energies and each state's nearest oracle level, after the containment checks.
 
+    The oracle's domain is ``grid``'s, or else the gauge's window.
     ``oracle_certified`` fails when the oracle cannot certify the matched
     levels to ``oracle_tol``; each difference is held to ``oracle_tol``
     itself, so a poorly certified oracle cannot widen its own check.
     """
     tol = config["_tolerances"]["oracle_tol"]
     grid = config.get("grid") or {}
-    k = 2 * len(states) + 4
-    options = {"n_start": grid.get("n", oracle.N_START)}
-    if grid:
-        options["domain"] = (float(grid["x_min"]), float(grid["x_max"]))
+    k, n_start = 2 * len(states) + 4, grid.get("n", oracle.N_START)
+    domain = (float(grid["x_min"]), float(grid["x_max"])) if grid else states[0].gauge.window
     with _stage("oracle_convergence"):
-        spec = oracle.refine(family, k=k, tol=max(1e-8, tol / 2.0), **options)
+        spec = oracle.refine(family, k=k, tol=max(1e-8, tol / 2.0), domain=domain, n_start=n_start)
     matches = []
     for s in states:
         j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))

@@ -13,9 +13,9 @@ real numerator and denominator coefficients in the chart variable;
 ``singular_points``, V's poles in ledger order; ``moving_weight``, moving
 poles per unit of n; ``infinity_target``, the physical branch's leading
 coefficient at infinity where decay cannot pick it; the closed forms of
-``solve_ledger`` and ``ledger_check``; the residual's ``sample_window``; the
-oracle's ``oracle_domain`` and ``walls`` ``(position, c, f)``, c the
-family's own 1/x^2 coefficient at the wall and f vanishing linearly there.
+``solve_ledger`` and ``ledger_check``; and ``walls`` ``(position, c, f)``, c
+the family's own 1/x^2 coefficient at the wall and f vanishing linearly there
+and rising into the interval, so f' > 0 at its lower end and f' < 0 at its upper.
 ``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
 No family carries a closed form of its gauge: ``spectra.recursion_matrix``
 conjugates the potential in the chart by the ledger's gauge and refuses
@@ -110,7 +110,7 @@ TRIG = ChartSpec("t", 0.5, Polynomial([0, 4, -4]), 1, _trig_coordinates)
 HYPER = ChartSpec("t", 1.0, Polynomial([-1, 0, 1]), 2, _hyper_coordinates)
 
 
-# Wall functions: each vanishes linearly at its wall and gives (f, f', f'') at x.
+# Wall functions: each vanishes linearly at its wall, rises into the interval and gives (f, f', f'') at x.
 def _sin(x):
     s, c = np.sin(x), np.cos(x)
     return s, c, -s
@@ -166,8 +166,6 @@ class Sextic:
     singular_points = ()
     moving_weight = 1
     infinity_target = None
-    sample_window = (-4.0, 4.0)
-    oracle_domain = (-6.0, 6.0)
     walls = ()
 
     def __post_init__(self):
@@ -245,8 +243,6 @@ class RadialSextic(_CountedByM):
     chart = IDENTITY
     singular_points = (0j,)
     moving_weight = 2  # P(x^2) has its zeros in pairs +-x
-    sample_window = (0.05, 4.0)
-    oracle_domain = (0.0, 6.0)
 
     def __post_init__(self):
         _check_finite(S=self.S, a=self.a, b=self.b)
@@ -327,8 +323,6 @@ class Circular(_TwoWall):
     chart = TRIG
     singular_points = (0j, 1 + 0j)
     moving_weight = 1
-    sample_window = (0.02, math.pi / 2 - 0.02)
-    oracle_domain = (0.0, math.pi / 2)
 
     def _check_q1(self):
         if self.q1 == 0:
@@ -373,12 +367,6 @@ class Hyperbolic(_TwoWall):
     chart = HYPER
     singular_points = (0j, 1 + 0j, -1 + 0j)
     moving_weight = 2  # P(cosh^2 x) has its zeros in pairs +-t
-    sample_window = (0.05, 3.0)
-    # cosh^4 x reaches ~2e9 already at x = 6; pushing the wall further would
-    # swamp the eigenvalues in the matrix norm (eigvalsh resolves eigenvalues
-    # only to machine-eps times the norm), while the gauge factor
-    # exp(-q1 cosh^2 x / 2) is dead long before x = 4.
-    oracle_domain = (0.0, 4.0)
 
     def _check_q1(self):
         if not self.q1 > 0:

@@ -25,8 +25,8 @@ Lagrange derivative matrix, the mass is diagonal, M = diag(q r), the
 stiffness is K = D^T diag(q r) D + diag(q r U), and the energies are the
 eigenvalues of the symmetric H = M^(-1/2) K M^(-1/2) from numpy's
 ``eigvalsh``. Bare callables, the sextic (w = 1) and domains whose ends are
-off the singular points get the Lobatto-Legendre rule. A family's
-``oracle_domain`` is the default domain.
+off the singular points get the Lobatto-Legendre rule. The caller gives the
+domain, for families and bare callables alike.
 
 The smooth weighted equation makes the error fall exponentially with the
 node count, so ``refine`` takes the change between N and 1.5 N nodes as each
@@ -224,8 +224,8 @@ class OracleSpectrum:
 
 def _grown_domain(walls: tuple, domain: tuple[float, float]) -> tuple[float, float]:
     """The domain of the truncation check: an end with a wall beyond it moves
-    onto that wall (the default domains already put it there), and any other
-    end moves out by one unit. One more unit multiplies the tail bound
+    onto that wall (a domain whose end is on the wall keeps it), and any
+    other end moves out by one unit. One more unit multiplies the tail bound
     enormously while keeping the hyperbolic cosh^4 within floating-point
     reach."""
     lo, hi = domain
@@ -244,11 +244,12 @@ def refine(
     family,
     k: int,
     tol: float = 1e-6,
-    domain: tuple[float, float] | None = None,
+    *,
+    domain: tuple[float, float],
     n_start: int = N_START,
     n_max: int = N_MAX,
 ) -> OracleSpectrum:
-    """Certified low spectrum: solves at N, 1.5 N, 2.25 N, ... nodes plus a domain check.
+    """Certified low spectrum on ``domain``: solves at N, 1.5 N, 2.25 N, ... nodes plus a domain check.
 
     Refinement stops once the change of every level between two successive
     node counts is below ``tol``. Each estimate is the larger of that change
@@ -258,10 +259,6 @@ def refine(
     """
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
-    if domain is None:
-        if not hasattr(family, "oracle_domain"):
-            raise ValueError("a domain is required for a bare potential callable")
-        domain = family.oracle_domain
 
     grid = Grid(domain[0], domain[1], max(n_start, k))
     energies, _ = _solve(family, grid, k)

@@ -8,7 +8,7 @@ degree. Its recursion, derived from the chart, the potential in the chart
 and the gauge alone, is a real symmetric eigenproblem for P in u = v - v0,
 v0 a zero of a2. One formula in z evaluates every family's eigenfunction
 with analytic derivatives, and the chart's map carries it to x over the
-family's sample window.
+gauge's window.
 """
 
 from __future__ import annotations
@@ -59,6 +59,30 @@ class GaugeSpec:
     gauge_polynomial: Polynomial
     parity: int
     ledger: engine.QuantizationLedger
+
+    @functools.cached_property
+    def window(self) -> tuple[float, float]:
+        """The x-interval where the states live, read from the walls and the gauge, never from P or E.
+
+        An end on a wall stays on it (see ``families``). Each open end is the first point, 1/64 apart,
+        outward from the other end (or 0) where log |exp(-G) prod_i (z - z_i)^e_i| falls 36 below its
+        running peak, so every well lies inside. The residual samples the window; the oracle solves on it.
+        """
+        family, ends = self.ledger.family, [None, None]
+        for position, _, f in family.walls:
+            ends[int(f(position)[1] < 0)] = position  # f rises into the interval
+        start = next((end for end in ends if end is not None), 0.0)
+        for side, n in itertools.product((0, 1), 256 * 2 ** np.arange(13)):
+            if ends[side] is None:
+                x = start + (2 * side - 1) * np.arange(n) / 64.0
+                z = family.chart.coordinates(x)[0]
+                with np.errstate(all="ignore"):
+                    log_f = sum((e * np.log(np.abs(z - c)) for c, e in self.prefactors), -self.gauge_polynomial(z).real)
+                fallen = np.flatnonzero(log_f < np.maximum.accumulate(log_f) - 36.0)  # e^-36 is 2e-16
+                ends[side] = float(x[fallen[0]]) if fallen.size else None
+        if None in ends:
+            raise ArithmeticError("the gauge does not decay within |x| = 16384: the states have no window")
+        return ends[0], ends[1]
 
 
 @dataclass(frozen=True)
@@ -214,10 +238,10 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
 def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex | np.ndarray], tuple]:
     """Closed-form evaluator x -> (psi, psi', psi'') in the physical variable.
 
-    In the chart variable z, ``psi = F M`` with ``F = exp(-G) prod_k
-    (sigma_k (z - z_k))^e_k`` from the gauge and M = z^parity P(z^k - origin);
-    sigma_k = -1 where the physical interval lies below z_k, so the base is
-    positive there. With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``,
+    In the chart variable z, ``psi = F M`` with ``F = exp(G_min - G) prod_k (sigma_k (z - z_k))^e_k``
+    from the gauge, G_min the least Re G sampled on its window so psi cannot overflow, and M = z^parity
+    P(z^k - origin); sigma_k = -1 where the window lies below z_k, so the base is positive there.
+    With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``,
     ``psi_z = F (L M + M')`` and ``psi_zz = F ((L^2 + L') M + 2 L M' + M'')``;
     the chart's map then gives the x-derivatives by the chain rule.
 
@@ -234,13 +258,14 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     p1 = p.derivative()
     p2 = p1.derivative()
     two, origin, parity = state.family.chart.reduced_power == 2, state.origin, state.gauge.parity
-    lo, hi = state.family.sample_window
+    lo, hi = gauge.window
     inside = coordinates(0.5 * (lo + hi))[0].real  # a point of the physical interval, in z
+    g_min = float(np.min(np.real(g(coordinates(np.linspace(lo, hi, 65))[0]))))
     factors = [(loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in gauge.prefactors]
 
     def evaluate(x):
         z, dz, d2z = coordinates(np.asarray(x, dtype=complex))
-        f = np.exp(-g(z))
+        f = np.exp(g_min - g(z))
         log_d = -g1(z)
         log_d2 = -g2(z)
         for loc, e, sigma in factors:
@@ -262,12 +287,14 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
 
 
 def schrodinger_residual(state: AlgebraicState) -> float:
-    """max |-psi'' + (V - E) psi| / max |psi| over the family's sample window.
+    """max |-psi'' + (V - E) psi| / max |psi| over the gauge's window.
 
     The evaluator and the potential are each called once, on 50 evenly spaced
-    samples; where psi overflows, the residual is NaN.
+    samples inset by 2 % of the window's length at each end, since the
+    unfactored residual cancels next to a wall.
     """
-    xs = np.linspace(*state.family.sample_window, 50)
+    lo, hi = state.gauge.window
+    xs = np.linspace(lo + 0.02 * (hi - lo), hi - 0.02 * (hi - lo), 50)
     with np.errstate(all="ignore"):
         psi, _, psi2 = eigenfunction_with_derivatives(state)(xs)
         worst = float(np.max(np.abs(-psi2 + (state.family.potential(xs) - state.energy) * psi)))

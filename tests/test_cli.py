@@ -398,22 +398,27 @@ def test_infinity_fit_starts_where_the_leading_term_dominates(tmp_path, capsys, 
     assert fits and all(c["pass"] for c in fits)
 
 
-@pytest.mark.parametrize(
-    "family",
-    [
-        {"name": "sextic_qes", "a": 1.0, "b": -100.0, "n": 0},
-        {"name": "radial_sextic", "S": 1.1, "a": 1.0, "b": -200.0, "M": 1},
-    ],
-    ids=["sextic-b-100", "radial-b-200"],
-)
-def test_non_finite_residual_is_a_failed_check(tmp_path, capsys, family):
-    # psi = exp(-G) P overflows at the sample window's end, so the residual is NaN; the report records it
-    cfg = write_config(tmp_path, {"family": family})
+def test_non_finite_residual_is_a_failed_check(tmp_path, capsys, monkeypatch):
+    # a NaN residual cannot go in a report as a number; the report records it as a failed check
+    monkeypatch.setattr(spectra, "schrodinger_residual", lambda state: float("nan"))
+    cfg = write_config(tmp_path, SEXTIC_N2)
     assert main(["verify", "--config", cfg]) == 2
     report = json.loads(capsys.readouterr().out)
     assert report["results"]["first_failure"] == "state_0_eigen_identity_residual"
     (check,) = [c for c in report["checks"] if c["name"] == "state_0_eigen_identity_residual"]
     assert check["measured"] == "non-finite measured value nan"
+
+
+def test_wells_far_from_the_origin_are_sampled(tmp_path, capsys):
+    # b = -200 puts the radial wells near x = 14, where exp(-G) is e^10000; the window reaches them and
+    # psi is scaled by exp(G_min), so every residual is finite. The top state's 8e-8 is an absolute
+    # residual beside potential terms of 1.6e7: it fails the 1e-8 tolerance, which stays as it is.
+    cfg = write_config(tmp_path, {"family": {"name": "radial_sextic", "S": 1.1, "a": 1.0, "b": -200.0, "M": 1}})
+    main(["verify", "--config", cfg])
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["checks"]}
+    for i in (0, 1):
+        assert type(checks[f"state_{i}_eigen_identity_residual"]["measured"]) is float
+        assert checks[f"state_{i}_oracle_containment"]["pass"]
 
 
 @pytest.mark.parametrize(
@@ -423,8 +428,18 @@ def test_non_finite_residual_is_a_failed_check(tmp_path, capsys, family):
         {"name": "hyperbolic", "S1": 1.0, "S2": 0.9, "q1": 1.0, "M": 2},
         {"name": "sextic_qes", "a": 1.0, "b": 0.0, "n": 12},
         {"name": "circular", "S1": 0.62, "S2": 0.61, "q1": 1.0, "M": 6},
+        # the states reach past any fixed window: small a or q1, or wells at |x| = sqrt(-b/a)
+        {"name": "sextic_qes", "a": 0.02, "b": 0.0, "n": 2},
+        {"name": "sextic_qes", "a": 0.01, "b": 0.0, "n": 2},
+        {"name": "sextic_qes", "a": 0.05, "b": -1.0, "n": 2},
+        {"name": "sextic_qes", "a": 1.0, "b": -100.0, "n": 0},
+        {"name": "radial_sextic", "S": 1.1, "a": 0.02, "b": 0.0, "M": 2},
+        {"name": "hyperbolic", "S1": 1.1, "S2": 1.3, "q1": 0.01, "M": 2},
     ],
-    ids=["circular", "hyperbolic", "sextic-n12", "circular-small-exponents"],
+    ids=[
+        "circular", "hyperbolic", "sextic-n12", "circular-small-exponents", "sextic-a0.02", "sextic-a0.01",
+        "sextic-a0.05-b-1", "sextic-b-100", "radial-a0.02", "hyperbolic-q1-0.01",
+    ],
 )
 def test_verify_passes_at_default_tolerances(tmp_path, capsys, family):
     cfg = write_config(tmp_path, {"family": family})
@@ -616,8 +631,9 @@ def _load_perfbench(monkeypatch, name):
         (SEXTIC_N2["family"], ("derive", "verify", "poles"), 1),
         ({"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}, ("derive", "verify", "poles"), 1),
         (_CIRCULAR_M12, ("derive", "poles"), 0),  # its verify fails the residual on the top levels
+        ({"name": "sextic_qes", "a": 0.02, "b": 0.0, "n": 2}, ("verify",), 0),
     ],
-    ids=["sextic", "circular", "circular-M12"],
+    ids=["sextic", "circular", "circular-M12", "sextic-a0.02"],
 )
 def test_benchmark_judges_every_report(tmp_path, monkeypatch, family, commands, level):
     # a schema change that drops a key the benchmark reads fails here, not as Unevaluable in a benchmark run
@@ -684,7 +700,7 @@ def test_only_families_and_cli_name_a_family_class(module):
 # What the pipeline may read of a family: the data every family provides.
 _PROTOCOL = {
     "chart", "singular_points", "moving_weight", "infinity_target", "potential_in_chart", "solve_ledger",
-    "ledger_check", "sample_window", "oracle_domain", "walls", "potential",
+    "ledger_check", "walls", "potential",
 }
 
 

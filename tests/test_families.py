@@ -49,8 +49,6 @@ class ReflectedCircular:
     chart = ChartSpec("t", TRIG.measure, TRIG.Q, TRIG.reduced_power, _cos2_coordinates)
     singular_points = Circular.singular_points
     moving_weight = Circular.moving_weight
-    sample_window = Circular.sample_window
-    oracle_domain = Circular.oracle_domain
 
     infinity_target = property(lambda self: self.circular.infinity_target)
     potential_in_chart = property(lambda self: self.circular.potential_in_chart)
@@ -87,8 +85,9 @@ _IDS = [f"{type(f).__name__}-{i}" for i, f in enumerate(_FAMILIES)]
 
 @pytest.mark.parametrize("family", _FAMILIES, ids=_IDS)
 def test_potential_in_chart_is_the_potential(family):
-    # the Riccati data and the oracle read two copies of V; they must be one function
-    xs = np.linspace(*family.sample_window, 400)
+    # the Riccati data and the oracle read two copies of V; they must be one function.
+    # (0.02, pi/2 - 0.02) lies inside every family's physical interval.
+    xs = np.linspace(0.02, np.pi / 2 - 0.02, 400)
     z = family.chart.coordinates(xs)[0]
     num, den = family.potential_in_chart
     v_chart = Polynomial(num)(z) / Polynomial(den)(z)
@@ -120,10 +119,24 @@ def test_a_family_defined_as_data_runs_through_the_pipeline(m_count, q1):
 def test_a_family_defined_as_data_meets_the_oracle():
     family = ReflectedCircular(Circular(S1=1.0, S2=1.3, q1=-1.5, M=2))
     states = algebraic_states(family)
-    spec = refine(family, k=2 * len(states) + 4, tol=5e-5)
+    spec = refine(family, k=2 * len(states) + 4, tol=5e-5, domain=states[0].gauge.window)
     for s in states:
         j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
         assert abs(spec.energies[j] - s.energy) <= spec.error_estimates[j] <= 5e-5
+
+
+def test_window_is_read_from_the_walls_and_the_gauge():
+    # an end on a wall stays on it; an open end is where the gauge's envelope has fallen e^-36 below its peak
+    for family in (Circular(S1=1.1, S2=0.9, q1=1.4, M=1), ReflectedCircular(Circular(S1=1.0, S2=1.3, q1=-1.5, M=3))):
+        assert gauge_from_residues(family).window == (0.0, math.pi / 2)
+    for family in (RadialSextic(S=1.25, a=1.0, b=0.5, M=2), Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1)):
+        lo, hi = gauge_from_residues(family).window
+        assert lo == 0.0 and hi > 1.0
+    lo, hi = gauge_from_residues(Sextic.on_condition(1.0, 0.5, 2)).window
+    assert lo == -hi and hi > 1.0
+    # the wells of exp(-x^4/4 + 50 x^2) sit at |x| = 10
+    lo, hi = gauge_from_residues(Sextic.on_condition(1.0, -100.0, 0)).window
+    assert lo == -hi and hi > 10.0
 
 
 def _spectrum(family) -> np.ndarray:

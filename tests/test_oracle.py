@@ -95,14 +95,14 @@ def test_refine_harmonic():
 
 
 def test_refine_exact_sextic_ground():
-    spec = refine(Sextic(-3.0, 0.0, 1.0), k=1, tol=1e-6)
+    spec = refine(Sextic(-3.0, 0.0, 1.0), k=1, tol=1e-6, domain=(-6.0, 6.0))
     assert abs(spec.energies[0]) < 1e-5
 
 
 def test_refine_radial_contains_algebraic_sector():
     fam = RadialSextic(S=1.25, a=1.0, b=0.5, M=2)
     states = algebraic_states(fam)
-    spec = refine(fam, k=fam.M + 1, tol=5e-5)
+    spec = refine(fam, k=fam.M + 1, tol=5e-5, domain=(0.0, 6.0))
     for s in states:
         dist = min(abs(o - s.energy) for o in spec.energies)
         assert dist <= 2 * max(spec.error_estimates)
@@ -114,7 +114,7 @@ def test_refine_certifies_slow_wall_convergence():
     # true error against the exact algebraic energies.
     fam = RadialSextic(S=0.8, a=1.0, b=0.0, M=1)
     states = algebraic_states(fam)
-    spec = refine(fam, k=4, tol=5e-5)
+    spec = refine(fam, k=4, tol=5e-5, domain=(0.0, 6.0))
     for s in states:
         j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
         assert abs(spec.energies[j] - s.energy) <= spec.error_estimates[j]
@@ -134,7 +134,7 @@ def test_refine_is_honest_at_small_indicial_exponents(family):
     # Wall exponents mu = 2S - 1/2 just above 1/2 leave an h^(2 mu + 1)
     # term next to the h^2 one; the estimates must still cover the error.
     states = algebraic_states(family)
-    spec = refine(family, k=2 * len(states) + 4, tol=5e-5)
+    spec = refine(family, k=2 * len(states) + 4, tol=5e-5, domain=states[0].gauge.window)
     for s in states:
         j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
         assert abs(spec.energies[j] - s.energy) <= spec.error_estimates[j] <= 5e-5
