@@ -27,12 +27,9 @@ w = 1/z. The pipeline implemented here:
                              per moving pole, and solve the balance for the
                              family parameters.
 
-Energy enters R only through the numerator term E den (``rhs_num_energy``),
-so the lowest order at which it reaches R at infinity follows from the
-degrees of den and of R's denominator. The matcher is plain complex
-arithmetic on R without that term, and the ledger's window stops below the
-first coefficient of q that E reaches; for every family the large-contour
-value sits below it.
+Energy enters R only through the numerator term E den, so the ledger's
+window stops below the first coefficient of q that E reaches
+(``infinity_expansion``).
 
 All functions are pure and deterministic.
 """
@@ -207,11 +204,9 @@ def _localize_at_infinity(r: RiccatiData, depth: int | None = None, energy: floa
     (the number of coefficients of q to match) defaults to the pole order of
     q at w = 0 plus 3.
 
-    E enters R only through ``rhs_num_energy``, so by the same argument its
-    first term sits exactly at ``energy_order = deg rhs_den - deg
-    rhs_num_energy``, never below R's leading order. With ``energy=None`` R
-    is expanded without E's part, which is exact below ``energy_order``;
-    a given ``energy`` is substituted into the numerator instead.
+    By the same argument E first enters R at ``energy_order = deg rhs_den -
+    deg rhs_num_energy``. With ``energy=None`` R is expanded without E's
+    part, exact below that order; a given ``energy`` is substituted instead.
     """
     dn = max(r.rhs_num_const.degree, r.rhs_num_energy.degree)
     dd = r.rhs_den.degree
@@ -364,10 +359,9 @@ def select_physical_branch(
 ) -> BranchCandidate:
     """Pick the square-integrable branch out of a candidate pair, at the location both carry.
 
-    At infinity the rule is decay of the implied gauge factor, unless the
-    family names the physical branch's leading coefficient as its
-    ``infinity_target`` (the trigonometric family, whose chart variable
-    never reaches infinity on the physical interval). At a fixed pole
+    At infinity the rule is decay of the implied gauge factor, which decides
+    only where the interval reaches infinity (``quantization_ledger`` applies
+    the count rule on a bounded one). At a fixed pole
     the candidate with the larger implied local exponent is kept (for a
     repulsive wall that is the one with psi -> 0; in the borderline attractive
     range it is the principal, limit-circle choice).
@@ -376,13 +370,8 @@ def select_physical_branch(
     if a.location != b.location:
         raise ValueError("candidates were produced at two locations")
     if a.location == "infinity":
-        target = family.infinity_target
-        if target is not None:
-            da = abs(a.leading_coefficient - target) < 1e-9 * (1 + abs(target))
-            db = abs(b.leading_coefficient - target) < 1e-9 * (1 + abs(target))
-        else:
-            da = (1j * a.leading_coefficient).real < 0
-            db = (1j * b.leading_coefficient).real < 0
+        da = (1j * a.leading_coefficient).real < 0
+        db = (1j * b.leading_coefficient).real < 0
         if da == db:
             raise BranchRuleError("branch rule indeterminate: decay test does not split the pair")
         return a if da else b
@@ -407,6 +396,11 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     constrains (alpha, beta, gamma); for the other three it returns M = n
     identically.
 
+    Decay picks the branch at infinity where ``interval`` is unbounded. On a
+    bounded one both branches are normalizable, and the physical one leaves
+    the larger count of moving poles, that is of nodes (Leacock & Padgett,
+    Phys. Rev. Lett. 50, 3 (1983)); the circular family's other leaves -(2 S1 + 2 S2 + M).
+
     No command passes ``require_integer=False``; it stays as the tests'
     reference for the condition value of a sextic off its condition.
     """
@@ -414,7 +408,10 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     chart = r.chart
     eq = _localize_at_infinity(r)
     pair = _branch_pair(eq)
-    sel = select_physical_branch(pair, family)
+    if any(map(cmath.isinf, family.interval)):
+        sel = select_physical_branch(pair, family)
+    else:  # the fixed poles take the same share on both branches, so the larger count has the larger i c1
+        sel = max(pair, key=lambda c: (1j * _expansion(eq, c).coefficient(1)).real)
     ser = _expansion(eq, sel)
     c1 = ser.coefficient(1)
     j_value = 1j * chart.measure * c1

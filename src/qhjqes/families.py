@@ -8,14 +8,14 @@ One Riccati equation serves every family; what sets a family apart is its
 chart and its potential in the chart, the normal form of a one-dimensional
 QES operator (Gonzalez-Lopez, Kamran & Olver, Commun. Math. Phys. 153, 117
 (1993)). So all the pipeline knows of a family is data on it, and no module
-branches on which family it has: ``chart``; ``potential_in_chart``, V as
-real numerator and denominator coefficients in the chart variable;
-``singular_points``, V's poles in ledger order; ``moving_weight``, moving
-poles per unit of n; ``infinity_target``, the physical branch's leading
-coefficient at infinity where decay cannot pick it; the closed forms of
-``solve_ledger`` and ``ledger_check``; and ``walls`` ``(position, c, f)``, c
-the family's own 1/x^2 coefficient at the wall and f vanishing linearly there
-and rising into the interval, so f' > 0 at its lower end and f' < 0 at its upper.
+branches on which family it has. A :class:`PotentialFamily` declares ``chart``;
+``potential_in_chart``, V as real numerator and denominator coefficients in the
+chart variable; ``interval``, its x-interval; ``singular_points``, V's poles in
+ledger order; ``moving_weight``, moving poles per unit of n; and the closed
+forms of ``solve_ledger`` and ``ledger_check``. Derived from these, once per
+instance: ``potential``, V(x), and ``walls`` ``(position, c, f)`` at each finite
+end of the interval, c the 1/(x - position)^2 coefficient of V and f vanishing
+linearly there and rising into the interval (f' > 0 at a lower end, < 0 at an upper).
 ``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
 No family carries a closed form of its gauge: ``spectra.recursion_matrix``
 conjugates the potential in the chart by the ledger's gauge and refuses
@@ -28,9 +28,10 @@ builds a sextic on it, and ``Sextic.solve_ledger`` refuses one off it with
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
@@ -93,7 +94,6 @@ class ChartSpec:
 
 
 def _identity_coordinates(x):
-    """z = x; also the radial wall function, which vanishes linearly at x = 0."""
     return x, np.ones_like(x), np.zeros_like(x)
 
 
@@ -110,20 +110,66 @@ TRIG = ChartSpec("t", 0.5, Polynomial([0, 4, -4]), 1, _trig_coordinates)
 HYPER = ChartSpec("t", 1.0, Polynomial([-1, 0, 1]), 2, _hyper_coordinates)
 
 
-# Wall functions: each vanishes linearly at its wall, rises into the interval and gives (f, f', f'') at x.
-def _sin(x):
-    s, c = np.sin(x), np.cos(x)
-    return s, c, -s
+def _wall(coordinates, z0: float, sign: float, slope: float, t, t1, x) -> tuple:
+    """(f, f', f'') at x. Where Q(z0) != 0, f = sign (z - z0). Where the chart folds, Q(z0) = 0, f = sqrt(4 (z - z0)
+    / Q'(z0)), ``slope`` = Q'(z0), and next to the wall 4 (z - z0) is 4 z'^2 / T(z), ``t`` = T = Q / (z - z0); then
+    f' = 2 z' / (Q'(z0) f) and, as z'^2 = T (z - z0) and z'' = Q'/2, f'' = f T'(z) / 4, ``t1`` = T'."""
+    z, dz, d2z = coordinates(x)
+    if t is None:
+        return sign * (z - z0), sign * dz, sign * d2z
+    with np.errstate(all="ignore"):
+        f2 = np.where(np.abs(z - z0) > 0.5 * abs(z0), 4.0 * (z - z0), 4.0 * dz * dz / np.polyval(t, z))
+    f0 = np.sqrt(f2 / slope)
+    return f0, 2.0 * dz / (slope * f0), f0 * np.polyval(t1, z) / 4.0
 
 
-def _cos(x):
-    s, c = np.sin(x), np.cos(x)
-    return c, -s, -c
+@functools.lru_cache(maxsize=16)
+def _geometry(chart: ChartSpec, den: tuple, interval: tuple, singular_points: tuple) -> tuple:
+    """S = den / Q (descending, as ``np.polyval`` takes it) and (x0, z0, k, f) at each finite end x0 of the interval,
+    z0 the singular point nearest z(x0). V's 1/(x - x0)^2 coefficient there is k num(z0): k = 2 / (S''(z0) Q(z0)^2)
+    where Q(z0) != 0; where the chart folds, Q(z0) = 0, z - z0 = Q'(z0) (x - x0)^2 / 4 + ... and k = 4 / (S(z0)
+    Q'(z0)^2). None of it reads num, so it is built once per chart, denominator and interval."""
+    q = np.real(chart.Q.coeffs)[::-1]
+    s, rest = np.polydiv(np.real(den)[::-1], q)
+    if np.any(rest):
+        raise ValueError(f"V's denominator {den} is not a multiple of the chart's Q")
+    ends = []
+    for side, x0 in enumerate(interval):
+        if math.isinf(x0):
+            continue
+        z, dz, _ = chart.coordinates(x0)
+        z0 = min(singular_points, key=lambda p: abs(p - z)).real
+        q0, slope, t, t1 = np.polyval(q, z0), np.polyval(np.polyder(q), z0), None, None
+        if q0:
+            k = 2.0 / (np.polyval(np.polyder(s, 2), z0) * q0 * q0)
+        else:  # Q(z0) = 0, so z - z0 divides Q
+            k, t = 4.0 / (np.polyval(s, z0) * slope * slope), np.polydiv(q, (1.0, -z0))[0]
+            t, t1 = tuple(t), tuple(np.polyder(t))
+        sign = math.copysign(1.0, dz) * (1 - 2 * side)  # f rises into the interval
+        ends.append((float(x0), z0, k, functools.partial(_wall, chart.coordinates, z0, sign, slope, t, t1)))
+    return tuple(s), tuple(ends)
 
 
-def _sinh(x):
-    s, c = np.sinh(x), np.cosh(x)
-    return s, c, s
+class PotentialFamily:
+    """A family's declared data, and V(x) and its walls derived from it once per instance; see the module."""
+
+    @functools.cached_property
+    def _factored(self) -> tuple:
+        """(num, S, ends): V's numerator, and ``_geometry``'s S = den / Q and ends."""
+        num, den = self.potential_in_chart
+        return (np.array(num, dtype=float)[::-1],) + _geometry(self.chart, den, self.interval, self.singular_points)
+
+    def potential(self, x):
+        """V(x) = num(z) / (S(z) z'^2): z'^2 carries Q's zeros, so nothing cancels next to a wall."""
+        num, s, _ = self._factored
+        z, dz, _ = self.chart.coordinates(x)
+        return np.polyval(num, z) / (np.polyval(s, z) * dz * dz)
+
+    @functools.cached_property
+    def walls(self) -> tuple:
+        """``(position, c, f)`` at each finite end of ``interval``; see ``_geometry`` and ``_wall``."""
+        num, _, ends = self._factored
+        return tuple((x0, k * np.polyval(num, z0), f) for x0, z0, k, f in ends)
 
 
 def _check_finite(**values: float) -> None:
@@ -137,10 +183,8 @@ def _check_count(m) -> None:
         raise ValueError("M must be a nonnegative integer")
 
 
-class _CountedByM:
+class _CountedByM(PotentialFamily):
     """A family whose parameters fix the moving-pole count: the ledger must return n = M."""
-
-    infinity_target = None
 
     def solve_ledger(self, j_value: float, n_value: float, n: int | None, require_integer: bool) -> dict:
         """The balance as M = n; a count other than M raises even when ``require_integer`` is false."""
@@ -155,7 +199,7 @@ class _CountedByM:
 
 
 @dataclass(frozen=True)
-class Sextic:
+class Sextic(PotentialFamily):
     """Even sextic oscillator V(x) = alpha x^2 + beta x^4 + gamma x^6 on the line."""
 
     alpha: float
@@ -163,10 +207,9 @@ class Sextic:
     gamma: float
 
     chart = IDENTITY
+    interval = (-math.inf, math.inf)
     singular_points = ()
     moving_weight = 1
-    infinity_target = None
-    walls = ()
 
     def __post_init__(self):
         _check_finite(alpha=self.alpha, beta=self.beta, gamma=self.gamma)
@@ -222,10 +265,6 @@ class Sextic:
         target = self.condition_value
         return "condition_matches_closed_form", target, 1e-10 * max(1.0, abs(target))
 
-    def potential(self, x):
-        x2 = x * x
-        return x2 * (self.alpha + x2 * (self.beta + x2 * self.gamma))
-
 
 @dataclass(frozen=True)
 class RadialSextic(_CountedByM):
@@ -241,6 +280,7 @@ class RadialSextic(_CountedByM):
     M: int
 
     chart = IDENTITY
+    interval = (0.0, math.inf)
     singular_points = (0j,)
     moving_weight = 2  # P(x^2) has its zeros in pairs +-x
 
@@ -263,14 +303,6 @@ class RadialSextic(_CountedByM):
     @property
     def potential_in_chart(self) -> tuple[tuple, tuple]:
         return (self.g, 0, 0, 0, self.c2, 0, 2.0 * self.a * self.b, 0, self.a * self.a), (0, 0, 1)
-
-    @property
-    def walls(self) -> tuple:
-        return ((0.0, self.g, _identity_coordinates),)
-
-    def potential(self, x):
-        x2 = x * x
-        return self.g / x2 + x2 * (self.c2 + x2 * (2.0 * self.a * self.b + x2 * self.a**2))
 
 
 @dataclass(frozen=True)
@@ -321,6 +353,7 @@ class Circular(_TwoWall):
     """
 
     chart = TRIG
+    interval = (0.0, math.pi / 2)
     singular_points = (0j, 1 + 0j)
     moving_weight = 1
 
@@ -329,31 +362,9 @@ class Circular(_TwoWall):
             raise ValueError("Circular requires q1 != 0 (the sin^4 coupling)")
 
     @property
-    def infinity_target(self) -> complex:
-        """The physical branch at infinity has leading coefficient i q1.
-
-        The chart variable t = sin^2 x stays in [0, 1] on the physical
-        interval, so both branches are normalizable and decay cannot choose.
-        Only the branch i q1 gives the gauge exp(-q1 t/2) whose polynomial
-        sector truncates: on the other one the ledger's moving-pole count is
-        -(2 S1 + 2 S2 + M), negative and in general not an integer, and a
-        decay test would pick that branch whenever q1 < 0.
-        """
-        return 1j * self.q1
-
-    @property
     def potential_in_chart(self) -> tuple[tuple, tuple]:
         A, B, C, D = self.A, self.B, self.C, self.D
         return (A, B - A, C, -(C + D), D), (0, 1, -1)
-
-    @property
-    def walls(self) -> tuple:
-        return ((0.0, self.A, _sin), (math.pi / 2, self.B, _cos))
-
-    def potential(self, x):
-        s2 = np.sin(x) ** 2
-        c2 = np.cos(x) ** 2
-        return self.A / s2 + self.B / c2 + self.C * s2 - self.D * s2 * s2
 
 
 @dataclass(frozen=True)
@@ -365,6 +376,7 @@ class Hyperbolic(_TwoWall):
     """
 
     chart = HYPER
+    interval = (0.0, math.inf)
     singular_points = (0j, 1 + 0j, -1 + 0j)
     moving_weight = 2  # P(cosh^2 x) has its zeros in pairs +-t
 
@@ -377,17 +389,6 @@ class Hyperbolic(_TwoWall):
         A, B, C, D = self.A, self.B, self.C, self.D
         return (A, 0, B - A, 0, C, 0, -(C + D), 0, D), (0, 0, -1, 0, 1)
 
-    @property
-    def walls(self) -> tuple:
-        return ((0.0, self.B, _sinh),)
-
-    def potential(self, x):
-        ch2 = np.cosh(x) ** 2
-        sh2 = np.sinh(x) ** 2
-        return -self.A / ch2 + self.B / sh2 - self.C * ch2 + self.D * ch2 * ch2
-
-
-PotentialFamily = Union[Sextic, RadialSextic, Circular, Hyperbolic]
 
 FAMILIES = {"sextic": Sextic, "radial_sextic": RadialSextic, "circular": Circular, "hyperbolic": Hyperbolic}
 _KINDS = {cls: name for name, cls in FAMILIES.items()}

@@ -1,12 +1,12 @@
 """Independent numerical ground truth for the eigenproblem -psi'' + V psi = E psi.
 
 Singular walls sit exactly on the singular point, and the wavefunction is
-factored there as psi = w phi. Each family lists its walls as
-``(position, c, f)``, with c its own 1/x^2 coefficient there and f vanishing
+factored there as psi = w phi. A family's ``walls`` (``families``) are
+``(position, c, f)``, c the 1/x^2 coefficient of V there and f vanishing
 linearly at the wall, and w is the product of f^mu over them, mu = 1/2 +
 sqrt(1/4 + c) the larger root of the indicial equation mu (mu - 1) = c:
 x^mu for the radial sextic, sin^a x cos^b x for the circular family and
-sinh^a x for the hyperbolic one. The exponents are read from V's
+(2 sinh(x/2))^a for the hyperbolic one. The exponents are read from V's
 coefficients alone, so the oracle never sees the algebraic sector. phi
 solves the weighted problem
 

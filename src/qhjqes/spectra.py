@@ -62,22 +62,23 @@ class GaugeSpec:
 
     @functools.cached_property
     def window(self) -> tuple[float, float]:
-        """The x-interval where the states live, read from the walls and the gauge, never from P or E.
+        """The x-interval where the states live, read from the family's interval and the gauge, never from P or E.
 
-        An end on a wall stays on it (see ``families``). Each open end is the first point, 1/64 apart,
-        outward from the other end (or 0) where log |exp(-G) prod_i (z - z_i)^e_i| falls 36 below its
-        running peak, so every well lies inside. The residual samples the window; the oracle solves on it.
+        A finite end of the family's ``interval`` (a wall) stays. Each open end is the first point, 1/64 apart, outward
+        from the other end (or 0) where log |exp(-G) prod_i (z - z_i)^e_i| + n_label log max(|z|, 1), n_label the
+        states' degree in z, falls 36 below its running peak: every well lies inside. The residual and oracle use it.
         """
-        family, ends = self.ledger.family, [None, None]
-        for position, _, f in family.walls:
-            ends[int(f(position)[1] < 0)] = position  # f rises into the interval
+        family = self.ledger.family
+        ends = [end if np.isfinite(end) else None for end in family.interval]
         start = next((end for end in ends if end is not None), 0.0)
+        n_label = family.moving_weight * self.ledger.n
         for side, n in itertools.product((0, 1), 256 * 2 ** np.arange(13)):
             if ends[side] is None:
                 x = start + (2 * side - 1) * np.arange(n) / 64.0
                 z = family.chart.coordinates(x)[0]
                 with np.errstate(all="ignore"):
-                    log_f = sum((e * np.log(np.abs(z - c)) for c, e in self.prefactors), -self.gauge_polynomial(z).real)
+                    log_f = n_label * np.log(np.maximum(np.abs(z), 1.0)) - self.gauge_polynomial(z).real
+                    log_f = sum((e * np.log(np.abs(z - c)) for c, e in self.prefactors), log_f)
                 fallen = np.flatnonzero(log_f < np.maximum.accumulate(log_f) - 36.0)  # e^-36 is 2e-16
                 ends[side] = float(x[fallen[0]]) if fallen.size else None
         if None in ends:

@@ -15,7 +15,7 @@ import pytest
 import qhjqes
 from qhjqes import spectra
 from qhjqes.cli import build_family, main
-from qhjqes.families import FAMILIES
+from qhjqes.families import FAMILIES, PotentialFamily
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -421,6 +421,17 @@ def test_wells_far_from_the_origin_are_sampled(tmp_path, capsys):
         assert checks[f"state_{i}_oracle_containment"]["pass"]
 
 
+def test_window_holds_the_top_states_of_a_large_instance(tmp_path, capsys):
+    # x^40 P-degree states reach past the gauge's own envelope; the window counts their degree, so the
+    # oracle on it finds every algebraic energy of radial M = 20
+    cfg = write_config(tmp_path, {"family": {"name": "radial_sextic", "S": 1.1, "a": 1.0, "b": 0.5, "M": 20}})
+    assert main(["spectrum", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+    assert len(report["results"]["matches"]) == 21
+    assert max(m["difference"] for m in report["results"]["matches"]) <= 1e-8
+
+
 @pytest.mark.parametrize(
     "family",
     [
@@ -699,9 +710,15 @@ def test_only_families_and_cli_name_a_family_class(module):
 
 # What the pipeline may read of a family: the data every family provides.
 _PROTOCOL = {
-    "chart", "singular_points", "moving_weight", "infinity_target", "potential_in_chart", "solve_ledger",
-    "ledger_check", "walls", "potential",
+    "chart", "interval", "singular_points", "moving_weight", "potential_in_chart", "solve_ledger", "ledger_check",
 }
+
+
+def test_no_family_class_transcribes_derived_data():
+    # V(x) and the walls are derived from the chart, the potential in the chart and the interval, in one place
+    for cls in FAMILIES.values():
+        for klass in cls.__mro__[: cls.__mro__.index(PotentialFamily)]:
+            assert {"potential", "walls", "infinity_target"} & set(vars(klass)) == set(), klass.__name__
 
 
 def _family_parameters() -> set:
@@ -736,6 +753,30 @@ def test_traced_verify_records_oracle_node_counts(tmp_path):
     for name in ("oracle.refine", "oracle.low_spectrum", "series.contour_integral"):
         infos = [info for span, info in zip(tracer.name, tracer.info) if span == name]
         assert infos and all(type(info) is int and info > 0 for info in infos), name
+
+
+def test_derive_loads_no_numpy_polynomial(tmp_path):
+    # the ledger is plain arithmetic: one derive per family leaves numpy.polynomial (and LAPACK) unloaded
+    package_root = os.path.dirname(os.path.dirname(qhjqes.__file__))
+    configs = [
+        write_config(tmp_path, {"family": family}, f"{family['name']}.json")
+        for family in (
+            SEXTIC_N2["family"],
+            {"name": "radial_sextic", "S": 1.25, "a": 1.0, "b": 0.5, "M": 2},
+            {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": -1.5, "M": 2},
+            {"name": "hyperbolic", "S1": 1.0, "S2": 0.9, "q1": 1.0, "M": 2},
+        )
+    ]
+    script = (
+        "import sys, qhjqes.cli\n"
+        f"codes = [qhjqes.cli.main(['derive', '--config', c, '--out', c + '.out']) for c in {configs!r}]\n"
+        "print(codes, 'numpy.polynomial' in sys.modules)"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": package_root}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[0, 0, 0, 0] False"
 
 
 def test_cli_import_loads_no_scipy():

@@ -1,4 +1,4 @@
-"""A family is data: its chart and its potential in the chart fix everything the pipeline does with it."""
+"""A family is data: its chart, its potential in the chart and its interval fix everything the pipeline does with it."""
 
 import math
 from dataclasses import dataclass
@@ -6,16 +6,9 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from qhjqes.engine import (
-    infinity_branch_candidates,
-    infinity_expansion,
-    quantization_ledger,
-    riccati_in_chart,
-    select_physical_branch,
-)
-from qhjqes.families import TRIG, ChartSpec, Circular, Hyperbolic, RadialSextic, Sextic, family_kind
+from qhjqes.engine import infinity_expansion, quantization_ledger, riccati_in_chart
+from qhjqes.families import TRIG, ChartSpec, Circular, Hyperbolic, PotentialFamily, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
-from qhjqes.series import Polynomial
 from qhjqes.spectra import algebraic_states, gauge_from_residues, recursion_matrix, schrodinger_residual
 
 
@@ -23,50 +16,46 @@ def _cos2_coordinates(x):
     return np.cos(x) ** 2, -np.sin(2 * x), -2 * np.cos(2 * x)
 
 
-def _sin_wall(x):
-    s, c = np.sin(x), np.cos(x)
-    return s, c, -s
-
-
-def _cos_wall(x):
-    s, c = np.sin(x), np.cos(x)
-    return c, -s, -c
-
-
 @dataclass(frozen=True)
-class ReflectedCircular:
+class ReflectedCircular(PotentialFamily):
     """Circular's potential reflected by x -> pi/2 - x, on the chart t = cos^2 x.
 
     V(x) = A/cos^2 x + B/sin^2 x + C cos^2 x - D cos^4 x is Circular's V in
-    t, with the same Q = 4t(1 - t) and measure. Only the chart's map, V(x)
-    and the oracle's walls are its own; the library does not know the class.
-    Its one field is the Circular instance whose data it shares, so it has
-    no parameter of its own that the library could read.
+    t, with the same Q = 4t(1 - t) and measure. It declares only its chart,
+    the potential in the chart, its singular points, its interval and the
+    ledger's closed forms; V(x) and the walls are derived, and the library
+    does not know the class. Its one field is the Circular instance whose
+    data it shares, so it has no parameter of its own that the library could read.
     """
 
     circular: Circular
 
     chart = ChartSpec("t", TRIG.measure, TRIG.Q, TRIG.reduced_power, _cos2_coordinates)
+    interval = Circular.interval
     singular_points = Circular.singular_points
     moving_weight = Circular.moving_weight
 
-    infinity_target = property(lambda self: self.circular.infinity_target)
     potential_in_chart = property(lambda self: self.circular.potential_in_chart)
     ledger_check = property(lambda self: self.circular.ledger_check)
 
     def solve_ledger(self, *args):
         return self.circular.solve_ledger(*args)
 
-    @property
-    def walls(self):
-        # x = 0 is t = 1, where B sits; x = pi/2 is t = 0, where A sits
-        c = self.circular
-        return ((0.0, c.B, _sin_wall), (math.pi / 2, c.A, _cos_wall))
 
-    def potential(self, x):
-        c = self.circular
-        s2, c2 = np.sin(x) ** 2, np.cos(x) ** 2
-        return c.A / c2 + c.B / s2 + c.C * c2 - c.D * c2 * c2
+def _closed_form_potential(family, x):
+    """V(x) transcribed by hand, independently of ``potential_in_chart``."""
+    if isinstance(family, Sextic):
+        return family.alpha * x**2 + family.beta * x**4 + family.gamma * x**6
+    if isinstance(family, RadialSextic):
+        return family.g / x**2 + family.c2 * x**2 + 2.0 * family.a * family.b * x**4 + family.a**2 * x**6
+    if isinstance(family, Hyperbolic):
+        ch2, sh2 = np.cosh(x) ** 2, np.sinh(x) ** 2
+        return -family.A / ch2 + family.B / sh2 - family.C * ch2 + family.D * ch2 * ch2
+    circular = family if isinstance(family, Circular) else family.circular
+    s2, c2 = np.sin(x) ** 2, np.cos(x) ** 2
+    if isinstance(family, ReflectedCircular):
+        s2, c2 = c2, s2
+    return circular.A / s2 + circular.B / c2 + circular.C * s2 - circular.D * s2 * s2
 
 
 _FAMILIES = [
@@ -85,14 +74,49 @@ _IDS = [f"{type(f).__name__}-{i}" for i, f in enumerate(_FAMILIES)]
 
 @pytest.mark.parametrize("family", _FAMILIES, ids=_IDS)
 def test_potential_in_chart_is_the_potential(family):
-    # the Riccati data and the oracle read two copies of V; they must be one function.
-    # (0.02, pi/2 - 0.02) lies inside every family's physical interval.
-    xs = np.linspace(0.02, np.pi / 2 - 0.02, 400)
-    z = family.chart.coordinates(xs)[0]
-    num, den = family.potential_in_chart
-    v_chart = Polynomial(num)(z) / Polynomial(den)(z)
-    v = family.potential(xs)
-    assert np.all(np.abs(v_chart - v) <= 1e-10 * (1.0 + np.abs(v)))
+    # V(x), derived from the potential in the chart, is the closed form over the family's own interval
+    lo, hi = (min(max(end, -3.0), 3.0) for end in family.interval)
+    xs = np.linspace(lo, hi, 402)[1:-1]
+    v = _closed_form_potential(family, xs)
+    assert np.all(np.abs(family.potential(xs) - v) <= 1e-10 * (1.0 + np.abs(v)))
+    # and stays so at 1e-6 from a wall, where num/den would compute 1 - sin^2 x or cosh x - 1
+    for end, inward in zip(family.interval, (1e-6, -1e-6)):
+        if math.isfinite(end):
+            v = _closed_form_potential(family, end + inward)
+            assert abs(family.potential(end + inward) - v) <= 1e-12 * abs(v)
+
+
+def test_walls_are_derived_from_the_chart_and_the_interval():
+    # each wall's position and 1/x^2 coefficient are the couplings the closed forms name
+    def expected(family):
+        if isinstance(family, RadialSextic):
+            return [(0.0, family.g)]
+        if isinstance(family, Circular):
+            return [(0.0, family.A), (math.pi / 2, family.B)]
+        if isinstance(family, Hyperbolic):
+            return [(0.0, family.B)]
+        if isinstance(family, ReflectedCircular):
+            return [(0.0, family.circular.B), (math.pi / 2, family.circular.A)]
+        return []
+
+    for family in _FAMILIES:
+        walls = [(position, c) for position, c, _ in family.walls]
+        assert [w[0] for w in walls] == [w[0] for w in expected(family)]
+        for (_, c), (_, target) in zip(walls, expected(family)):
+            assert abs(c - target) <= 1e-12 * abs(target)
+    # the hyperbolic chart folds at t = 1: f^2 = 4 (cosh x - 1) / Q'(1), so f = 2 sinh(x/2), not sinh x
+    xs = np.array([1e-8, 1e-3, 0.5, 2.0, 6.0])
+    f = Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1).walls[0][2](xs)
+    closed = (2.0 * np.sinh(xs / 2), np.cosh(xs / 2), np.sinh(xs / 2) / 2)
+    for got, want in zip(f, closed):
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
+@pytest.mark.parametrize("family", _FAMILIES, ids=_IDS)
+def test_singular_points_are_the_zeros_of_the_denominator(family):
+    # declared, not derived: deriving them would add a root solve to every ledger
+    zeros = {complex(z) for z in np.roots(family.potential_in_chart[1][::-1])}
+    assert tuple(sorted(zeros, key=lambda z: (abs(z), -z.real))) == family.singular_points
 
 
 @pytest.mark.parametrize("m_count,q1", [(0, 1.2), (1, -0.7), (2, 2.5), (3, -1.5), (4, 0.9)])
@@ -170,19 +194,19 @@ def test_hyperbolic_spectrum_is_the_circular_one_negated():
 
 
 @pytest.mark.parametrize(
-    "s1,s2,q1,m_count", [(1.1, 0.95, 1.4, 1), (1.0, 1.2, -2.0, 2), (0.7, 1.65, 0.5, 3), (1.3, 1.35, -0.8, 0)]
+    "s1,s2,q1,m_count",
+    [(1.1, 0.95, 1.4, 1), (1.0, 1.2, -2.0, 2), (0.7, 1.65, 0.5, 3), (1.3, 1.35, -0.8, 0), (0.9, 1.15, 2.0, 0)],
 )
 def test_the_rejected_circular_branch_has_no_moving_pole_count(s1, s2, q1, m_count):
     # On t in [0, 1] both branches at infinity are normalizable. The one the
-    # circular rule rejects leaves -(2 S1 + 2 S2 + M) moving poles: negative,
-    # and not an integer here.
+    # ledger rejects leaves -(2 S1 + 2 S2 + M) moving poles: negative,
+    # and not an integer here; the one it keeps leaves M.
     family = Circular(s1, s2, q1, m_count)
     r = riccati_in_chart(family)
-    pair = infinity_branch_candidates(r)
-    chosen = select_physical_branch(pair, family)
-    rejected = next(c for c in pair if c.label != chosen.label)
-    j_value = 1j * family.chart.measure * infinity_expansion(r, rejected).coefficient(1)
     ledger = quantization_ledger(family)
+    assert ledger.n == m_count
+    rejected = next(c for c in ledger.infinity_branches if c.label != ledger.selected_branch)
+    j_value = 1j * family.chart.measure * infinity_expansion(r, rejected).coefficient(1)
     fixed = sum(e.value for e in ledger.entries if e.source.startswith("fixed"))
     count = (j_value - fixed).real / family.moving_weight
     assert count < 0 and abs(count - round(count)) > 0.05
