@@ -206,3 +206,19 @@ def test_dirichlet_walls_bound_from_above_and_improve_with_domain():
         values.append(low_spectrum(discretize(harmonic, g), 1)[0])
     assert values[0] > values[1] > values[2]
     assert all(v > 1.0 - 1e-6 for v in values)
+
+
+def test_derivative_matrix_stays_exact_next_to_a_strong_wall():
+    # at radial S = 10 the wall's Jacobi exponent is 39; a negative-sum diagonal of D cancels
+    # there and sent ||H|| from 8e7 to 2e31 as N went 48 -> 108, with levels near -1e11
+    fam = RadialSextic(S=10.0, a=1.0, b=0.5, M=4)
+    states = algebraic_states(fam)
+    norms = []
+    for n in (48, 72, 108):
+        h = discretize(fam, Grid(*states[0].gauge.window, n))
+        norms.append(float(np.max(np.sum(np.abs(h), axis=1))))
+        levels = low_spectrum(h, len(states))
+        assert np.all(np.isfinite(levels))
+        assert np.max(np.abs(levels - [s.energy for s in states])) < 1e-6
+    # the kinetic part grows like N^4 at most
+    assert norms[-1] < (108 / 48) ** 4 * norms[0]
