@@ -138,6 +138,11 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"output path {k} must be a non-empty string, got {v!r}")
     cfg.setdefault("tolerances", {})
     cfg["_family"] = build_family(cfg["family"])  # built once, before any command runs
+    if "grid" in cfg:
+        try:
+            oracle.check_domain(cfg["_family"], (cfg["grid"]["x_min"], cfg["grid"]["x_max"]))
+        except ValueError as exc:
+            raise ConfigError(f"grid: {exc}") from exc
     cfg["_tolerances"] = tols
     return cfg
 

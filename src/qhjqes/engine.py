@@ -21,7 +21,8 @@ w = 1/z. The pipeline implemented here:
                              quadratic, giving two branches;
 3. ``fixed_pole_residues`` - the analogous local quadratic at a double pole
                              of R (a singular point of the potential);
-4. ``select_physical_branch`` - keep the branch whose wavefunction decays;
+4. ``select_physical_branch`` - keep the branch whose wavefunction decays,
+                             where the interval reaches infinity;
 5. ``quantization_ledger`` - balance the large-contour value from step 2
                              against fixed-pole contributions plus one unit
                              per moving pole, and solve the balance for the
@@ -359,9 +360,10 @@ def select_physical_branch(
 ) -> BranchCandidate:
     """Pick the square-integrable branch out of a candidate pair, at the location both carry.
 
-    At infinity the rule is decay of the implied gauge factor, which decides
-    only where the interval reaches infinity (``quantization_ledger`` applies
-    the count rule on a bounded one). At a fixed pole
+    At infinity the rule is decay of the implied gauge factor. It decides
+    only where the interval reaches infinity; on a bounded one both branches
+    are normalizable, so this raises ``BranchRuleError`` and
+    ``quantization_ledger`` applies the count rule. At a fixed pole
     the candidate with the larger implied local exponent is kept (for a
     repulsive wall that is the one with psi -> 0; in the borderline attractive
     range it is the principal, limit-circle choice).
@@ -370,6 +372,8 @@ def select_physical_branch(
     if a.location != b.location:
         raise ValueError("candidates were produced at two locations")
     if a.location == "infinity":
+        if not any(map(cmath.isinf, family.interval)):
+            raise BranchRuleError("both branches at infinity are normalizable on a bounded interval")
         da = (1j * a.leading_coefficient).real < 0
         db = (1j * b.leading_coefficient).real < 0
         if da == db:

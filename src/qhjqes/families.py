@@ -13,9 +13,9 @@ branches on which family it has. A :class:`PotentialFamily` declares ``chart``;
 chart variable; ``interval``, its x-interval; ``singular_points``, V's poles in
 ledger order; ``moving_weight``, moving poles per unit of n; and the closed
 forms of ``solve_ledger`` and ``ledger_check``. Derived from these, once per
-instance: ``potential``, V(x), and ``walls`` ``(position, c, f)`` at each finite
-end of the interval, c the 1/(x - position)^2 coefficient of V and f vanishing
-linearly there and rising into the interval (f' > 0 at a lower end, < 0 at an upper).
+instance: ``potential``, V(x), and ``walls`` ``(position, z0, e)`` at each
+finite end of the interval, z0 its image in the chart and e the exponent of
+psi ~ |z - z0|^e there, read from V's 1/(x - position)^2 coefficient.
 ``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
 No family carries a closed form of its gauge: ``spectra.recursion_matrix``
 conjugates the potential in the chart by the ledger's gauge and refuses
@@ -110,43 +110,28 @@ TRIG = ChartSpec("t", 0.5, Polynomial([0, 4, -4]), 1, _trig_coordinates)
 HYPER = ChartSpec("t", 1.0, Polynomial([-1, 0, 1]), 2, _hyper_coordinates)
 
 
-def _wall(coordinates, z0: float, sign: float, slope: float, t, t1, x) -> tuple:
-    """(f, f', f'') at x. Where Q(z0) != 0, f = sign (z - z0). Where the chart folds, Q(z0) = 0, f = sqrt(4 (z - z0)
-    / Q'(z0)), ``slope`` = Q'(z0), and next to the wall 4 (z - z0) is 4 z'^2 / T(z), ``t`` = T = Q / (z - z0); then
-    f' = 2 z' / (Q'(z0) f) and, as z'^2 = T (z - z0) and z'' = Q'/2, f'' = f T'(z) / 4, ``t1`` = T'."""
-    z, dz, d2z = coordinates(x)
-    if t is None:
-        return sign * (z - z0), sign * dz, sign * d2z
-    with np.errstate(all="ignore"):
-        f2 = np.where(np.abs(z - z0) > 0.5 * abs(z0), 4.0 * (z - z0), 4.0 * dz * dz / np.polyval(t, z))
-    f0 = np.sqrt(f2 / slope)
-    return f0, 2.0 * dz / (slope * f0), f0 * np.polyval(t1, z) / 4.0
-
-
 @functools.lru_cache(maxsize=16)
 def _geometry(chart: ChartSpec, den: tuple, interval: tuple, singular_points: tuple) -> tuple:
-    """S = den / Q (descending, as ``np.polyval`` takes it) and (x0, z0, k, f) at each finite end x0 of the interval,
-    z0 the singular point nearest z(x0). V's 1/(x - x0)^2 coefficient there is k num(z0): k = 2 / (S''(z0) Q(z0)^2)
-    where Q(z0) != 0; where the chart folds, Q(z0) = 0, z - z0 = Q'(z0) (x - x0)^2 / 4 + ... and k = 4 / (S(z0)
-    Q'(z0)^2). None of it reads num, so it is built once per chart, denominator and interval."""
+    """S = den / Q (descending, as ``np.polyval`` takes it) and (x0, z0, k, fold) at each finite end x0 of the
+    interval, z0 the singular point nearest z(x0). V's 1/(x - x0)^2 coefficient there is k num(z0): k = 2 / (S''(z0)
+    Q(z0)^2) and fold = 1 where Q(z0) != 0; where the chart folds, Q(z0) = 0, z - z0 = Q'(z0) (x - x0)^2 / 4 + ...,
+    k = 4 / (S(z0) Q'(z0)^2) and fold = 2. None of it reads num, so it is built once per chart, denominator and
+    interval."""
     q = np.real(chart.Q.coeffs)[::-1]
     s, rest = np.polydiv(np.real(den)[::-1], q)
     if np.any(rest):
         raise ValueError(f"V's denominator {den} is not a multiple of the chart's Q")
     ends = []
-    for side, x0 in enumerate(interval):
+    for x0 in interval:
         if math.isinf(x0):
             continue
-        z, dz, _ = chart.coordinates(x0)
+        z = chart.coordinates(x0)[0]
         z0 = min(singular_points, key=lambda p: abs(p - z)).real
-        q0, slope, t, t1 = np.polyval(q, z0), np.polyval(np.polyder(q), z0), None, None
+        q0 = np.polyval(q, z0)
         if q0:
-            k = 2.0 / (np.polyval(np.polyder(s, 2), z0) * q0 * q0)
-        else:  # Q(z0) = 0, so z - z0 divides Q
-            k, t = 4.0 / (np.polyval(s, z0) * slope * slope), np.polydiv(q, (1.0, -z0))[0]
-            t, t1 = tuple(t), tuple(np.polyder(t))
-        sign = math.copysign(1.0, dz) * (1 - 2 * side)  # f rises into the interval
-        ends.append((float(x0), z0, k, functools.partial(_wall, chart.coordinates, z0, sign, slope, t, t1)))
+            ends.append((float(x0), z0, 2.0 / (np.polyval(np.polyder(s, 2), z0) * q0 * q0), 1))
+        else:
+            ends.append((float(x0), z0, 4.0 / (np.polyval(s, z0) * np.polyval(np.polyder(q), z0) ** 2), 2))
     return tuple(s), tuple(ends)
 
 
@@ -167,9 +152,10 @@ class PotentialFamily:
 
     @functools.cached_property
     def walls(self) -> tuple:
-        """``(position, c, f)`` at each finite end of ``interval``; see ``_geometry`` and ``_wall``."""
+        """``(position, z0, e)`` at each finite end of ``interval``: psi ~ |z - z0|^e there, e = mu / fold with
+        mu = 1/2 + sqrt(1/4 + c) the larger root of mu (mu - 1) = c, c = k num(z0); see ``_geometry``."""
         num, _, ends = self._factored
-        return tuple((x0, k * np.polyval(num, z0), f) for x0, z0, k, f in ends)
+        return tuple((x0, z0, (0.5 + math.sqrt(0.25 + k * np.polyval(num, z0))) / fold) for x0, z0, k, fold in ends)
 
 
 def _check_finite(**values: float) -> None:

@@ -1,38 +1,39 @@
 """Independent numerical ground truth for the eigenproblem -psi'' + V psi = E psi.
 
-Singular walls sit exactly on the singular point, and the wavefunction is
-factored there as psi = w phi. A family's ``walls`` (``families``) are
-``(position, c, f)``, c the 1/x^2 coefficient of V there and f vanishing
-linearly at the wall, and w is the product of f^mu over them, mu = 1/2 +
-sqrt(1/4 + c) the larger root of the indicial equation mu (mu - 1) = c:
-x^mu for the radial sextic, sin^a x cos^b x for the circular family and
-(2 sinh(x/2))^a for the hyperbolic one. The exponents are read from V's
-coefficients alone, so the oracle never sees the algebraic sector. phi
-solves the weighted problem
+The oracle solves in the family's chart variable z (``families``). With Q =
+(dz/dx)^2, H = -Q d^2/dz^2 - (Q'/2) d/dz + V is self-adjoint for the measure
+dz / sqrt(Q). A bare callable V(x) has the identity chart z = x and no walls.
+A wall is a finite end z0 of the family's interval, where psi ~ |z - z0|^e
+with e read from V alone (the family's ``walls``), so the oracle never sees
+the algebraic sector. Writing psi = w phi with w = prod |z - z_i|^e_i, phi
+solves the weak problem
 
-    -(w^2 phi')' + w^2 (V - w''/w) phi = E w^2 phi,
+    int sqrt(Q) w^2 phi'^2 dz + int U phi^2 w^2 / sqrt(Q) dz = E int phi^2 w^2 / sqrt(Q) dz,
 
-whose potential U = V - w''/w is smooth and whose phi is regular at the wall.
+with U = V - Q (L^2 + L') - Q' L / 2 and L = w'/w = sum e_i / (z - z_i), the
+formula of ``spectra``'s a0 with the walls in place of the gauge. U is
+smooth, and phi is regular at the walls.
 
-Its weak form is discretised as a Gauss-rule discrete-variable
+The weak form is discretised as a Gauss-rule discrete-variable
 representation (DVR). phi is a Lagrange polynomial on the nodes of a
-Gauss-Jacobi rule whose weight (x - a)^(2 mu_a) (b - x)^(2 mu_b) carries w^2
-at each end that sits on a singular wall, so the rule integrates the
-singular behaviour exactly. Every other end is a Dirichlet wall: it is a
-fixed Radau or Lobatto node of the rule, and its basis function is dropped.
-With q the rule's weights, r = w^2 / weight (smooth and positive) and D the
-Lagrange derivative matrix, the mass is diagonal, M = diag(q r), the
-stiffness is K = D^T diag(q r) D + diag(q r U), and the energies are the
-eigenvalues of the symmetric H = M^(-1/2) K M^(-1/2) from numpy's
-``eigvalsh``. Bare callables, the sextic (w = 1) and domains whose ends are
-off the singular points get the Lobatto-Legendre rule. The caller gives the
-domain, for families and bare callables alike.
+Gauss-Jacobi rule on the grid's image in z. At a wall the mass weight w^2 /
+sqrt(Q) is the Jacobi weight |z - z0|^(2e) where Q(z0) != 0, and
+|z - z0|^(2e - 1/2) where the chart folds, Q(z0) = 0; the rule's weight
+carries that power, so the rule integrates the singular behaviour exactly.
+Every other end is a Dirichlet wall: it is a fixed Radau or Lobatto node of
+the rule, and its basis function is dropped. With q the rule's weights, r =
+w^2 / (sqrt(Q) weight) (constant on the trigonometric chart, (t + 1)^(-1/2)
+on the hyperbolic one and 1 on the identity chart) and D the Lagrange
+derivative matrix, the mass is diagonal, M = diag(q r), the stiffness is K =
+D^T diag(q r Q) D + diag(q r U), and the energies are the eigenvalues of the
+symmetric H = M^(-1/2) K M^(-1/2) from numpy's ``eigvalsh``. The caller gives
+the x-domain, for families and bare callables alike; on a side where the
+family's interval is finite, its end must be that wall.
 
 The smooth weighted equation makes the error fall exponentially with the
 node count, so ``refine`` takes the change between N and 1.5 N nodes as each
-level's error estimate. One solve on a grown domain (an end with a wall
-beyond it moved onto that wall, any other end moved outward by one unit)
-bounds the truncation error.
+level's error estimate. One solve on a grown domain (each open end moved
+outward by one unit) bounds the truncation error.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .families import IDENTITY, PotentialFamily
+
 __all__ = [
     "Grid",
     "N_MAX",
@@ -50,6 +53,7 @@ __all__ = [
     "N_START_MAX",
     "OracleConvergenceError",
     "OracleSpectrum",
+    "check_domain",
     "discretize",
     "low_spectrum",
     "refine",
@@ -82,27 +86,21 @@ class Grid:
             raise ValueError("n_interior must be a positive integer")
 
 
-def _indicial(c: float) -> float:
-    """Larger root of mu (mu - 1) = c: psi ~ x^mu at a c/x^2 wall."""
-    return 0.5 + math.sqrt(0.25 + c)
+def check_domain(family, domain: tuple[float, float]) -> tuple[float, float]:
+    """The family's x-interval, after refusing a domain whose end is not the wall on a side where it is finite."""
+    interval = getattr(family, "interval", (-math.inf, math.inf))
+    for end, bound in zip(domain, interval):
+        if math.isfinite(bound) and not math.isclose(end, bound, abs_tol=1e-12):
+            raise ValueError(f"a grid end at {end!r} is not the wall at {bound!r} of the family's interval {interval}")
+    return interval
 
 
-def _walls(family) -> tuple:
-    """(position, exponent, f) for each singular wall of ``family``; a bare callable has none."""
-    return tuple((position, _indicial(c), f) for position, c, f in getattr(family, "walls", ()))
-
-
-def _log_wall_factor(walls, x):
-    """log w and w''/w at ``x`` for w = prod f^mu."""
-    log_w = np.zeros_like(x)
-    slope = np.zeros_like(x)  # w'/w
-    curvature = np.zeros_like(x)  # w''/w - (w'/w)^2
-    for _, mu, f in walls:
-        f0, f1, f2 = f(x)
-        log_w += mu * np.log(f0)
-        slope += mu * f1 / f0
-        curvature += mu * (f2 / f0 - (f1 / f0) ** 2)
-    return log_w, curvature + slope * slope
+def _in_chart(family) -> tuple:
+    """(chart, V as a function of z, walls) of ``family``; a bare callable V(x) has the identity chart and no walls."""
+    if not isinstance(family, PotentialFamily):
+        return IDENTITY, family, ()
+    num, den = (np.array(c, dtype=float)[::-1] for c in family.potential_in_chart)
+    return family.chart, lambda z: np.polyval(num, z) / np.polyval(den, z), family.walls
 
 
 def _jacobi_mass(alpha: float, beta: float) -> float:
@@ -157,7 +155,7 @@ def _rule(n: int, alpha: float, beta: float, left: bool, right: bool) -> tuple[n
         q = np.concatenate([end_q[:left], q, end_q[left:]])
 
     sign = (-1.0) ** np.arange(len(t) - 1, -1, -1)
-    inverse = 1.0 / diff
+    inverse = np.reciprocal(diff, out=diff)  # 1 / (t_i - t_j), in diff's storage
     np.fill_diagonal(inverse, 0.0)
     d = np.outer(sign, sign) * np.exp(log_lam[None, :] - log_lam[:, None]) * inverse
     # D_ii = sum_{j != i} 1 / (t_i - t_j) exactly: the negative row sum cancels once the weights span many
@@ -167,35 +165,38 @@ def _rule(n: int, alpha: float, beta: float, left: bool, right: bool) -> tuple[n
 
 
 def discretize(family, grid: Grid) -> np.ndarray:
-    """The symmetric DVR matrix H = M^(-1/2) K M^(-1/2) of the wall-factored operator.
+    """The symmetric DVR matrix H = M^(-1/2) K M^(-1/2) of the wall-factored operator in the chart variable.
 
-    An end on a singular wall gives its Jacobi exponent 2 mu to the rule;
-    every other end is a fixed node whose basis function is dropped. A bare
-    callable or a wall-free family has w = 1.
+    An end on a wall gives the mass weight's Jacobi exponent to the rule;
+    every other end is a fixed node whose basis function is dropped.
     """
-    pot = getattr(family, "potential", family)
-    walls = _walls(family)
-    exponent = [0.0, 0.0]  # Jacobi exponent at x_min, x_max; 2 mu > 1 on a wall
-    for position, mu, _ in walls:
-        for side, end in enumerate((grid.x_min, grid.x_max)):
-            if math.isclose(end, position, abs_tol=1e-12):
-                exponent[side] = 2.0 * mu
-    left, right = exponent[0] == 0.0, exponent[1] == 0.0
-    t, q, d = _rule(grid.n_interior, exponent[1], exponent[0], left, right)
-    half = 0.5 * (grid.x_max - grid.x_min)
-    x = grid.x_min + half * (t + 1.0)
+    interval = check_domain(family, (grid.x_min, grid.x_max))
+    chart, pot, walls = _in_chart(family)
+    ends = [float(z) for z in chart.coordinates(np.array([grid.x_min, grid.x_max]))[0]]
+    exponent = [0.0, 0.0]  # the mass weight's Jacobi exponent at x_min and x_max, > 0 on a wall
+    q_coeffs = np.real(chart.Q.coeffs)[::-1]
+    folded = [z0 for _, z0, _ in walls if np.polyval(q_coeffs, z0) == 0.0]  # the walls where the chart folds
+    for position, z0, e in walls:
+        side = interval.index(position)
+        ends[side], exponent[side] = z0, 2.0 * e - 0.5 * (z0 in folded)
+    (z_lo, beta), (z_hi, alpha) = sorted(zip(ends, exponent))  # the chart may decrease
+    left, right = beta == 0.0, alpha == 0.0
+    t, q, d = _rule(grid.n_interior, alpha, beta, left, right)
+    half = 0.5 * (z_hi - z_lo)
+    z = z_lo + half * (t + 1.0)
     kept = slice(int(left), len(t) - int(right))
+    big_q = np.polyval(q_coeffs, z)
     with np.errstate(all="ignore"):
-        log_w, wpp_over_w = _log_wall_factor(walls, x)
-        log_r = 2.0 * log_w  # log r = log (w^2 / weight)
-        for side, sign in ((0, 1.0), (1, -1.0)):
-            if exponent[side]:
-                log_r -= exponent[side] * np.log1p(sign * t)
-        u = np.asarray(pot(x[kept]), dtype=float) - wpp_over_w[kept]
+        # r = w^2 / (sqrt(Q) weight) = sqrt(prod |z - z0| / Q) over the folded walls, up to a constant
+        log_r = 0.5 * (sum(np.log(np.abs(z - z0)) for z0 in folded) - np.log(big_q))
+        slope = sum(e / (z - z0) for _, z0, e in walls)  # L = w'/w
+        curvature = -sum(e / (z - z0) ** 2 for _, z0, e in walls)  # L'
+        v_w = big_q * (slope * slope + curvature) + 0.5 * np.polyval(np.polyder(q_coeffs), z) * slope
+        u = np.asarray(pot(z[kept]), dtype=float) - v_w[kept]
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(log_r))):
         raise ValueError("potential or wall factor is not finite on a node")
     root_mass = np.sqrt(q) * np.exp(0.5 * (log_r - log_r.max()))  # sqrt(q r), up to a constant
-    b = (root_mass[:, None] / half) * d[:, kept] / root_mass[None, kept]
+    b = (root_mass * np.sqrt(big_q) / half)[:, None] * d[:, kept] / root_mass[None, kept]
     h = b.T @ b
     h[np.diag_indices_from(h)] += u
     return h
@@ -225,16 +226,11 @@ class OracleSpectrum:
             raise ValueError("error estimates must be positive")
 
 
-def _grown_domain(walls: tuple, domain: tuple[float, float]) -> tuple[float, float]:
-    """The domain of the truncation check: an end with a wall beyond it moves
-    onto that wall (a domain whose end is on the wall keeps it), and any
-    other end moves out by one unit. One more unit multiplies the tail bound
-    enormously while keeping the hyperbolic cosh^4 within floating-point
+def _grown_domain(interval: tuple, domain: tuple[float, float]) -> tuple[float, float]:
+    """The domain of the truncation check: each open end moves out by one unit (an end on a wall stays). One
+    more unit multiplies the tail bound enormously while keeping the hyperbolic cosh^4 within floating-point
     reach."""
-    lo, hi = domain
-    below = [position for position, _, _ in walls if position <= lo]
-    above = [position for position, _, _ in walls if position >= hi]
-    return max(below, default=lo - 1.0), min(above, default=hi + 1.0)
+    return tuple(end if math.isfinite(bound) else end + step for end, bound, step in zip(domain, interval, (-1, 1)))
 
 
 def _solve(family, grid: Grid, k: int) -> tuple[np.ndarray, float]:
@@ -263,6 +259,7 @@ def refine(
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
 
+    interval = check_domain(family, domain)
     grid = Grid(domain[0], domain[1], max(n_start, k))
     energies, _ = _solve(family, grid, k)
     change = None
@@ -280,7 +277,7 @@ def refine(
         )
 
     shift = np.zeros(k)
-    grown = _grown_domain(_walls(family), domain)
+    grown = _grown_domain(interval, domain)
     if grown != tuple(domain):
         n_grown = math.ceil(grid.n_interior * (grown[1] - grown[0]) / (domain[1] - domain[0]))
         shift = np.abs(_solve(family, Grid(grown[0], grown[1], n_grown), k)[0] - energies)

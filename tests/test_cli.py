@@ -459,6 +459,26 @@ def test_verify_passes_at_default_tolerances(tmp_path, capsys, family):
     assert report["results"]["first_failure"] is None
 
 
+_STRONG_WALLS = {
+    "radial-S": lambda s: {"name": "radial_sextic", "S": s, "a": 1.0, "b": 0.5, "M": 4},
+    "circular-S1": lambda s: {"name": "circular", "S1": s, "S2": 1.3, "q1": 1.0, "M": 4},
+    "circular-S1-S2": lambda s: {"name": "circular", "S1": s, "S2": s, "q1": 1.0, "M": 4},
+    "hyperbolic-S2": lambda s: {"name": "hyperbolic", "S1": 1.1, "S2": s, "q1": 1.0, "M": 4},
+    "hyperbolic-S1": lambda s: {"name": "hyperbolic", "S1": s, "S2": 1.3, "q1": 1.0, "M": 4},
+}
+
+
+@pytest.mark.parametrize("strength", [6.0, 8.0, 10.0, 15.0, 20.0, 30.0])
+@pytest.mark.parametrize("row", sorted(_STRONG_WALLS))
+def test_verify_passes_next_to_a_strong_wall(tmp_path, capsys, row, strength):
+    # wall exponents 2 mu up to 119, far past the sampled ranges (S <= 2.5): the rule must carry the mass
+    # weight w^2 / sqrt(Q) exactly, and D's diagonal must not cancel between weights of very different size
+    cfg = write_config(tmp_path, {"family": _STRONG_WALLS[row](strength)})
+    assert main(["verify", "--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 def test_oracle_failure_still_emits_report(tmp_path, capsys, command):
     # A box of half-width 1 truncates the sextic's bound states grossly.
@@ -476,12 +496,8 @@ def test_oracle_failure_still_emits_report(tmp_path, capsys, command):
     "config",
     [
         {**SEXTIC_N2, "grid": {"x_min": -2.2, "x_max": 2.2}},
-        {
-            "family": {"name": "circular", "S1": 0.62, "S2": 0.61, "q1": 1.0, "M": 2},
-            "grid": {"x_min": 1e-3, "x_max": 1.5697963267948966},
-        },
     ],
-    ids=["sextic-short-box", "circular-off-wall"],
+    ids=["sextic-short-box"],
 )
 def test_poorly_certified_oracle_fails_its_check(tmp_path, capsys, command, config):
     # these grids truncate the states: the oracle converges but certifies its
@@ -495,6 +511,27 @@ def test_poorly_certified_oracle_fails_its_check(tmp_path, capsys, command, conf
     for check in report["checks"]:
         if check["name"].endswith("_oracle_containment"):
             assert check["tolerance"] == 1e-4
+
+
+@pytest.mark.parametrize("command", ["verify", "spectrum"])
+@pytest.mark.parametrize(
+    "family,ends",
+    [
+        ({"name": "circular", "S1": 0.62, "S2": 0.61, "q1": 1.0, "M": 2}, (1e-3, 1.5697963267948966)),
+        ({"name": "circular", "S1": 1.1, "S2": 1.3, "q1": 1.0, "M": 2}, (0.0, 2.0)),
+        ({"name": "hyperbolic", "S1": 1.1, "S2": 1.3, "q1": 1.0, "M": 2}, (-1.0, 4.0)),
+        ({"name": "radial_sextic", "S": 1.1, "a": 1.0, "b": 0.5, "M": 2}, (-2.0, 4.0)),
+    ],
+    ids=["circular-off-wall", "circular-past-wall", "hyperbolic-past-wall", "radial-past-wall"],
+)
+def test_grid_end_off_a_wall_is_a_config_error(tmp_path, capsys, command, family, ends):
+    # where the family's interval is finite the grid's end must be that wall: an end off it or past it
+    # is refused before the oracle runs, with the interval named
+    cfg = write_config(tmp_path, {"family": family, "grid": {"x_min": ends[0], "x_max": ends[1]}})
+    assert main([command, "--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "config error" in err and "interval (0.0, " in err
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

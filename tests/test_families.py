@@ -6,7 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from qhjqes.engine import infinity_expansion, quantization_ledger, riccati_in_chart
+from qhjqes.engine import (
+    BranchRuleError,
+    infinity_expansion,
+    quantization_ledger,
+    riccati_in_chart,
+    select_physical_branch,
+)
 from qhjqes.families import TRIG, ChartSpec, Circular, Hyperbolic, PotentialFamily, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
 from qhjqes.spectra import algebraic_states, gauge_from_residues, recursion_matrix, schrodinger_residual
@@ -87,29 +93,29 @@ def test_potential_in_chart_is_the_potential(family):
 
 
 def test_walls_are_derived_from_the_chart_and_the_interval():
-    # each wall's position and 1/x^2 coefficient are the couplings the closed forms name
+    # each wall's position, its image z0 in the chart and the exponent e of psi ~ |z - z0|^e are the closed forms:
+    # x^(2S - 1/2) at the radial wall; on the trigonometric chart sin^(2 S1 - 1/2) x = t^(S1 - 1/4) and
+    # cos^(2 S2 - 1/2) x = (1 - t)^(S2 - 1/4); on the hyperbolic one sinh^(2 S2 - 1/2) x ~ (t - 1)^(S2 - 1/4)
     def expected(family):
         if isinstance(family, RadialSextic):
-            return [(0.0, family.g)]
+            return [(0.0, 0.0, 2.0 * family.S - 0.5)]
         if isinstance(family, Circular):
-            return [(0.0, family.A), (math.pi / 2, family.B)]
+            return [(0.0, 0.0, family.S1 - 0.25), (math.pi / 2, 1.0, family.S2 - 0.25)]
         if isinstance(family, Hyperbolic):
-            return [(0.0, family.B)]
+            return [(0.0, 1.0, family.S2 - 0.25)]
         if isinstance(family, ReflectedCircular):
-            return [(0.0, family.circular.B), (math.pi / 2, family.circular.A)]
+            return [(0.0, 1.0, family.circular.S2 - 0.25), (math.pi / 2, 0.0, family.circular.S1 - 0.25)]
         return []
 
     for family in _FAMILIES:
-        walls = [(position, c) for position, c, _ in family.walls]
-        assert [w[0] for w in walls] == [w[0] for w in expected(family)]
-        for (_, c), (_, target) in zip(walls, expected(family)):
-            assert abs(c - target) <= 1e-12 * abs(target)
-    # the hyperbolic chart folds at t = 1: f^2 = 4 (cosh x - 1) / Q'(1), so f = 2 sinh(x/2), not sinh x
-    xs = np.array([1e-8, 1e-3, 0.5, 2.0, 6.0])
-    f = Hyperbolic(S1=1.1, S2=0.9, q1=1.4, M=1).walls[0][2](xs)
-    closed = (2.0 * np.sinh(xs / 2), np.cosh(xs / 2), np.sinh(xs / 2) / 2)
-    for got, want in zip(f, closed):
-        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+        assert [w[:2] for w in family.walls] == [w[:2] for w in expected(family)]
+        for (_, _, e), (_, _, target) in zip(family.walls, expected(family)):
+            assert abs(e - target) <= 1e-12 * target
+        if family.walls:
+            # V alone gives the exponents that the ledger's fixed-pole residues give the gauge
+            prefactors = dict(gauge_from_residues(family).prefactors)
+            for _, z0, e in family.walls:
+                assert abs(prefactors[z0] - e) <= 1e-12 * e
 
 
 @pytest.mark.parametrize("family", _FAMILIES, ids=_IDS)
@@ -211,5 +217,22 @@ def test_the_rejected_circular_branch_has_no_moving_pole_count(s1, s2, q1, m_cou
     count = (j_value - fixed).real / family.moving_weight
     assert count < 0 and abs(count - round(count)) > 0.05
     assert abs(count + 2 * s1 + 2 * s2 + m_count) < 1e-12
-    # a decay test would have kept the rejected branch exactly when q1 < 0
+    # a decay test would have kept the rejected branch exactly when q1 < 0, so the public rule refuses here
     assert ((1j * rejected.leading_coefficient).real < 0) == (q1 < 0)
+    with pytest.raises(BranchRuleError, match="bounded interval"):
+        select_physical_branch(ledger.infinity_branches, family)
+
+
+@pytest.mark.parametrize(
+    "family",
+    _FAMILIES + [Circular(1.1, 1.3, 0.8, 0), Circular(1.1, 1.3, -0.8, 0)],
+    ids=_IDS + ["Circular-M0-positive-q1", "Circular-M0-negative-q1"],
+)
+def test_the_public_branch_rule_at_infinity_is_the_ledgers(family):
+    # decay where the interval reaches infinity; on a bounded one the count rule, which only the ledger applies
+    ledger = quantization_ledger(family, require_integer=False)
+    if all(map(math.isfinite, family.interval)):
+        with pytest.raises(BranchRuleError):
+            select_physical_branch(ledger.infinity_branches, family)
+    else:
+        assert select_physical_branch(ledger.infinity_branches, family).label == ledger.selected_branch

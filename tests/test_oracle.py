@@ -140,15 +140,19 @@ def test_refine_is_honest_at_small_indicial_exponents(family):
         assert abs(spec.energies[j] - s.energy) <= spec.error_estimates[j] <= 5e-5
 
 
-def test_refine_bounds_a_wall_placed_off_the_singular_point():
-    # Dirichlet walls at offset 1e-3 move these levels by 0.2-0.9; the
-    # truncation check moves them onto the singular points and must see it.
+def test_refine_refuses_a_domain_end_off_a_wall():
+    # in the chart variable an end at distance d from a folded wall sits d^2 away from it, so an end
+    # off the wall would leave a Dirichlet layer the ladder cannot resolve; it is refused instead
     fam = Circular(S1=0.62, S2=0.61, q1=1.0, M=2)
+    for domain in ((1e-3, np.pi / 2 - 1e-3), (0.0, 2.0), (-1.0, np.pi / 2)):
+        with pytest.raises(ValueError, match=r"interval \(0\.0, 1\.5707963267948966\)"):
+            refine(fam, k=4, tol=5e-5, domain=domain)
+        with pytest.raises(ValueError, match="interval"):
+            discretize(fam, Grid(*domain, 20))
+    # an end within 1e-12 of the wall is on it
     states = algebraic_states(fam)
-    spec = refine(fam, k=2 * len(states) + 4, tol=5e-5, domain=(1e-3, np.pi / 2 - 1e-3))
-    for s in states:
-        j = min(range(len(spec.energies)), key=lambda i: abs(spec.energies[i] - s.energy))
-        assert 0.1 < abs(spec.energies[j] - s.energy) <= spec.error_estimates[j]
+    spec = refine(fam, k=2 * len(states) + 4, tol=5e-5, domain=(1e-13, np.pi / 2 - 1e-13))
+    assert abs(spec.energies[0] - states[0].energy) <= spec.error_estimates[0]
 
 
 def test_wall_free_operator_is_plain_lobatto():
@@ -209,8 +213,8 @@ def test_dirichlet_walls_bound_from_above_and_improve_with_domain():
 
 
 def test_derivative_matrix_stays_exact_next_to_a_strong_wall():
-    # at radial S = 10 the wall's Jacobi exponent is 39; a negative-sum diagonal of D cancels
-    # there and sent ||H|| from 8e7 to 2e31 as N went 48 -> 108, with levels near -1e11
+    # at radial S = 10 the wall's Jacobi exponent is 39; a negative-row-sum diagonal of D cancels
+    # there, and ||H|| reaches 2e31 at N = 108 with levels near -1e11
     fam = RadialSextic(S=10.0, a=1.0, b=0.5, M=4)
     states = algebraic_states(fam)
     norms = []
