@@ -95,14 +95,6 @@ def check_domain(family, domain: tuple[float, float]) -> tuple[float, float]:
     return interval
 
 
-def _in_chart(family) -> tuple:
-    """(chart, V as a function of z, walls) of ``family``; a bare callable V(x) has the identity chart and no walls."""
-    if not isinstance(family, PotentialFamily):
-        return IDENTITY, family, ()
-    num, den = (np.array(c, dtype=float)[::-1] for c in family.potential_in_chart)
-    return family.chart, lambda z: np.polyval(num, z) / np.polyval(den, z), family.walls
-
-
 def _jacobi_mass(alpha: float, beta: float) -> float:
     """Integral of (1 - t)^alpha (1 + t)^beta over [-1, 1]."""
     return math.exp(
@@ -171,7 +163,11 @@ def discretize(family, grid: Grid) -> np.ndarray:
     every other end is a fixed node whose basis function is dropped.
     """
     interval = check_domain(family, (grid.x_min, grid.x_max))
-    chart, pot, walls = _in_chart(family)
+    if isinstance(family, PotentialFamily):
+        num, den = (np.array(c, dtype=float)[::-1] for c in family.potential_in_chart)
+        chart, pot, walls = family.chart, lambda z: np.polyval(num, z) / np.polyval(den, z), family.walls
+    else:  # a bare callable V(x): the identity chart and no walls
+        chart, pot, walls = IDENTITY, family, ()
     ends = [float(z) for z in chart.coordinates(np.array([grid.x_min, grid.x_max]))[0]]
     exponent = [0.0, 0.0]  # the mass weight's Jacobi exponent at x_min and x_max, > 0 on a wall
     q_coeffs = np.real(chart.Q.coeffs)[::-1]
