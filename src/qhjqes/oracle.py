@@ -32,8 +32,8 @@ family's interval is finite, its end must be that wall.
 
 The smooth weighted equation makes the error fall exponentially with the
 node count, so ``refine`` takes the change between N and 1.5 N nodes as each
-level's error estimate. One solve on a grown domain (each open end moved
-outward by one unit) bounds the truncation error.
+level's error estimate. Solves on a grown domain (each open end moved
+outward by one unit) bound the truncation error.
 """
 
 from __future__ import annotations
@@ -248,9 +248,12 @@ def refine(
 
     Refinement stops once the change of every level between two successive
     node counts is below ``tol``. Each estimate is the larger of that change
-    and the level's shift on the truncation check's grown domain, solved at
-    the same node density, plus the eigensolver's rounding. A percent-scale
-    truncation shift raises. The first solve has ``max(n_start, k)`` nodes.
+    and the level's shift on the truncation check's grown domain, plus the
+    eigensolver's rounding. That domain is solved at the same node density in
+    x, then at 1.5 times as many nodes while the shift and the last change of
+    its levels are at least ``tol``: one more unit of x can be a factor e in
+    z. A percent-scale shift left at the end raises. The first solve has
+    ``max(n_start, k)`` nodes.
     """
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
@@ -276,7 +279,12 @@ def refine(
     grown = _grown_domain(interval, domain)
     if grown != tuple(domain):
         n_grown = math.ceil(grid.n_interior * (grown[1] - grown[0]) / (domain[1] - domain[0]))
-        shift = np.abs(_solve(family, Grid(grown[0], grown[1], n_grown), k)[0] - energies)
+        far, moved = _solve(family, Grid(grown[0], grown[1], n_grown), k)[0], math.inf
+        while float(np.max(np.abs(far - energies))) >= tol and moved >= tol and math.ceil(1.5 * n_grown) <= n_max:
+            n_grown = math.ceil(1.5 * n_grown)
+            finer = _solve(family, Grid(grown[0], grown[1], n_grown), k)[0]
+            far, moved = finer, float(np.max(np.abs(finer - far)))
+        shift = np.abs(far - energies)
         gross = 0.02 * (1.0 + float(np.max(np.abs(energies))))
         if float(np.max(shift)) > gross:
             raise OracleConvergenceError(

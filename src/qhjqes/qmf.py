@@ -176,38 +176,43 @@ def _gauss_legendre(n_nodes: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def _stadium_integral(f, x_lo: float, x_hi: float, h: float) -> complex:
-    """Counterclockwise integral over a stadium around [x_lo, x_hi] of half-height h.
+def _stadium_integral(f, runs) -> complex:
+    """Counterclockwise integral over one stadium per run (x_lo, x_hi, h), around [x_lo, x_hi] with half-height h.
 
     Right arc, upper side, left arc and lower side each use 48-point
-    Gauss-Legendre, and ``f`` is called once on all their nodes. The rule
-    is built once and shared by every call. The straight
-    sides are split into panels no longer than the pole clearance h, so
-    accuracy does not degrade when the stadium is flat.
+    Gauss-Legendre, and ``f`` is called once on the nodes of every stadium.
+    The rule is built once and shared by every call. The straight sides are
+    split into panels no longer than the stadium's h, so accuracy does not
+    degrade when it is flat; a run that needs more than 1000 panels raises.
     """
     x, w = _gauss_legendre(48)
-    n_panels = min(1000, max(1, math.ceil((x_hi - x_lo) / h)))
 
-    def arc(center: float, a0: float, a1: float):
+    def arc(center: float, h: float, a0: float, a1: float):
         half = (a1 - a0) / 2.0
         ray = h * np.exp(1j * ((a0 + a1) / 2.0 + half * x))
         return center + ray, half * w * 1j * ray  # weights carry dz/dangle
 
-    def side(z_from: complex, z_to: complex):
+    def side(z_from: complex, z_to: complex, n_panels: int):
         p = np.arange(n_panels)
         a = z_from + (z_to - z_from) * (p / n_panels)
         b = z_from + (z_to - z_from) * ((p + 1) / n_panels)
         half = ((b - a) / 2.0)[:, None]
         return (((a + b) / 2.0)[:, None] + half * x).ravel(), (half * w).ravel()
 
-    pieces = [
-        arc(x_hi, -math.pi / 2, math.pi / 2),
-        side(complex(x_hi, h), complex(x_lo, h)),
-        arc(x_lo, math.pi / 2, 3 * math.pi / 2),
-        side(complex(x_lo, -h), complex(x_hi, -h)),
-    ]
-    nodes = np.concatenate([n for n, _ in pieces])
-    weights = np.concatenate([wt for _, wt in pieces])
+    pieces = []
+    for x_lo, x_hi, h in runs:
+        n_panels = max(1, math.ceil((x_hi - x_lo) / h))
+        if n_panels > 1000:
+            raise NoSeparatingContourError(
+                f"no separating contour: a run of zeros spans {x_hi - x_lo:.3g} with clearance {h:.3g}, > 1000 panels"
+            )
+        pieces += [
+            arc(x_hi, h, -math.pi / 2, math.pi / 2),
+            side(complex(x_hi, h), complex(x_lo, h), n_panels),
+            arc(x_lo, h, math.pi / 2, 3 * math.pi / 2),
+            side(complex(x_lo, -h), complex(x_hi, -h), n_panels),
+        ]
+    nodes, weights = (np.concatenate(column) for column in zip(*pieces))
     return complex(np.sum(weights * sample_finite(f, nodes)))
 
 
@@ -226,41 +231,29 @@ def residue_at_zero(e: QmfEvaluator, z0: complex) -> complex:
 def quantization_check(e: QmfEvaluator) -> float:
     """(measure / 2 pi) times the momentum integral around the real moving poles.
 
-    The contour is one stadium per cluster of real zeros between fixed
-    singular points, with half-height below half the distance to the nearest
-    complex zero and to the nearest fixed point. States with no real zeros
-    return 0. Rounding the result to the nearest integer is exact within the
-    documented tolerance.
+    One stadium per run of real zeros: a run ends where the next zero lies
+    more than 2 h away or past a fixed singular point, with h = 0.5 or half
+    the nearest complex zero's distance from the axis. A stadium's
+    half-height is h, or half its ends' distance to the nearest fixed point.
+    States with no real zeros return 0. Rounding the result to the nearest
+    integer is exact within the documented tolerance.
     """
     real, cplx = e.real_zeros, e.complex_zeros
     if not real:
         return 0.0
-    h = 0.5
-    if cplx:
-        h = min(h, 0.5 * min(abs(z.imag) for z in cplx))
-        if h < 1e-6:
-            gap = min(abs(z.imag) for z in cplx)
-            raise NoSeparatingContourError(
-                f"no separating contour: a complex zero sits {gap:.3g} from the real axis"
-            )
-    walls = sorted(loc.real for loc, _ in e.fixed_singularities)
-
-    def wall_interval(x: float) -> int:
-        return sum(1 for w in walls if w < x)
-
-    groups: dict[int, list[float]] = {}
-    for z in real:
-        groups.setdefault(wall_interval(z.real), []).append(z.real)
-
-    total = 0j
-    for xs in groups.values():
-        x_lo, x_hi = min(xs), max(xs)
-        h_g = h
-        for w in walls:
-            gap = min(abs(x_lo - w), abs(x_hi - w))
-            h_g = min(h_g, 0.5 * gap)
-        total += _stadium_integral(e.evaluation, x_lo, x_hi, h_g)
-    value = e.measure * total / (2.0 * math.pi)
+    gap = min((abs(z.imag) for z in cplx), default=1.0)
+    if gap < 2e-6:
+        raise NoSeparatingContourError(f"no separating contour: a complex zero sits {gap:.3g} from the real axis")
+    h = 0.5 * min(1.0, gap)
+    fixed = [loc.real for loc, _ in e.fixed_singularities]
+    runs = []
+    for x in (z.real for z in real):  # ascending: the zeros are sorted by (re, im)
+        if runs and x - runs[-1][1] <= 2.0 * h and not any(runs[-1][1] < w < x for w in fixed):
+            runs[-1][1] = x
+        else:
+            runs.append([x, x])
+    runs = [(lo, hi, min([h] + [0.5 * min(abs(lo - w), abs(hi - w)) for w in fixed])) for lo, hi in runs]
+    value = e.measure * _stadium_integral(e.evaluation, runs) / (2.0 * math.pi)
     if abs(value.imag) > 1e-8 * (1.0 + abs(value)):
         raise ArithmeticError(f"quantization integral is not real: {value}")
     return value.real

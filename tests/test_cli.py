@@ -13,6 +13,8 @@ import sys
 import pytest
 
 import qhjqes
+import qhjqes.cli as cli_module
+import qhjqes.qmf as qmf_module
 from qhjqes import spectra
 from qhjqes.cli import build_family, main
 from qhjqes.families import FAMILIES, PotentialFamily
@@ -479,6 +481,30 @@ def test_verify_passes_next_to_a_strong_wall(tmp_path, capsys, row, strength):
     assert [c["name"] for c in report["checks"] if not c["pass"]] == []
 
 
+_STRONGER_WALLS = {
+    "radial": lambda s: {"name": "radial_sextic", "S": s, "a": 1.0, "b": 0.5, "M": 4},
+    "radial-a0.05-b-1": lambda s: {"name": "radial_sextic", "S": s, "a": 0.05, "b": -1.0, "M": 4},
+    "circular-S1": lambda s: {"name": "circular", "S1": s, "S2": 1.3, "q1": 1.0, "M": 4},
+    "circular-S1-q1-0.01": lambda s: {"name": "circular", "S1": s, "S2": 1.3, "q1": 0.01, "M": 4},
+    "circular-S1-q1-neg2": lambda s: {"name": "circular", "S1": s, "S2": 1.3, "q1": -2.0, "M": 4},
+    "circular-S1-S2-q1-0.01": lambda s: {"name": "circular", "S1": s, "S2": s, "q1": 0.01, "M": 4},
+    "hyperbolic-S2": lambda s: {"name": "hyperbolic", "S1": 1.1, "S2": s, "q1": 1.0, "M": 4},
+    "hyperbolic-S2-q1-0.05": lambda s: {"name": "hyperbolic", "S1": 1.1, "S2": s, "q1": 0.05, "M": 4},
+}
+
+
+@pytest.mark.parametrize("argv", [["spectrum"], ["poles", "--level", "0"]], ids=["spectrum", "poles"])
+@pytest.mark.parametrize("strength", [40.0, 60.0, 100.0])
+@pytest.mark.parametrize("row", sorted(_STRONGER_WALLS))
+def test_spectrum_and_census_pass_next_to_a_stronger_wall(tmp_path, capsys, row, strength, argv):
+    # hyperbolic S2 >= 60 needs the grown domain refined, as t = cosh x grows by e per unit of x; circular q1 =
+    # 0.01 puts the zeros thousands of units apart in t, where a single stadium would need over 1000 panels
+    cfg = write_config(tmp_path, {"family": _STRONGER_WALLS[row](strength)})
+    assert main(argv + ["--config", cfg]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+
+
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
 def test_oracle_failure_still_emits_report(tmp_path, capsys, command):
     # A box of half-width 1 truncates the sextic's bound states grossly.
@@ -612,7 +638,6 @@ def test_each_residue_is_measured_once(tmp_path, monkeypatch, argv):
         expected = sum(s.n_label for s in states)
     else:
         expected = states[1].n_label + len(states[1].gauge.ledger.fixed_residues)
-    qmf_module, cli_module = (importlib.import_module(f"qhjqes.{m}") for m in ("qmf", "cli"))
     real_residue, calls = qmf_module.residue_at_zero, []
 
     def counting(e, z0):
@@ -628,8 +653,6 @@ def test_each_residue_is_measured_once(tmp_path, monkeypatch, argv):
 
 @pytest.mark.parametrize("argv,states", [(["verify"], 3), (["poles", "--level", "1"], 1)], ids=["verify", "poles"])
 def test_one_root_solve_per_state(tmp_path, monkeypatch, argv, states):
-    # the package re-exports the function qmf under the submodule's name
-    qmf_module = importlib.import_module("qhjqes.qmf")
     real_roots, calls = qmf_module.poly_roots, []
     monkeypatch.setattr(qmf_module, "poly_roots", lambda pol: calls.append(pol) or real_roots(pol))
     cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 2}})
@@ -717,7 +740,7 @@ def test_exported_names_resolve(module):
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qhjqes.__path__)))
 def test_exported_names_are_defined_in_their_module(module):
-    # one home per name: the package __init__ is the only aggregator
+    # one home per name: no module passes on another module's names
     mod = importlib.import_module(f"qhjqes.{module}")
     source = inspect.getsource(mod)
     foreign = []
@@ -730,6 +753,14 @@ def test_exported_names_are_defined_in_their_module(module):
         if not home:
             foreign.append(name)
     assert foreign == []
+
+
+def test_the_package_is_its_modules():
+    # no name of the package shadows a module: qhjqes.qmf is the census module, not its function qmf
+    from qhjqes import qmf
+
+    assert qmf is qmf_module and inspect.ismodule(qmf_module) and qmf_module.__name__ == "qhjqes.qmf"
+    assert [n for n, v in vars(qhjqes).items() if inspect.isfunction(v) or inspect.isclass(v)] == []
 
 
 @pytest.mark.parametrize("module", ["engine", "oracle", "qmf", "series", "spectra"])
@@ -843,7 +874,7 @@ def test_report_is_one_line_of_sorted_json(tmp_path, capsys):
 
 def test_non_finite_report_value_exits_2_with_no_report(tmp_path, capsys, monkeypatch):
     # a report holds finite numbers only; the writer refuses any other and writes nothing
-    monkeypatch.setattr(importlib.import_module("qhjqes.cli"), "family_kind", lambda family: float("inf"))
+    monkeypatch.setattr(cli_module, "family_kind", lambda family: float("inf"))
     out = tmp_path / "report.json"
     assert main(["derive", "--config", write_config(tmp_path, SEXTIC_N2), "--out", str(out)]) == 2
     stdout, err = capsys.readouterr()

@@ -226,3 +226,17 @@ def test_derivative_matrix_stays_exact_next_to_a_strong_wall():
         assert np.max(np.abs(levels - [s.energy for s in states])) < 1e-6
     # the kinetic part grows like N^4 at most
     assert norms[-1] < (108 / 48) ** 4 * norms[0]
+
+
+@pytest.mark.parametrize("s2,q1", [(60.0, 0.05), (100.0, 1.0), (100.0, 0.05)])
+def test_grown_domain_is_refined_next_to_a_strong_wall(s2, q1):
+    # one more unit of x is a factor e in t = cosh x, and the wall's Jacobi weight pushes the nodes to the far end:
+    # the grown domain at the window's node density in x is off by 6e-3 (S2 = 60) or 2e4-3e4 (S2 = 100)
+    fam = Hyperbolic(S1=1.1, S2=s2, q1=q1, M=4)
+    states = algebraic_states(fam)
+    spec = refine(fam, k=2 * len(states) + 4, tol=5e-5, domain=states[0].gauge.window)
+    energies = np.array(spec.energies)
+    for s in states:
+        j = int(np.argmin(np.abs(energies - s.energy)))
+        assert abs(energies[j] - s.energy) < 1e-8
+        assert spec.error_estimates[j] < 1e-6

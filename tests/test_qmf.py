@@ -1,10 +1,10 @@
 
-import importlib
 import math
 
 import numpy as np
 import pytest
 
+import qhjqes.qmf as qmf_module
 from qhjqes import engine
 from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic, family_kind
 from qhjqes.qmf import (
@@ -22,8 +22,6 @@ from qhjqes.series import Polynomial
 from qhjqes.spectra import algebraic_states, eigenfunction_with_derivatives
 
 QUARTER_ROOT_HALF = 0.8408964152537145
-# the package re-exports the function qmf under the module's name
-qmf_module = importlib.import_module("qhjqes.qmf")
 
 
 def _pole_reports(e):
@@ -227,9 +225,18 @@ def test_gauss_rule_is_built_once_and_read_only():
 
 def test_cached_gauss_rule_gives_the_bits_of_a_fresh_rule(monkeypatch):
     f = qmf(_sextic_states(4)[-1]).evaluation
-    cached = qmf_module._stadium_integral(f, -1.3, 1.4, 0.3)
+    cached = qmf_module._stadium_integral(f, [(-1.3, 1.4, 0.3)])
     monkeypatch.setattr(qmf_module, "_gauss_legendre", np.polynomial.legendre.leggauss)
-    assert qmf_module._stadium_integral(f, -1.3, 1.4, 0.3) == cached
+    assert qmf_module._stadium_integral(f, [(-1.3, 1.4, 0.3)]) == cached
+
+
+def test_stadium_needing_more_than_1000_panels_is_refused():
+    # a run whose clearance is squeezed by a fixed point next to its end: 1000 panels of h are the most,
+    # and longer panels would break the quadrature silently
+    f = qmf(_sextic_states(4)[-1]).evaluation
+    assert qmf_module._stadium_integral(f, [(-1.0, 1.0, 0.002)]) != 0.0
+    with pytest.raises(NoSeparatingContourError, match=r"spans 2 with clearance 0\.0019, > 1000 panels"):
+        qmf_module._stadium_integral(f, [(-1.3, 1.4, 0.3), (-1.0, 1.0, 0.0019)])
 
 
 def test_quantization_values_for_n2_pair():
@@ -446,7 +453,7 @@ _PINNED_CENSUS = [
     ),
     (
         Circular(S1=1.0, S2=1.2, q1=-1.5, M=3), 0,
-        'CensusReport(n_real=3, n_complex=0, total=3, quantization_value=3.0, '
+        'CensusReport(n_real=3, n_complex=0, total=3, quantization_value=3.0000000000000013, '
         'global_count=2.999999999999999, zeros=((-6.936851136178005+0j), (-3.371669083562378+0j), '
         '(-1.19494936031818+0j)))',
         '(PoleReport(location=(-6.936851136178005+0j), measured_residue=(-1.3877787807814457e-17-2j), '
