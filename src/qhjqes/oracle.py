@@ -222,74 +222,55 @@ class OracleSpectrum:
             raise ValueError("error estimates must be positive")
 
 
-def _grown_domain(interval: tuple, domain: tuple[float, float]) -> tuple[float, float]:
-    """The domain of the truncation check: each open end moves out by one unit (an end on a wall stays). One
-    more unit multiplies the tail bound enormously while keeping the hyperbolic cosh^4 within floating-point
-    reach."""
-    return tuple(end if math.isfinite(bound) else end + step for end, bound, step in zip(domain, interval, (-1, 1)))
+def _ladder(family, domain: tuple[float, float], n: int, k: int, settled) -> tuple:
+    """Solves on ``domain`` at n, 1.5 n, 2.25 n, ... nodes until ``settled(levels, change)`` holds or the next
+    count would pass ``N_MAX``: the last k levels, their change from the solve before (inf after one solve),
+    the eigensolver's rounding of them, 4 eps ||H||, and the last grid."""
+    levels, change = None, math.inf
+    while True:
+        grid = Grid(domain[0], domain[1], n)
+        h = discretize(family, grid)
+        finer = low_spectrum(h, k)
+        if levels is not None:
+            change = np.abs(finer - levels)
+        levels, n = finer, math.ceil(1.5 * n)
+        if settled(levels, change) or n > N_MAX:
+            return levels, change, 4.0 * np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1))), grid
 
 
-def _solve(family, grid: Grid, k: int) -> tuple[np.ndarray, float]:
-    """The k lowest eigenvalues and the eigensolver's rounding of them, 4 eps ||H||."""
-    h = discretize(family, grid)
-    return low_spectrum(h, k), 4.0 * np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1)))
+def refine(family, k: int, tol: float = 1e-6, *, domain: tuple[float, float], n_start: int = N_START) -> OracleSpectrum:
+    """Certified low spectrum on ``domain``: one ladder of solves at N, 1.5 N, 2.25 N, ... nodes, up to
+    ``N_MAX``, on the domain and one on a grown domain, each open end moved out by one unit.
 
-
-def refine(
-    family,
-    k: int,
-    tol: float = 1e-6,
-    *,
-    domain: tuple[float, float],
-    n_start: int = N_START,
-    n_max: int = N_MAX,
-) -> OracleSpectrum:
-    """Certified low spectrum on ``domain``: solves at N, 1.5 N, 2.25 N, ... nodes plus a domain check.
-
-    Refinement stops once the change of every level between two successive
-    node counts is below ``tol``. Each estimate is the larger of that change
-    and the level's shift on the truncation check's grown domain, plus the
-    eigensolver's rounding. That domain is solved at the same node density in
-    x, then at 1.5 times as many nodes while the shift and the last change of
-    its levels are at least ``tol``: one more unit of x can be a factor e in
-    z. A percent-scale shift left at the end raises. The first solve has
-    ``max(n_start, k)`` nodes.
+    The ladder on the domain starts at ``max(n_start, k)`` nodes and stops
+    once every level changes by less than ``tol`` between two successive node
+    counts. The grown domain bounds the truncation error: one more unit
+    multiplies the tail bound enormously while keeping the hyperbolic cosh^4
+    within floating-point reach. Its ladder starts at the same node density in
+    x and stops once the levels' shift from the domain's, or their own change,
+    is below ``tol``: one more unit of x can be a factor e in z. Each estimate
+    is the larger of the change and the shift, plus the eigensolver's
+    rounding. A percent-scale shift left at the end raises.
     """
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
-
     interval = check_domain(family, domain)
-    grid = Grid(domain[0], domain[1], max(n_start, k))
-    energies, _ = _solve(family, grid, k)
-    change = None
-    while math.ceil(1.5 * grid.n_interior) <= n_max:
-        grid = Grid(domain[0], domain[1], math.ceil(1.5 * grid.n_interior))
-        finer, rounding = _solve(family, grid, k)
-        change = np.abs(finer - energies)
-        energies = finer
-        if float(np.max(change)) < tol:
-            break
-    else:
-        last = f" (last change {float(np.max(change)):.3g})" if change is not None else ""
-        raise OracleConvergenceError(
-            f"no convergence below {tol:g} with up to {n_max} nodes{last}"
-        )
+    energies, change, rounding, grid = _ladder(family, domain, max(n_start, k), k, lambda _, c: np.max(c) < tol)
+    if not np.max(change) < tol:
+        last = f" (last change {float(np.max(change)):.3g})" if np.ndim(change) else ""  # a scalar inf: one solve
+        raise OracleConvergenceError(f"no convergence below {tol:g} with up to {N_MAX} nodes{last}")
 
     shift = np.zeros(k)
-    grown = _grown_domain(interval, domain)
+    grown = tuple(end if math.isfinite(bound) else end + step for end, bound, step in zip(domain, interval, (-1, 1)))
     if grown != tuple(domain):
         n_grown = math.ceil(grid.n_interior * (grown[1] - grown[0]) / (domain[1] - domain[0]))
-        far, moved = _solve(family, Grid(grown[0], grown[1], n_grown), k)[0], math.inf
-        while float(np.max(np.abs(far - energies))) >= tol and moved >= tol and math.ceil(1.5 * n_grown) <= n_max:
-            n_grown = math.ceil(1.5 * n_grown)
-            finer = _solve(family, Grid(grown[0], grown[1], n_grown), k)[0]
-            far, moved = finer, float(np.max(np.abs(finer - far)))
+        far = _ladder(
+            family, grown, n_grown, k, lambda levels, c: min(np.max(np.abs(levels - energies)), np.max(c)) < tol
+        )[0]
         shift = np.abs(far - energies)
-        gross = 0.02 * (1.0 + float(np.max(np.abs(energies))))
-        if float(np.max(shift)) > gross:
+        if np.max(shift) > 0.02 * (1.0 + np.max(np.abs(energies))):
             raise OracleConvergenceError(
-                f"domain truncation error {float(np.max(shift)):.3g} is gross; "
-                "the domain does not hold this family"
+                f"domain truncation error {float(np.max(shift)):.3g} is gross; the domain does not hold this family"
             )
     return OracleSpectrum(
         energies=tuple(float(e) for e in energies),

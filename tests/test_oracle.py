@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.polynomial import legendre
 
+from qhjqes import oracle
 from qhjqes.families import Circular, Hyperbolic, RadialSextic, Sextic
 from qhjqes.oracle import (
     Grid,
@@ -183,10 +184,11 @@ def test_refine_starts_at_a_node_per_level():
     assert len(spec.energies) == 20
 
 
-def test_refine_reports_nonconvergence_with_last_change():
-    # 16 and 24 nodes leave errors of 1e-2..3 on these levels; 36 is past n_max
+def test_refine_reports_nonconvergence_with_last_change(monkeypatch):
+    # 16 and 24 nodes leave errors of 1e-2..3 on these levels; 36 is past N_MAX
+    monkeypatch.setattr(oracle, "N_MAX", 30)
     with pytest.raises(OracleConvergenceError) as info:
-        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0), n_start=16, n_max=30)
+        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0), n_start=16)
     last = re.search(r"last change ([0-9.e+-]+)\)", str(info.value))
     assert last and float(last.group(1)) > 1e-3
 
@@ -240,3 +242,58 @@ def test_grown_domain_is_refined_next_to_a_strong_wall(s2, q1):
         j = int(np.argmin(np.abs(energies - s.energy)))
         assert abs(energies[j] - s.energy) < 1e-8
         assert spec.error_estimates[j] < 1e-6
+
+
+# family, domain (None: the gauge's window) and the (x_min, x_max, N) of every solve
+_LADDERS = {
+    "sextic": (Sextic(-7.0, 0.0, 1.0), None, [(-3.53125, 3.53125, n) for n in (48, 72)] + [(-4.53125, 4.53125, 93)]),
+    "radial": (RadialSextic(S=1.1, a=1.0, b=0.5, M=2), None, [(0.0, 3.5625, 48), (0.0, 3.5625, 72), (0.0, 4.5625, 93)]),
+    "circular": (Circular(S1=1.1, S2=1.3, q1=1.0, M=2), None, [(0.0, np.pi / 2, 48), (0.0, np.pi / 2, 72)]),
+    "hyperbolic": (Hyperbolic(S1=1.1, S2=1.3, q1=1.0, M=2), None, [(0.0, 3.0, 48), (0.0, 3.0, 72), (0.0, 4.0, 96)]),
+    "hyperbolic-strong-wall": (
+        Hyperbolic(S1=1.1, S2=100.0, q1=1.0, M=4),
+        None,
+        [(0.0, 3.734375, n) for n in (48, 72, 108)] + [(0.0, 4.734375, n) for n in (137, 206, 309)],
+    ),
+    "sextic-short-box": (
+        Sextic(-7.0, 0.0, 1.0),
+        (-2.2, 2.2),
+        [(-2.2, 2.2, 48), (-2.2, 2.2, 72), (-3.2, 3.2, 105), (-3.2, 3.2, 158)],
+    ),
+}
+
+
+def _record_grids(monkeypatch):
+    grids = []
+    discretize_on = oracle.discretize
+
+    def recording(family, grid):
+        grids.append((grid.x_min, grid.x_max, grid.n_interior))
+        return discretize_on(family, grid)
+
+    monkeypatch.setattr(oracle, "discretize", recording)
+    return grids
+
+
+@pytest.mark.parametrize("case", list(_LADDERS))
+def test_refine_solves_each_ladder_on_its_grids(monkeypatch, case):
+    # the window converges at 72 nodes (108 next to the strong wall); the grown domain starts at the same density in
+    # x and climbs by 1.5 while its shift and change are at least tol: next to the strong wall, where each unit of x
+    # is a factor e in t = cosh x, and on the short box, which truncates the levels until its grown solve settles
+    family, domain, ladder = _LADDERS[case]
+    grids = _record_grids(monkeypatch)
+    states = algebraic_states(family)
+    refine(family, k=2 * len(states) + 4, tol=5e-5, domain=domain or states[0].gauge.window)
+    assert grids == ladder
+
+
+@pytest.mark.parametrize("n_max,grids,last", [(30, [16, 24], True), (20, [16], False)])
+def test_refine_stops_its_ladder_at_n_max(monkeypatch, n_max, grids, last):
+    # the next count, ceil(1.5 N), is solved only while it stays within N_MAX, read when refine is called;
+    # a first solve with no refinement after it has no change to report
+    monkeypatch.setattr(oracle, "N_MAX", n_max)
+    solved = _record_grids(monkeypatch)
+    with pytest.raises(OracleConvergenceError, match=f"with up to {n_max} nodes") as info:
+        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0), n_start=16)
+    assert solved == [(-10.0, 10.0, n) for n in grids]
+    assert ("last change" in str(info.value)) is last
