@@ -239,9 +239,10 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
 def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex | np.ndarray], tuple]:
     """Closed-form evaluator x -> (psi, psi', psi'') in the physical variable.
 
-    In the chart variable z, ``psi = F M`` with ``F = exp(G_min - G) prod_k (sigma_k (z - z_k))^e_k``
-    from the gauge, G_min the least Re G sampled on its window so psi cannot overflow, and M = z^parity
-    P(z^k - origin); sigma_k = -1 where the window lies below z_k, so the base is positive there.
+    In the chart variable z, ``psi = F M`` with ``log F = -G + sum_k e_k log(sigma_k (z - z_k)) - log_peak``
+    from the gauge, taken by one ``exp``, so neither the gauge factor nor a strong wall's power overflows
+    alone; log_peak is the sum's largest real part sampled on the window, and M = z^parity P(z^k - origin).
+    sigma_k = -1 where the window lies below z_k, so the base is positive there.
     With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``,
     ``psi_z = F (L M + M')`` and ``psi_zz = F ((L^2 + L') M + 2 L M' + M'')``;
     the chart's map then gives the x-derivatives by the chain rule.
@@ -261,17 +262,21 @@ def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex |
     two, origin, parity = state.family.chart.reduced_power == 2, state.origin, state.gauge.parity
     lo, hi = gauge.window
     inside = coordinates(0.5 * (lo + hi))[0].real  # a point of the physical interval, in z
-    g_min = float(np.min(np.real(g(coordinates(np.linspace(lo, hi, 65))[0]))))
     factors = [(loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in gauge.prefactors]
+
+    def log_envelope(z):
+        with np.errstate(divide="ignore", invalid="ignore"):  # on a wall: log 0 = -inf, e times it -inf + nan i
+            return -g(z) + sum(e * np.log(sigma * (z - loc)) for loc, e, sigma in factors)
+
+    log_peak = float(np.max(np.real(log_envelope(coordinates(np.linspace(lo, hi, 65).astype(complex))[0]))))
 
     def evaluate(x):
         z, dz, d2z = coordinates(np.asarray(x, dtype=complex))
-        f = np.exp(g_min - g(z))
+        f = np.exp(log_envelope(z) - log_peak)
         log_d = -g1(z)
         log_d2 = -g2(z)
-        for loc, e, sigma in factors:
+        for loc, e, _ in factors:
             d = z - loc
-            f = f * (sigma * d) ** e
             log_d = log_d + e / d
             log_d2 = log_d2 - e / (d * d)
         u = (z * z if two else z) - origin

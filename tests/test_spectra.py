@@ -216,7 +216,7 @@ def _residual_samples(state, n_samples=50):
 
 @pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
 def test_evaluator_matches_the_closed_forms_of_the_parameters(family):
-    # equal up to the evaluator's constant scale exp(G_min), which keeps psi from overflowing
+    # equal up to the evaluator's constant scale, which keeps psi from overflowing
     for s in algebraic_states(family):
         xs = _residual_samples(s)
         expected = _closed_form_psi(family, s, xs)
@@ -361,6 +361,15 @@ def test_residual_on_arrays_matches_the_loop(family):
     for s in algebraic_states(family):
         # both are divided by max |psi|, so this bound is relative to the wavefunction's scale
         assert abs(schrodinger_residual(s) - _residual_by_loop(s)) <= 1e-12
+
+
+def test_residual_stays_finite_next_to_two_strong_walls():
+    # sinh(x)^199.5 reaches 1e312 at x = 4.3 of the window [0, 5.23], where the gauge factor is 1e-15: psi is
+    # formed from the sum of their logs, so neither factor overflows alone
+    for s in algebraic_states(Hyperbolic(S1=1.1, S2=100.0, q1=0.05, M=4)):
+        psi = eigenfunction_with_derivatives(s)(_residual_samples(s))[0]
+        assert np.all(np.isfinite(psi)), s.index
+        assert np.isfinite(schrodinger_residual(s)), s.index
 
 
 # The n/M = 8..20 table of the planned verify-large workload: S1 = 1.1, S2 = 1.3; radial S = 1.1, a = 1, b = 0.5.
