@@ -414,9 +414,9 @@ def quantization_ledger(family: PotentialFamily, require_integer: bool = True) -
     pair = _branch_pair(eq)
     if any(map(cmath.isinf, family.interval)):
         sel = select_physical_branch(pair, family)
+        ser = _expansion(eq, sel)
     else:  # the fixed poles take the same share on both branches, so the larger count has the larger i c1
-        sel = max(pair, key=lambda c: (1j * _expansion(eq, c).coefficient(1)).real)
-    ser = _expansion(eq, sel)
+        sel, ser = max(((c, _expansion(eq, c)) for c in pair), key=lambda cs: (1j * cs[1].coefficient(1)).real)
     c1 = ser.coefficient(1)
     j_value = 1j * chart.measure * c1
     if abs(j_value.imag) > 1e-10 * (1.0 + abs(j_value)):
