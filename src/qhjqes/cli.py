@@ -98,19 +98,6 @@ def build_family(spec: dict):
         raise ConfigError(f"invalid family parameters: {exc}") from exc
 
 
-def _check_grid(grid) -> None:
-    """The oracle's domain: finite ends with x_max > x_min, and an optional starting node count that refines once."""
-    _require_keys(grid, ("x_min", "x_max", "n"), "grid", ("x_min", "x_max"))
-    lo, hi = grid["x_min"], grid["x_max"]
-    if type(lo) not in (int, float) or type(hi) not in (int, float):
-        raise ConfigError(f"grid ends must be numbers, got {lo!r}..{hi!r}")
-    if not (_is_finite_number(lo) and _is_finite_number(hi) and hi > lo):
-        raise ConfigError(f"grid needs finite ends with x_max > x_min, got {lo!r}..{hi!r}")
-    n = grid.get("n", oracle.N_START)
-    if type(n) is not int or not oracle.N_MIN <= n <= oracle.N_START_MAX:
-        raise ConfigError(f"grid n must be an integer in {oracle.N_MIN}..{oracle.N_START_MAX}, got {n!r}")
-
-
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -122,8 +109,6 @@ def load_config(path: str) -> dict:
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     _require_keys(cfg, ("family", "grid", "tolerances", "outputs"), "config", ("family",))
-    if "grid" in cfg:
-        _check_grid(cfg["grid"])
     tols = dict(_DEFAULT_TOLERANCES)
     if "tolerances" in cfg:
         _require_keys(cfg["tolerances"], tuple(_DEFAULT_TOLERANCES), "tolerances")
@@ -138,9 +123,13 @@ def load_config(path: str) -> dict:
                 raise ConfigError(f"output path {k} must be a non-empty string, got {v!r}")
     cfg.setdefault("tolerances", {})
     cfg["_family"] = build_family(cfg["family"])  # built once, before any command runs
-    if "grid" in cfg:
+    if "grid" in cfg:  # the oracle's domain
+        _require_keys(cfg["grid"], ("x_min", "x_max"), "grid", ("x_min", "x_max"))
+        lo, hi = cfg["grid"]["x_min"], cfg["grid"]["x_max"]
+        if not (_is_finite_number(lo) and _is_finite_number(hi) and hi > lo):
+            raise ConfigError(f"grid needs finite ends with x_max > x_min, got {lo!r}..{hi!r}")
         try:
-            oracle.check_domain(cfg["_family"], (cfg["grid"]["x_min"], cfg["grid"]["x_max"]))
+            oracle.check_domain(cfg["_family"], (lo, hi))
         except ValueError as exc:
             raise ConfigError(f"grid: {exc}") from exc
     cfg["_tolerances"] = tols
@@ -257,10 +246,9 @@ def _oracle_matches(family, config: dict, states, checks: list) -> tuple[list, l
     """
     tol = config["_tolerances"]["oracle_tol"]
     grid = config.get("grid") or {}
-    k, n_start = 2 * len(states) + 4, grid.get("n", oracle.N_START)
     domain = (float(grid["x_min"]), float(grid["x_max"])) if grid else states[0].gauge.window
     with _stage("oracle_convergence"):
-        spec = oracle.refine(family, k=k, tol=max(1e-8, tol / 2.0), domain=domain, n_start=n_start)
+        spec = oracle.refine(family, k=2 * len(states) + 4, tol=max(1e-8, tol / 2.0), domain=domain)
     matches = []
     for s in states:
         j = min(range(len(spec.energies)), key=lambda idx: abs(spec.energies[idx] - s.energy))

@@ -17,9 +17,8 @@ instance: ``potential``, V(x), and ``walls`` ``(position, z0, e)`` at each
 finite end of the interval, z0 its image in the chart and e the exponent of
 psi ~ |z - z0|^e there, read from V's 1/(x - position)^2 coefficient.
 ``FAMILIES`` maps config names to classes; ``family_kind`` is its inverse.
-No family carries a closed form of its gauge: ``spectra.recursion_matrix``
-conjugates the potential in the chart by the ledger's gauge and refuses
-every term outside the tridiagonal band, which checks the gauge exactly.
+No family carries a closed form of its gauge: ``spectra.algebraic_states``
+refuses one whose conjugated potential leaves the tridiagonal band, an exact check.
 
 No other module knows the sextic's solvability condition: ``Sextic.on_condition``
 builds a sextic on it, and ``Sextic.solve_ledger`` refuses one off it with

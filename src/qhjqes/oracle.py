@@ -48,9 +48,7 @@ from .families import IDENTITY, PotentialFamily
 __all__ = [
     "Grid",
     "N_MAX",
-    "N_MIN",
     "N_START",
-    "N_START_MAX",
     "OracleConvergenceError",
     "OracleSpectrum",
     "check_domain",
@@ -60,11 +58,8 @@ __all__ = [
 ]
 
 # Node counts ``refine`` starts from and accepts; the dense matrix has N^2 entries.
-N_MIN = 8
 N_START = 48
 N_MAX = 1024
-# The largest start from which one refinement, to ceil(1.5 N) nodes, stays within N_MAX.
-N_START_MAX = 2 * N_MAX // 3
 
 
 class OracleConvergenceError(RuntimeError):
@@ -238,11 +233,11 @@ def _ladder(family, domain: tuple[float, float], n: int, k: int, settled) -> tup
             return levels, change, 4.0 * np.finfo(float).eps * float(np.max(np.sum(np.abs(h), axis=1))), grid
 
 
-def refine(family, k: int, tol: float = 1e-6, *, domain: tuple[float, float], n_start: int = N_START) -> OracleSpectrum:
+def refine(family, k: int, tol: float = 1e-6, *, domain: tuple[float, float]) -> OracleSpectrum:
     """Certified low spectrum on ``domain``: one ladder of solves at N, 1.5 N, 2.25 N, ... nodes, up to
     ``N_MAX``, on the domain and one on a grown domain, each open end moved out by one unit.
 
-    The ladder on the domain starts at ``max(n_start, k)`` nodes and stops
+    The ladder on the domain starts at ``max(N_START, k)`` nodes and stops
     once every level changes by less than ``tol`` between two successive node
     counts. The grown domain bounds the truncation error: one more unit
     multiplies the tail bound enormously while keeping the hyperbolic cosh^4
@@ -255,7 +250,7 @@ def refine(family, k: int, tol: float = 1e-6, *, domain: tuple[float, float], n_
     if tol < 1e-8:
         raise ValueError("tol below 1e-8 is not certifiable with this discretization")
     interval = check_domain(family, domain)
-    energies, change, rounding, grid = _ladder(family, domain, max(n_start, k), k, lambda _, c: np.max(c) < tol)
+    energies, change, rounding, grid = _ladder(family, domain, max(N_START, k), k, lambda _, c: np.max(c) < tol)
     if not np.max(change) < tol:
         last = f" (last change {float(np.max(change)):.3g})" if np.ndim(change) else ""  # a scalar inf: one solve
         raise OracleConvergenceError(f"no convergence below {tol:g} with up to {N_MAX} nodes{last}")

@@ -85,6 +85,29 @@ class GaugeSpec:
             raise ArithmeticError("the gauge does not decay within |x| = 16384: the states have no window")
         return ends[0], ends[1]
 
+    @functools.cached_property
+    def gauge_derivatives(self) -> tuple[Polynomial, Polynomial]:
+        """G' and G''."""
+        g1 = self.gauge_polynomial.derivative()
+        return g1, g1.derivative()
+
+    @functools.cached_property
+    def wall_factors(self) -> tuple[tuple[complex, float, float], ...]:
+        """(z_k, e_k, sigma_k) per prefactor; sigma_k = -1 where the window lies below z_k, so sigma_k (z - z_k) > 0."""
+        inside = self.ledger.family.chart.coordinates(np.mean(self.window))[0].real  # a point of the interval, in z
+        return tuple((loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in self.prefactors)
+
+    def log_envelope(self, z):
+        """-G + sum_k e_k log(sigma_k (z - z_k)) at z, one point or an ndarray."""
+        with np.errstate(divide="ignore", invalid="ignore"):  # on a wall: log 0 = -inf, e times it -inf + nan i
+            return -self.gauge_polynomial(z) + sum(e * np.log(sigma * (z - loc)) for loc, e, sigma in self.wall_factors)
+
+    @functools.cached_property
+    def log_peak(self) -> float:
+        """The largest real part of ``log_envelope`` on 65 evenly spaced samples of the window."""
+        z = self.ledger.family.chart.coordinates(np.linspace(*self.window, 65).astype(complex))[0]
+        return float(np.max(np.real(self.log_envelope(z))))
+
 
 @dataclass(frozen=True)
 class AlgebraicState:
@@ -117,9 +140,9 @@ def gauge_from_residues(family: PotentialFamily) -> GaugeSpec:
     Every exponent comes from a fixed-pole residue. The gauge polynomial
     integrates the principal part of the momentum at infinity,
     ``G'(z) = -i * measure * sum_{k <= 0} c_k z^(-k)`` in the census
-    variable z. ``recursion_matrix`` checks them against the potential. A
-    family off its solvability condition raises the ledger's
-    ``families.NonQESError``.
+    variable z. ``algebraic_states`` checks both against the potential (in
+    ``_band_numbers``). A family off its solvability condition raises the
+    ledger's ``families.NonQESError``.
     """
     ledger = engine.quantization_ledger(family)
     ser, measure = ledger.infinity_series, family.chart.measure
@@ -160,6 +183,15 @@ def _band(name: str, terms: tuple, divisor: np.ndarray, k: int, lo: int, hi: int
     return coeffs[: k * (hi + 1) : k]
 
 
+@functools.lru_cache(maxsize=16)
+def _chart_terms(chart) -> tuple:
+    """v' = k z^(k - 1), and (B2, A2) of a2 = -Q v'^2 = A2 v^2 + B2 v, once per chart; a2 off that band raises."""
+    k = chart.reduced_power
+    v1 = k * np.eye(k)[-1]
+    _, B2, A2 = _band("a2", (-_mul(np.real(chart.Q.coeffs), v1, v1),), np.ones(1), k, 1, 2)
+    return v1, B2, A2
+
+
 def _band_numbers(gauge: GaugeSpec) -> tuple:
     """(A2, B2, A1, B1, C1, A0, C0, top) of the recursion in v, after its refusals; see ``recursion_matrix``."""
     family, k = gauge.ledger.family, gauge.ledger.family.chart.reduced_power
@@ -169,9 +201,8 @@ def _band_numbers(gauge: GaugeSpec) -> tuple:
     # N = D L = -G' D + sum_i e_i D / (z - z_i)
     g1 = _der(np.real(gauge.gauge_polynomial.coeffs))
     n_l = _sum(-_mul(g1, d), *(e * _mul(*lin[:i], *lin[i + 1 :]) for i, (_, e) in enumerate(factors)))
-    v1 = k * np.eye(k)[-1]  # v' = k z^(k - 1)
     num, den = (np.array(c, dtype=float) for c in family.potential_in_chart)
-    _, B2, A2 = _band("a2", (-_mul(q, v1, v1),), np.ones(1), k, 1, 2)
+    v1, B2, A2 = _chart_terms(family.chart)
     a1 = (-_mul(_sum(2 * _mul(q, n_l), _mul(_der(q), d) / 2), v1), -_mul(q, _der(v1), d))
     C1, B1, A1 = _band("a1", a1, d, k, 0, 2)
     # D^2 (Q (L^2 + L') + Q' L / 2) = Q (N^2 + D N' - D' N) + Q' N D / 2
@@ -239,43 +270,29 @@ def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
 def eigenfunction_with_derivatives(state: AlgebraicState) -> Callable[[complex | np.ndarray], tuple]:
     """Closed-form evaluator x -> (psi, psi', psi'') in the physical variable.
 
-    In the chart variable z, ``psi = F M`` with ``log F = -G + sum_k e_k log(sigma_k (z - z_k)) - log_peak``
-    from the gauge, taken by one ``exp``, so neither the gauge factor nor a strong wall's power overflows
-    alone; log_peak is the sum's largest real part sampled on the window, and M = z^parity P(z^k - origin).
-    sigma_k = -1 where the window lies below z_k, so the base is positive there.
-    With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``,
-    ``psi_z = F (L M + M')`` and ``psi_zz = F ((L^2 + L') M + 2 L M' + M'')``;
-    the chart's map then gives the x-derivatives by the chain rule.
+    In the chart variable z, ``psi = F M`` with ``log F`` the gauge's ``log_envelope`` less its ``log_peak``,
+    taken by one ``exp``, so neither the gauge factor nor a strong wall's power overflows alone, and
+    M = z^parity P(z^k - origin); the gauge holds, once per instance, all that reads neither P nor E.
+    With ``L = F'/F = -G' + sum_k e_k / (z - z_k)``, ``psi_z = F (L M + M')`` and
+    ``psi_zz = F ((L^2 + L') M + 2 L M' + M'')``; the chart's map then gives the x-derivatives by the chain rule.
 
-    ``x`` is one point or an ndarray of points; each of the three values is
-    then a complex number or a complex ndarray of x's shape, computed
-    elementwise in one call.
+    ``x`` is one point or an ndarray of points; each of the three values is then a complex number or a complex
+    ndarray of x's shape, computed elementwise in one call.
     """
     gauge = state.gauge
     coordinates = state.family.chart.coordinates
-    g = gauge.gauge_polynomial
-    g1 = g.derivative()
-    g2 = g1.derivative()
+    (g1, g2), log_peak = gauge.gauge_derivatives, gauge.log_peak
     p = state.poly
     p1 = p.derivative()
     p2 = p1.derivative()
     two, origin, parity = state.family.chart.reduced_power == 2, state.origin, state.gauge.parity
-    lo, hi = gauge.window
-    inside = coordinates(0.5 * (lo + hi))[0].real  # a point of the physical interval, in z
-    factors = [(loc, e, 1.0 if inside > loc.real else -1.0) for loc, e in gauge.prefactors]
-
-    def log_envelope(z):
-        with np.errstate(divide="ignore", invalid="ignore"):  # on a wall: log 0 = -inf, e times it -inf + nan i
-            return -g(z) + sum(e * np.log(sigma * (z - loc)) for loc, e, sigma in factors)
-
-    log_peak = float(np.max(np.real(log_envelope(coordinates(np.linspace(lo, hi, 65).astype(complex))[0]))))
 
     def evaluate(x):
         z, dz, d2z = coordinates(np.asarray(x, dtype=complex))
-        f = np.exp(log_envelope(z) - log_peak)
+        f = np.exp(gauge.log_envelope(z) - log_peak)
         log_d = -g1(z)
         log_d2 = -g2(z)
-        for loc, e, _ in factors:
+        for loc, e, _ in gauge.wall_factors:
             d = z - loc
             log_d = log_d + e / d
             log_d2 = log_d2 - e / (d * d)

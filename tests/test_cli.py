@@ -15,7 +15,7 @@ import pytest
 import qhjqes
 import qhjqes.cli as cli_module
 import qhjqes.qmf as qmf_module
-from qhjqes import spectra
+from qhjqes import oracle, spectra
 from qhjqes.cli import build_family, main
 from qhjqes.families import FAMILIES, PotentialFamily
 
@@ -74,15 +74,13 @@ def test_missing_file_is_a_config_error():
 @pytest.mark.parametrize(
     "grid",
     [
-        {"n": 64},
-        {"x_min": 1.0, "x_max": -1.0, "n": 50},
+        {},
+        {"x_min": 1.0, "x_max": -1.0},
         {"x_min": "a", "x_max": 1.0},
-        {"x_min": -6.0, "x_max": 6.0, "n": 2048},
-        {"x_min": "-6", "x_max": True, "n": 48},
+        {"x_min": "-6", "x_max": True},
         {"x_min": -6, "x_max": HUGE},
     ],
-    ids=["no-ends", "reversed-ends", "non-numeric-end", "n-out-of-range", "string-and-boolean-ends",
-         "end-too-large-for-a-float"],
+    ids=["no-ends", "reversed-ends", "non-numeric-end", "string-and-boolean-ends", "end-too-large-for-a-float"],
 )
 def test_invalid_grid_is_a_config_error(tmp_path, capsys, grid):
     cfg = write_config(tmp_path, {**SEXTIC_N2, "grid": grid})
@@ -119,16 +117,18 @@ def test_non_string_output_path_is_a_config_error(tmp_path, capsys, outputs):
         {"family": {**SEXTIC_N2["family"], "gamma": HUGE}},
         {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": HUGE}},
         {"family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": HUGE}},
-        {**SEXTIC_N2, "grid": {"x_min": -6.0, "x_max": 6.0, "n": 683}},
+        {**SEXTIC_N2, "grid": {"x_min": -6.0, "x_max": 6.0, "n": 48}},
     ],
     ids=["string-tol", "nan-tol", "negative-tol", "bool-tol", "fractional-M", "fractional-n",
-         "bool-param", "string-param", "huge-tol", "huge-param", "huge-n", "huge-M", "grid-n-refines-past-max"],
+         "bool-param", "string-param", "huge-tol", "huge-param", "huge-n", "huge-M", "grid-n-is-an-unknown-key"],
 )
 def test_malformed_number_is_a_config_error(tmp_path, capsys, config):
     cfg = write_config(tmp_path, config)
     assert main(["verify", "--config", cfg]) == 1
     out, err = capsys.readouterr()
     assert out == "" and "config error" in err
+    if "grid" in config:  # the oracle sets its own node counts: even n = 48, N_START's value, is refused
+        assert "unknown keys in grid: ['n']" in err
 
 
 # ----------------------------------------------------------------- derive
@@ -561,13 +561,14 @@ def test_grid_end_off_a_wall_is_a_config_error(tmp_path, capsys, command, family
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])
-def test_grid_n_below_the_level_count_is_raised(tmp_path, capsys, command):
+def test_grid_n_below_the_level_count_is_raised(tmp_path, capsys, monkeypatch, command):
     # M = 4 asks the oracle for 2 * 5 + 4 = 14 levels, more than the 8 starting nodes
+    monkeypatch.setattr(oracle, "N_START", 8)
     cfg = write_config(
         tmp_path,
         {
             "family": {"name": "circular", "S1": 1.0, "S2": 1.2, "q1": 1.5, "M": 4},
-            "grid": {"x_min": 0.0, "x_max": 1.5707963267948966, "n": 8},
+            "grid": {"x_min": 0.0, "x_max": 1.5707963267948966},
         },
     )
     assert main([command, "--config", cfg]) == 0

@@ -178,17 +178,19 @@ def test_refine_rejects_uncertifiable_tolerance():
         refine(harmonic, k=1, tol=1e-9, domain=(-5.0, 5.0))
 
 
-def test_refine_starts_at_a_node_per_level():
+def test_refine_starts_at_a_node_per_level(monkeypatch):
     # 20 levels from a 16-node start: the first solve takes 20 nodes
-    spec = refine(harmonic, k=20, tol=1e-6, domain=(-10.0, 10.0), n_start=16)
+    monkeypatch.setattr(oracle, "N_START", 16)
+    spec = refine(harmonic, k=20, tol=1e-6, domain=(-10.0, 10.0))
     assert len(spec.energies) == 20
 
 
 def test_refine_reports_nonconvergence_with_last_change(monkeypatch):
     # 16 and 24 nodes leave errors of 1e-2..3 on these levels; 36 is past N_MAX
+    monkeypatch.setattr(oracle, "N_START", 16)
     monkeypatch.setattr(oracle, "N_MAX", 30)
     with pytest.raises(OracleConvergenceError) as info:
-        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0), n_start=16)
+        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0))
     last = re.search(r"last change ([0-9.e+-]+)\)", str(info.value))
     assert last and float(last.group(1)) > 1e-3
 
@@ -291,9 +293,10 @@ def test_refine_solves_each_ladder_on_its_grids(monkeypatch, case):
 def test_refine_stops_its_ladder_at_n_max(monkeypatch, n_max, grids, last):
     # the next count, ceil(1.5 N), is solved only while it stays within N_MAX, read when refine is called;
     # a first solve with no refinement after it has no change to report
+    monkeypatch.setattr(oracle, "N_START", 16)
     monkeypatch.setattr(oracle, "N_MAX", n_max)
     solved = _record_grids(monkeypatch)
     with pytest.raises(OracleConvergenceError, match=f"with up to {n_max} nodes") as info:
-        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0), n_start=16)
+        refine(harmonic, k=3, tol=1e-8, domain=(-10.0, 10.0))
     assert solved == [(-10.0, 10.0, n) for n in grids]
     assert ("last change" in str(info.value)) is last

@@ -4,7 +4,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from qhjqes.families import Circular, Hyperbolic, NonQESError, RadialSextic, Sextic, family_kind
+from qhjqes.families import IDENTITY, Circular, Hyperbolic, NonQESError, RadialSextic, Sextic, family_kind
 from qhjqes.oracle import refine
 from qhjqes.qmf import qmf
 from qhjqes.series import Polynomial
@@ -335,6 +335,20 @@ def test_gauge_off_the_potential_is_refused(family, power):
     coeffs[power] = coeffs[power] * (1 + 1e-6) if coeffs[power] else 1e-6 * g.gauge_polynomial.coeffs[-1]
     with pytest.raises(ArithmeticError, match="outside its band"):
         recursion_matrix(dataclasses.replace(g, gauge_polynomial=Polynomial(coeffs)))
+
+
+class _BentSextic(Sextic):
+    chart = dataclasses.replace(IDENTITY, Q=Polynomial([1.0, 1.0]))
+
+
+def test_chart_whose_a2_leaves_its_band_is_refused():
+    # a2 = -Q v'^2 reads the chart alone: Q = 1 + z on k = 2 gives -4 z^2 - 4 z^3, and no power of v = z^2 holds
+    # z^3; the per-chart cache keeps no exception, so the second call refuses the chart again
+    g = gauge_from_residues(Sextic.on_condition(1.0, 0.5, 2))
+    bent = dataclasses.replace(g, ledger=dataclasses.replace(g.ledger, family=_BentSextic.on_condition(1.0, 0.5, 2)))
+    for _ in range(2):
+        with pytest.raises(ArithmeticError, match=r"a2 has a z\^3 term outside its band"):
+            recursion_matrix(bent)
 
 
 @pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
