@@ -23,6 +23,7 @@ import contextlib
 import dataclasses
 import json
 import math
+import os
 import sys
 
 from . import engine, oracle, spectra
@@ -441,8 +442,11 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         config = load_config(args.config)
+        out, csv_path = args.out or _output_path(config, "report"), _output_path(config, "csv")
+        if args.command == "poles" and out and csv_path and os.path.abspath(out) == os.path.abspath(csv_path):
+            raise ConfigError(f"the report and the CSV would both be written to {csv_path}")
         report, code = run_command(args.command, config, **options)
-        _emit(report, args.out or _output_path(config, "report"))
+        _emit(report, out)
         return code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

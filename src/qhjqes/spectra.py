@@ -31,7 +31,6 @@ __all__ = [
     "algebraic_states",
     "eigenfunction_with_derivatives",
     "gauge_from_residues",
-    "recursion_matrix",
     "schrodinger_residual",
 ]
 
@@ -193,7 +192,23 @@ def _chart_terms(chart) -> tuple:
 
 
 def _band_numbers(gauge: GaugeSpec) -> tuple:
-    """(A2, B2, A1, B1, C1, A0, C0, top) of the recursion in v, after its refusals; see ``recursion_matrix``."""
+    """(A2, B2, A1, B1, C1, A0, C0, top): the band of H on the coefficients of P(v), v = z^k, after its refusals.
+
+    With psi = F P(v), F = exp(-G) prod_i (z - z_i)^e_i (z^parity one more
+    factor at 0) and L = F'/F, H = -Q d^2/dz^2 - (Q'/2) d/dz + V becomes
+    a2 P_vv + a1 P_v + a0 P: a2 = -Q v'^2, a1 = -(2 Q L + Q'/2) v' - Q v'',
+    a0 = V - Q (L^2 + L') - Q' L / 2 (Turbiner, Commun. Math. Phys. 118, 467
+    (1988)), built exactly over D = prod_i (z - z_i) and V's denominator. A
+    remainder raises ``ArithmeticError``: an exponent misses its indicial
+    equation. Their band, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v + C1 and
+    a0 = A0 v + C0, maps v^j to j (j - 1) B2 + j C1 times v^(j - 1),
+    j (j - 1) A2 + j B1 + C0 times v^j and j A1 + A0 times v^(j + 1), on
+    v^0 .. v^top, top = n_label // k. Any other term (an odd power of z
+    when k = 2, or v off the band) raises ``ArithmeticError`` too: the gauge
+    does not fit the potential. Unless the entry from v^top to v^(top + 1)
+    then vanishes, the ledger's n does not truncate: ``families.NonQESError``.
+    The gauge is real, its poles being the family's real singular points.
+    """
     family, k = gauge.ledger.family, gauge.ledger.family.chart.reduced_power
     factors = gauge.prefactors + (((0.0, gauge.parity),) if gauge.parity else ())
     lin = [np.array([-loc.real, 1.0]) for loc, _ in factors]
@@ -214,33 +229,10 @@ def _band_numbers(gauge: GaugeSpec) -> tuple:
     return A2, B2, A1, B1, C1, A0, C0, top
 
 
-def recursion_matrix(gauge: GaugeSpec) -> np.ndarray:
-    """Dense real matrix of H on the coefficients (c_0, c_1, ...) of P(v), v = z^k.
-
-    With psi = F P(v), F = exp(-G) prod_i (z - z_i)^e_i (z^parity one more
-    factor at 0) and L = F'/F, H = -Q d^2/dz^2 - (Q'/2) d/dz + V becomes
-    a2 P_vv + a1 P_v + a0 P: a2 = -Q v'^2, a1 = -(2 Q L + Q'/2) v' - Q v'',
-    a0 = V - Q (L^2 + L') - Q' L / 2 (Turbiner, Commun. Math. Phys. 118, 467
-    (1988)), built exactly over D = prod_i (z - z_i) and V's denominator. A
-    remainder raises ``ArithmeticError``: an exponent misses its indicial
-    equation. Their band, a2 = A2 v^2 + B2 v, a1 = A1 v^2 + B1 v + C1 and
-    a0 = A0 v + C0, fills the matrix on v^0 .. v^top, top = n_label // k.
-    Any other term (an odd power of z when k = 2, or v off the band) raises
-    ``ArithmeticError`` too: the gauge does not fit the potential. Unless
-    the entry from v^top to v^(top + 1) then vanishes, the ledger's n does
-    not truncate: ``families.NonQESError``. The gauge is real, its poles
-    being the family's real singular points.
-    """
-    A2, B2, A1, B1, C1, A0, C0, top = _band_numbers(gauge)
-    j = np.arange(top + 1.0)
-    sup, sub = j[1:] * (j[1:] - 1) * B2 + j[1:] * C1, j[:-1] * A1 + A0  # v^j to v^(j - 1), v^(j + 1)
-    return np.diag(j * (j - 1) * A2 + j * B1 + C0) + np.diag(sup, 1) + np.diag(sub, -1)
-
-
 def algebraic_states(family: PotentialFamily) -> tuple[AlgebraicState, ...]:
     """All algebraic eigenpairs of the instance, ascending in energy.
 
-    ``recursion_matrix``'s band moves exactly to u = v - v0, v0 the zero of
+    ``_band_numbers``' band moves exactly to u = v - v0, v0 the zero of
     a2 at which every off-diagonal product is positive; scaled in logs, it
     is a symmetric J, and ``np.linalg.eigh(J)`` gives P monic in u. Raises
     ``families.NonQESError`` when the recursion does not truncate and

@@ -12,7 +12,6 @@ import numpy as np
 from qhjqes.cli import main as cli_main
 from qhjqes.engine import (
     fixed_pole_residues,
-    infinity_branch_candidates,
     quantization_ledger,
     riccati_in_chart,
     select_physical_branch,
@@ -83,8 +82,10 @@ def test_criterion_2_branch_selection():
     ok = True
     for gamma in rng.uniform(0.2, 9.0, 20):
         fam = Sextic(-1.0, 0.0, float(gamma))
-        pair = infinity_branch_candidates(riccati_in_chart(fam))
+        led = quantization_ledger(fam, require_integer=False)
+        pair = led.infinity_branches
         sel = select_physical_branch(pair, fam)
+        ok = ok and sel.label == led.selected_branch
         ok = ok and abs(sel.leading_coefficient - 1j * math.sqrt(gamma)) < 1e-12
         rejected = [c for c in pair if c.label != sel.label][0]
         ok = ok and (1j * sel.leading_coefficient).real < 0  # decay

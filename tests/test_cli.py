@@ -102,6 +102,19 @@ def test_non_string_output_path_is_a_config_error(tmp_path, capsys, outputs):
     assert out == "" and "config error" in err and "output path" in err
 
 
+@pytest.mark.parametrize("via_out", [False, True], ids=["outputs-report", "out-flag"])
+def test_report_and_csv_on_one_path_is_a_config_error(tmp_path, monkeypatch, capsys, via_out):
+    # the report would overwrite the CSV; the second spelling of the same file is relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / "poles.out"
+    outputs = {"csv": str(path)} if via_out else {"report": "poles.out", "csv": str(path)}
+    cfg = write_config(tmp_path, {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": 2}, "outputs": outputs})
+    assert main(["poles", "--config", cfg] + (["--out", "./poles.out"] if via_out else [])) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "both be written" in err
+    assert not path.exists()
+
+
 @pytest.mark.parametrize(
     "config",
     [
@@ -737,6 +750,18 @@ def test_exported_names_resolve(module):
     # a stale export is caught here, not only when the tracer happens to wrap it
     mod = importlib.import_module(f"qhjqes.{module}")
     assert [name for name in mod.__all__ if not hasattr(mod, name)] == []
+
+
+@pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qhjqes.__path__)))
+def test_exported_names_are_used_in_src(module):
+    # a name in __all__ that no code of the package reads serves only the tests; docstrings do not count
+    used = set()
+    for info in pkgutil.iter_modules(qhjqes.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"qhjqes.{info.name}")))
+        used |= {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        used |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        used |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert [name for name in importlib.import_module(f"qhjqes.{module}").__all__ if name not in used] == []
 
 
 @pytest.mark.parametrize("module", sorted(m.name for m in pkgutil.iter_modules(qhjqes.__path__)))

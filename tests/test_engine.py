@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -9,18 +10,23 @@ from qhjqes.engine import (
     BranchRuleError,
     MatchingFailure,
     fixed_pole_residues,
-    infinity_branch_candidates,
-    infinity_expansion,
     quantization_ledger,
     riccati_in_chart,
     select_physical_branch,
 )
 from qhjqes.families import HYPER, IDENTITY, TRIG, Circular, Hyperbolic, NonQESError, RadialSextic, Sextic
+from qhjqes.series import Polynomial
 from test_families import ReflectedCircular
 
 
 def _sextic(alpha=-7.0, beta=0.0, gamma=1.0):
     return Sextic(alpha, beta, gamma)
+
+
+def _with_energy(r, energy):
+    """The Riccati data with the number ``energy`` folded into R's E-free numerator."""
+    num = np.polynomial.polynomial.polyadd(r.rhs_num_const.coeffs, (energy * r.rhs_num_energy).coeffs)
+    return dataclasses.replace(r, rhs_num_const=Polynomial(num))
 
 
 # ------------------------------------------------------------ chart data
@@ -76,8 +82,7 @@ def test_chart_q_matches_coordinates(chart):
 
 
 def test_leading_candidates_for_gamma_4():
-    r = riccati_in_chart(Sextic(-1.0, 0.0, 4.0))
-    pair = infinity_branch_candidates(r)
+    pair = quantization_ledger(Sextic(-1.0, 0.0, 4.0), require_integer=False).infinity_branches
     leads = sorted((c.leading_coefficient for c in pair), key=lambda z: z.imag)
     assert abs(leads[0] + 2j) < 1e-14
     assert abs(leads[1] - 2j) < 1e-14
@@ -87,27 +92,26 @@ def test_second_coefficient_vanishes():
     rng = np.random.default_rng(5)
     for _ in range(10):
         fam = Sextic(*rng.uniform(-3, 3, 2), rng.uniform(0.2, 5))
-        r = riccati_in_chart(fam)
-        branch = infinity_branch_candidates(r)[0]
-        ser = infinity_expansion(r, branch)
+        ser = quantization_ledger(fam, require_integer=False).infinity_series
         assert ser.coefficient(-2) == 0
 
 
 def test_subleading_solves_linear_relation():
-    # gamma = 1, beta = 2 on the +i branch: b1 = -beta / (2 b3) = i
-    r = riccati_in_chart(Sextic(-5.0, 2.0, 1.0))
-    plus = infinity_branch_candidates(r)[0]
-    assert plus.leading_coefficient == 1j
-    ser = infinity_expansion(r, plus)
-    assert abs(ser.coefficient(-1) - 1j) < 1e-14
+    # gamma = 1, beta = 2 on the +i branch, which decays: b1 = -beta / (2 b3) = i
+    led = quantization_ledger(Sextic(-5.0, 2.0, 1.0), require_integer=False)
+    plus = led.infinity_branches[0]
+    assert plus.leading_coefficient == 1j and led.selected_branch == plus.label
+    assert abs(led.infinity_series.coefficient(-1) - 1j) < 1e-14
 
 
 def test_energy_stays_out_of_ledger_coefficients():
     r = riccati_in_chart(_sextic())
-    branch = infinity_branch_candidates(r)[0]
-    symbolic = infinity_expansion(r, branch)
+    led = quantization_ledger(_sextic())
+    branch = next(c for c in led.infinity_branches if c.label == led.selected_branch)
+    symbolic = led.infinity_series
     for energy in (0.0, 5.0, -17.0):
-        concrete = infinity_expansion(r, branch, energy=energy)
+        concrete = engine._expansion(engine._localize_at_infinity(_with_energy(r, energy)), branch)
+        assert (concrete.lo, concrete.hi) == (symbolic.lo, symbolic.hi)
         for k in range(symbolic.lo, symbolic.hi + 1):
             assert abs(symbolic.coefficient(k) - concrete.coefficient(k)) < 1e-14
 
@@ -128,10 +132,19 @@ def test_energy_enters_above_ledger_window(fam, hi):
     # the window's end comes from degrees alone; two concrete energies must
     # first disagree on the coefficient just above it, on both branches
     r = riccati_in_chart(fam)
-    for branch in infinity_branch_candidates(r):
-        assert infinity_expansion(r, branch).hi == hi
-        low = infinity_expansion(r, branch, energy=0.0)
-        high = infinity_expansion(r, branch, energy=10.0)
+    eq = engine._localize_at_infinity(r)
+    led = quantization_ledger(fam, require_integer=False)
+    assert led.infinity_series.hi == hi
+    for branch in led.infinity_branches:
+        assert engine._expansion(eq, branch).hi == hi
+        low, high = (
+            engine._expansion(
+                dataclasses.replace(engine._localize_at_infinity(_with_energy(r, e)), energy_order=eq.energy_order + 1),
+                branch,
+            )
+            for e in (0.0, 10.0)
+        )
+        assert low.hi == high.hi == hi + 1
         gap = [abs(low.coefficient(k) - high.coefficient(k)) for k in range(low.lo, hi + 2)]
         assert max(gap[:-1]) <= 1e-12 and gap[-1] > 1e-6
 
@@ -141,14 +154,7 @@ def test_energy_in_the_leading_order_is_a_matching_failure():
     # so E already sits in the quadratic for the leading coefficient
     fam = SimpleNamespace(chart=IDENTITY, potential_in_chart=((0, 0, 1), (1, 0, 1)), singular_points=())
     with pytest.raises(MatchingFailure, match="energy enters the leading matching order"):
-        infinity_branch_candidates(riccati_in_chart(fam))
-
-
-def test_depth_validation():
-    r = riccati_in_chart(_sextic())
-    branch = infinity_branch_candidates(r)[0]
-    with pytest.raises(ValueError, match="depth"):
-        infinity_expansion(r, branch, depth=3)
+        quantization_ledger(fam, require_integer=False)
 
 
 # ------------------------------------------------------ branch selection
@@ -158,9 +164,10 @@ def test_sextic_selects_decaying_branch():
     rng = np.random.default_rng(9)
     for gamma in rng.uniform(0.2, 9, 6):
         fam = Sextic(-1.0, 0.0, float(gamma))
-        r = riccati_in_chart(fam)
-        pair = infinity_branch_candidates(r)
+        led = quantization_ledger(fam, require_integer=False)
+        pair = led.infinity_branches
         sel = select_physical_branch(pair, fam)
+        assert sel.label == led.selected_branch
         assert abs(sel.leading_coefficient - 1j * math.sqrt(gamma)) < 1e-12
         rejected = [c for c in pair if c.label != sel.label][0]
         assert (1j * rejected.leading_coefficient).real > 0  # growth
@@ -218,7 +225,7 @@ def test_branch_rule_takes_a_pair_from_one_place():
     # the rule reads its location off the candidates, so they must agree on it
     fam = RadialSextic(S=1.0, a=1.0, b=0.0, M=0)
     r = riccati_in_chart(fam)
-    at_infinity, at_origin = infinity_branch_candidates(r)[0], fixed_pole_residues(r, 0)[0]
+    at_infinity, at_origin = quantization_ledger(fam).infinity_branches[0], fixed_pole_residues(r, 0)[0]
     for mixed in ((at_infinity, at_origin), (at_origin, at_infinity)):
         with pytest.raises(ValueError, match="candidates were produced at two locations"):
             select_physical_branch(mixed, fam)
@@ -385,10 +392,10 @@ _PINNED_CANDIDATES = [
                          ids=["sextic", "radial_sextic", "circular", "hyperbolic"])
 def test_candidates_are_pinned(fam, infinity, fixed, ledger):
     r = riccati_in_chart(fam)
-    assert repr(tuple(c.leading_coefficient for c in infinity_branch_candidates(r))) == infinity
+    led = quantization_ledger(fam)
+    assert repr(tuple(c.leading_coefficient for c in led.infinity_branches)) == infinity
     pairs = tuple(tuple(c.leading_coefficient for c in fixed_pole_residues(r, z0)) for z0 in r.fixed_poles)
     assert repr(pairs) == fixed
-    led = quantization_ledger(fam)
     ser = led.infinity_series
     assert repr(((sorted(ser.coeffs.items()), ser.lo, ser.hi), tuple(e.value for e in led.entries),
                  led.fixed_residues)) == ledger

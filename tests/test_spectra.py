@@ -14,7 +14,6 @@ from qhjqes.spectra import (
     algebraic_states,
     eigenfunction_with_derivatives,
     gauge_from_residues,
-    recursion_matrix,
     schrodinger_residual,
 )
 
@@ -67,18 +66,26 @@ def test_chart_gauges():
 # ------------------------------------------------------- recursion matrices
 
 
+def _recursion_matrix(gauge):
+    """Dense H on the coefficients (c_0, c_1, ...) of P(v), v = z^k, from the recursion's band."""
+    A2, B2, A1, B1, C1, A0, C0, top = spectra._band_numbers(gauge)
+    j = np.arange(top + 1.0)
+    sup, sub = j[1:] * (j[1:] - 1) * B2 + j[1:] * C1, j[:-1] * A1 + A0  # v^j to v^(j - 1), v^(j + 1)
+    return np.diag(j * (j - 1) * A2 + j * B1 + C0) + np.diag(sup, 1) + np.diag(sub, -1)
+
+
 def test_ground_sector_matrices_are_scalar_zero():
-    m0 = recursion_matrix(gauge_from_residues(Sextic.on_condition(1.0, 0.0, 0)))
+    m0 = _recursion_matrix(gauge_from_residues(Sextic.on_condition(1.0, 0.0, 0)))
     assert m0.shape == (1, 1) and m0[0, 0] == 0.0
     g1 = gauge_from_residues(Sextic.on_condition(1.0, 0.0, 1))
-    m1 = recursion_matrix(g1)
+    m1 = _recursion_matrix(g1)
     assert m1.shape == (1, 1) and m1[0, 0] == 0.0
     assert g1.parity == 1
 
 
 def test_n2_matrix_entries():
     g = gauge_from_residues(Sextic.on_condition(1.0, 0.0, 2))
-    m = recursion_matrix(g)
+    m = _recursion_matrix(g)
     assert m.tolist() == [[0.0, -2.0], [-4.0, 0.0]]
     assert g.parity == 0 and m.shape == (2, 2)  # the even powers x^0, x^2
 
@@ -86,14 +93,14 @@ def test_n2_matrix_entries():
 def test_sector_dimensions():
     for n in range(7):
         g = gauge_from_residues(Sextic.on_condition(1.0, 0.5, n))
-        m = recursion_matrix(g)
+        m = _recursion_matrix(g)
         assert m.shape == (n // 2 + 1, n // 2 + 1)
         assert g.parity == n % 2
 
 
 def test_off_condition_family_reports_residual():
     with pytest.raises(NonQESError, match="residual 0.05"):
-        recursion_matrix(gauge_from_residues(Sextic(-6.9, 0.0, 1.0)))
+        _recursion_matrix(gauge_from_residues(Sextic(-6.9, 0.0, 1.0)))
 
 
 # ------------------------------------------------------------------ spectra
@@ -295,7 +302,7 @@ def _families_up_to_12():
 
 def test_derived_matrix_is_the_papers_recursion():
     for family in _families_up_to_12():
-        derived, paper = recursion_matrix(gauge_from_residues(family)), _paper_matrix(family)
+        derived, paper = _recursion_matrix(gauge_from_residues(family)), _paper_matrix(family)
         assert derived.shape == paper.shape, family
         assert np.max(np.abs(derived - paper)) <= 1e-14 * np.max(np.abs(paper)), family
 
@@ -313,7 +320,7 @@ def test_exponent_off_the_indicial_equation_is_refused(family):
     g = gauge_from_residues(family)
     (loc, e), *rest = g.prefactors
     with pytest.raises(ArithmeticError, match="indicial"):
-        recursion_matrix(dataclasses.replace(g, prefactors=((loc, e + 0.1), *rest)))
+        spectra._band_numbers(dataclasses.replace(g, prefactors=((loc, e + 0.1), *rest)))
 
 
 _SEXTIC, _RADIAL = Sextic.on_condition(1.5, -0.7, 5), RadialSextic(S=1.25, a=1.0, b=0.5, M=3)
@@ -334,7 +341,7 @@ def test_gauge_off_the_potential_is_refused(family, power):
     coeffs = list(g.gauge_polynomial.coeffs) + [0j] * (power + 1 - len(g.gauge_polynomial.coeffs))
     coeffs[power] = coeffs[power] * (1 + 1e-6) if coeffs[power] else 1e-6 * g.gauge_polynomial.coeffs[-1]
     with pytest.raises(ArithmeticError, match="outside its band"):
-        recursion_matrix(dataclasses.replace(g, gauge_polynomial=Polynomial(coeffs)))
+        spectra._band_numbers(dataclasses.replace(g, gauge_polynomial=Polynomial(coeffs)))
 
 
 class _BentSextic(Sextic):
@@ -348,7 +355,7 @@ def test_chart_whose_a2_leaves_its_band_is_refused():
     bent = dataclasses.replace(g, ledger=dataclasses.replace(g.ledger, family=_BentSextic.on_condition(1.0, 0.5, 2)))
     for _ in range(2):
         with pytest.raises(ArithmeticError, match=r"a2 has a z\^3 term outside its band"):
-            recursion_matrix(bent)
+            spectra._band_numbers(bent)
 
 
 @pytest.mark.parametrize("family", _ARRAY_CASES, ids=_ARRAY_IDS)
@@ -356,7 +363,7 @@ def test_count_that_does_not_truncate_is_refused(family):
     # two more moving poles keep the sextic's parity; the sector then reaches one power of v further
     g = gauge_from_residues(family)
     with pytest.raises(NonQESError, match="does not truncate"):
-        recursion_matrix(dataclasses.replace(g, ledger=dataclasses.replace(g.ledger, n=g.ledger.n + 2)))
+        spectra._band_numbers(dataclasses.replace(g, ledger=dataclasses.replace(g.ledger, n=g.ledger.n + 2)))
 
 
 def _residual_by_loop(state, n_samples=50):
