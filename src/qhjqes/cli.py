@@ -443,7 +443,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         out, csv_path = args.out or _output_path(config, "report"), _output_path(config, "csv")
-        if args.command == "poles" and out and csv_path and os.path.abspath(out) == os.path.abspath(csv_path):
+        written = [os.path.abspath(p) for p in (out, csv_path if args.command == "poles" else None) if p]
+        if os.path.abspath(args.config) in written:
+            raise ConfigError(f"an output would overwrite the config {args.config}")
+        if len(set(written)) < len(written):
             raise ConfigError(f"the report and the CSV would both be written to {csv_path}")
         report, code = run_command(args.command, config, **options)
         _emit(report, out)

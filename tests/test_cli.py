@@ -116,6 +116,23 @@ def test_report_and_csv_on_one_path_is_a_config_error(tmp_path, monkeypatch, cap
 
 
 @pytest.mark.parametrize(
+    "argv,outputs",
+    [(["poles"], {"csv": "./config.json"}), (["derive", "--out", "config.json"], {})],
+    ids=["poles-csv", "derive-out"],
+)
+def test_an_output_on_the_config_path_is_a_config_error(tmp_path, monkeypatch, capsys, argv, outputs):
+    # the config names itself as an output, spelled relative to the working directory
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, {"family": {"name": "sextic_qes", "a": 1.0, "b": 0.5, "n": 2}, "outputs": outputs})
+    before = (tmp_path / "config.json").read_bytes()
+    assert main(argv + ["--config", cfg]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "config error" in err and "overwrite the config" in err
+    assert (tmp_path / "config.json").read_bytes() == before
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
+@pytest.mark.parametrize(
     "config",
     [
         {**SEXTIC_N2, "tolerances": {"oracle_tol": "a"}},
@@ -516,6 +533,18 @@ def test_spectrum_and_census_pass_next_to_a_stronger_wall(tmp_path, capsys, row,
     assert main(argv + ["--config", cfg]) == 0
     report = json.loads(capsys.readouterr().out)
     assert [c["name"] for c in report["checks"] if not c["pass"]] == []
+
+
+@pytest.mark.parametrize("q1", [1e-8, -1e-8])
+def test_residues_pass_with_zeros_far_out_at_small_q1(tmp_path, capsys, q1):
+    # as q1 -> 0 some zeros run off to |t| ~ 1/q1 (3e8 to 8e8 here); the residue circles, drawn in t - t0 with
+    # P re-expanded at t0, stay accurate there. The exit code is not asserted: at q1 = 1e-8 the quantization
+    # stadium still reads 1.99999998832 on state 0
+    cfg = write_config(tmp_path, {"family": {"name": "circular", "S1": 1.1, "S2": 1.3, "q1": q1, "M": 2}})
+    main(["verify", "--config", cfg])
+    residues = [c for c in json.loads(capsys.readouterr().out)["checks"] if c["name"].endswith("_residues")]
+    assert [c["name"] for c in residues] == [f"state_{i}_residues" for i in range(3)]
+    assert all(c["pass"] for c in residues)
 
 
 @pytest.mark.parametrize("command", ["verify", "spectrum"])

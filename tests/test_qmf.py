@@ -209,6 +209,53 @@ def test_radial_fixed_pole_residue_matches_selection():
     assert abs(fixed[0].measured_residue - expected) < 1e-8
 
 
+@pytest.mark.parametrize(
+    "family",
+    [
+        Circular(S1=1.1, S2=1.3, q1=1.0, M=12),
+        Circular(S1=1.1, S2=1.3, q1=-2.0, M=12),
+        Hyperbolic(S1=1.1, S2=1.3, q1=1.0, M=12),
+        RadialSextic(S=1.1, a=1.0, b=0.5, M=20),
+        Sextic.on_condition(1.0, 0.5, 20),
+    ],
+    ids=["circular-q1-1", "circular-q1-neg2", "hyperbolic", "radial-M20", "sextic-n20"],
+)
+def test_every_moving_residue_is_exact_to_rounding(family):
+    # the circle integrates P re-expanded at its zero, so nothing cancels next to the zero even where the
+    # monomial coefficients span many orders of magnitude
+    for state in algebraic_states(family):
+        e = qmf(state)
+        worst = max((abs(residue_at_zero(e, z) - e.moving_residue) for z in e.moving_zeros), default=0.0)
+        assert worst <= 1e-13
+
+
+@pytest.mark.parametrize(
+    "family",
+    [
+        Sextic.on_condition(1.0, 0.5, 5),
+        RadialSextic(S=1.25, a=1.0, b=0.5, M=3),
+        Circular(S1=1.0, S2=1.2, q1=-1.5, M=3),
+        Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2),
+    ],
+    ids=["sextic", "radial", "circular", "hyperbolic"],
+)
+def test_a_disc_without_a_pole_reads_zero_and_a_fixed_pole_its_ledger_residue(family):
+    # the re-expanded integrand still counts poles: none between two adjacent zeros, and the exact
+    # ledger residue at each fixed pole
+    empty_discs = 0
+    for state in algebraic_states(family):
+        e = qmf(state)
+        points = list(e.moving_zeros) + [loc for loc, _ in e.fixed_singularities]
+        for a, b in zip(e.moving_zeros, e.moving_zeros[1:]):
+            mid = (a + b) / 2
+            if min(abs(p - mid) for p in points) > 1e-12:
+                assert abs(residue_at_zero(e, mid)) < 1e-12
+                empty_discs += 1
+        for loc, res in e.fixed_singularities:
+            assert abs(residue_at_zero(e, loc) - res) < 1e-13
+    assert empty_discs >= 3
+
+
 # ------------------------------------------------------------ counting laws
 
 
@@ -432,52 +479,55 @@ _PINNED_CENSUS = [
         Sextic.on_condition(1.5, -0.7, 3), 0,
         'CensusReport(n_real=1, n_complex=2, total=3, quantization_value=0.9999999999999963, '
         'global_count=3.000000000000009, zeros=(-0.8908019533263033j, 0j, 0.8908019533263033j))',
-        '(PoleReport(location=-0.8908019533263033j, measured_residue=(-5.204170427930421e-18-1j), '
-        "kind='moving', axis='complex'), PoleReport(location=0j, measured_residue=-1j, kind='moving', "
+        '(PoleReport(location=-0.8908019533263033j, measured_residue=(5.312590645178972e-18-0.9999999999999999j), '
+        "kind='moving', axis='complex'), PoleReport(location=0j, "
+        "measured_residue=(2.15485181781494e-18-0.9999999999999999j), kind='moving', "
         "axis='real'), PoleReport(location=0.8908019533263033j, "
-        "measured_residue=(-1.0408340855860843e-17-1j), kind='moving', axis='complex'))",
+        "measured_residue=(1.1329912702473523e-17-1j), kind='moving', axis='complex'))",
     ),
     (
         RadialSextic(S=1.25, a=1.0, b=0.5, M=2), 1,
         'CensusReport(n_real=2, n_complex=2, total=4, quantization_value=2.0000000000000138, '
         'global_count=4.000000000000015, zeros=((-1.2633994548696759+0j), -1.475755845553926j, '
         '1.475755845553926j, (1.2633994548696759+0j)))',
-        '(PoleReport(location=(-1.2633994548696759+0j), measured_residue=(-5.204170427930421e-18-1j), '
+        '(PoleReport(location=(-1.2633994548696759+0j), measured_residue=(8.131516293641282e-19-1j), '
         "kind='moving', axis='real'), PoleReport(location=-1.475755845553926j, "
-        "measured_residue=-0.9999999999999999j, kind='moving', axis='complex'), "
+        "measured_residue=(1.56396163381034e-17-1j), kind='moving', axis='complex'), "
         'PoleReport(location=1.475755845553926j, '
-        "measured_residue=(1.0408340855860843e-17-0.9999999999999999j), kind='moving', axis='complex'), "
-        'PoleReport(location=(1.2633994548696759+0j), measured_residue=(-3.469446951953614e-18-1j), '
+        "measured_residue=(3.3610267347050637e-18-1j), kind='moving', axis='complex'), "
+        'PoleReport(location=(1.2633994548696759+0j), measured_residue=(-6.071532165918825e-18-1j), '
         "kind='moving', axis='real'), PoleReport(location=0j, "
-        "measured_residue=(-1.5178830414797062e-18-2j), kind='fixed', axis='real'))",
+        "measured_residue=(-7.318364664277155e-19-2j), kind='fixed', axis='real'))",
     ),
     (
         Circular(S1=1.0, S2=1.2, q1=-1.5, M=3), 0,
         'CensusReport(n_real=3, n_complex=0, total=3, quantization_value=3.0000000000000013, '
         'global_count=2.999999999999999, zeros=((-6.936851136178005+0j), (-3.371669083562378+0j), '
         '(-1.19494936031818+0j)))',
-        '(PoleReport(location=(-6.936851136178005+0j), measured_residue=(-1.3877787807814457e-17-2j), '
+        '(PoleReport(location=(-6.936851136178005+0j), measured_residue=(-1.0184724157785707e-17-2j), '
         "kind='moving', axis='real'), PoleReport(location=(-3.371669083562378+0j), "
-        "measured_residue=(-1.3010426069826053e-16-2j), kind='moving', axis='real'), "
-        'PoleReport(location=(-1.19494936031818+0j), measured_residue=(-3.469446951953614e-18-2j), '
+        "measured_residue=(9.39190131915568e-18-2j), kind='moving', axis='real'), "
+        'PoleReport(location=(-1.19494936031818+0j), measured_residue=(7.453889935837843e-18-1.9999999999999998j), '
         "kind='moving', axis='real'), PoleReport(location=0j, "
-        "measured_residue=(-1.3877787807814457e-17-1.5j), kind='fixed', axis='real'), "
-        "PoleReport(location=(1+0j), measured_residue=-1.9j, kind='fixed', axis='real'))",
+        "measured_residue=(8.483881999699072e-18-1.5j), kind='fixed', axis='real'), "
+        "PoleReport(location=(1+0j), measured_residue=(3.7730235602495554e-17-1.9j), kind='fixed', axis='real'))",
     ),
     (
         Hyperbolic(S1=1.0, S2=1.25, q1=1.0, M=2), 0,
         'CensusReport(n_real=4, n_complex=0, total=4, quantization_value=4.000000000000003, '
         'global_count=4.000000000000002, zeros=((-0.7993886662966725+0j), (-0.47116374001650674+0j), '
         '(0.47116374001650674+0j), (0.7993886662966725+0j)))',
-        '(PoleReport(location=(-0.7993886662966725+0j), measured_residue=(6.938893903907228e-18-1j), '
+        '(PoleReport(location=(-0.7993886662966725+0j), measured_residue=(6.505213034913027e-19-1j), '
         "kind='moving', axis='real'), PoleReport(location=(-0.47116374001650674+0j), "
-        "measured_residue=(1.3877787807814457e-17-1j), kind='moving', axis='real'), "
-        'PoleReport(location=(0.47116374001650674+0j), measured_residue=(-6.938893903907228e-18-1j), '
+        "measured_residue=(1.0950441942103595e-17-1j), kind='moving', axis='real'), "
+        'PoleReport(location=(0.47116374001650674+0j), measured_residue=(-1.496198998029996e-17-1j), '
         "kind='moving', axis='real'), PoleReport(location=(0.7993886662966725+0j), "
-        "measured_residue=(-1.3877787807814457e-17-1j), kind='moving', axis='real'), "
-        "PoleReport(location=0j, measured_residue=-1.5j, kind='fixed', axis='real'), "
-        "PoleReport(location=(1+0j), measured_residue=(5.551115123125783e-17-1j), kind='fixed', "
-        "axis='real'), PoleReport(location=(-1+0j), measured_residue=-1j, kind='fixed', axis='real'))",
+        "measured_residue=(-9.974659986866641e-18-1j), kind='moving', axis='real'), "
+        "PoleReport(location=0j, measured_residue=(1.6263032587282565e-18-1.5j), "
+        "kind='fixed', axis='real'), PoleReport(location=(1+0j), "
+        "measured_residue=(-3.577867169202164e-17-1j), kind='fixed', axis='real'), "
+        "PoleReport(location=(-1+0j), measured_residue=(-1.0842021724855044e-17-0.9999999999999999j), "
+        "kind='fixed', axis='real'))",
     ),
 ]
 
